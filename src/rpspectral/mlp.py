@@ -7,8 +7,6 @@ finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import BadArchitecture, ShapeMismatch
@@ -165,31 +163,55 @@ class Adam:
         self.step_count = 0
         self.m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
         self.v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
+        # Two scratch buffers per parameter hold the update's intermediates,
+        # so a step allocates nothing.
+        self._scratch = [
+            [(np.empty_like(p), np.empty_like(p)) for p in (l.weights, l.biases)]
+            for l in net.layers
+        ]
 
     def step(self, net, grads):
-        """Apply one update in place; increments the step counter."""
+        """Apply one update in place; increments the step counter.
+
+        Every gradient shape is checked before anything changes, so a
+        rejected step leaves the parameters, the moments and the counter as
+        they were. The update is lr * (m / c1) / (sqrt(v / c2) + eps), with
+        c1, c2 the bias corrections.
+        """
         if len(grads) != len(net.layers):
             raise ShapeMismatch("gradient list length does not match layers")
+        for layer, (dW, db) in zip(net.layers, grads):
+            for param, grad in ((layer.weights, dW), (layer.biases, db)):
+                if param.shape != grad.shape:
+                    raise ShapeMismatch(
+                        f"grad shape {grad.shape} vs param {param.shape}"
+                    )
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - self.beta1**t
         correction2 = 1.0 - self.beta2**t
         for i, layer in enumerate(net.layers):
-            for param, grad, m, v in (
-                (layer.weights, grads[i][0], self.m[i][0], self.v[i][0]),
-                (layer.biases, grads[i][1], self.m[i][1], self.v[i][1]),
+            for param, grad, m, v, (a, b) in zip(
+                (layer.weights, layer.biases),
+                grads[i],
+                self.m[i],
+                self.v[i],
+                self._scratch[i],
             ):
-                if param.shape != grad.shape:
-                    raise ShapeMismatch(
-                        f"grad shape {grad.shape} vs param {param.shape}"
-                    )
                 m *= self.beta1
-                m += (1.0 - self.beta1) * grad
+                np.multiply(1.0 - self.beta1, grad, out=a)
+                m += a
                 v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                m_hat = m / correction1
-                v_hat = v / correction2
-                param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+                np.multiply(1.0 - self.beta2, grad, out=b)
+                b *= grad
+                v += b
+                np.divide(m, correction1, out=a)
+                a *= self.learning_rate
+                np.divide(v, correction2, out=b)
+                np.sqrt(b, out=b)
+                b += self.eps
+                a /= b
+                param -= a
 
 
 def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):
@@ -233,14 +255,3 @@ def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):
         scale = max(abs(numeric) + abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / scale)
     return worst
-
-
-def save_checkpoint(net, path):
-    """Write the network to a JSON checkpoint (exact float64 round trip)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(net.to_dict(), fh)
-
-
-def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        return Mlp.from_dict(json.load(fh))

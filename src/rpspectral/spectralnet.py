@@ -159,7 +159,9 @@ def _draw_batches(n, m, rng):
     """An orthogonalization batch and a gradient batch of m points each.
 
     The two are disjoint when the dataset is large enough to allow it;
-    otherwise they are drawn independently.
+    otherwise they are drawn independently. Only the sampled path of
+    ``train_spectralnet`` (m < n) draws batches; with m == n every batch is
+    the whole dataset and nothing is drawn.
     """
     if n >= 2 * m:
         order = rng.permutation(n)
@@ -182,6 +184,17 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
     orthogonalization step and held fixed through the following gradient
     step; a final refit after the last update keeps the stored map in sync
     with the trained weights.
+
+    When the batch size is smaller than the dataset, each step draws an
+    orthogonalization batch and a gradient batch (``_draw_batches``) and runs
+    the net over each. When it equals the dataset size, both batches would
+    be permutations of the whole set, and the whitening map, the loss and
+    the weight gradients do not depend on row order; so each step runs the
+    net once over the rows in their natural order, whitens that output, and
+    backpropagates the loss of the whitened output through the same pass.
+    Nothing is drawn and ``final_batch`` is ``arange(n)``. The full n x n
+    affinity is built once and cached whenever n * n <= 16M, and always when
+    the batch is the whole dataset, since every step then needs all of it.
 
     The body network consumes raw coordinates by default; with
     ``features="twin"`` it consumes the frozen twin's embedding instead
@@ -206,11 +219,13 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
 
     # The twin net is frozen, so its embedding of the dataset never changes;
     # compute it once. For datasets small enough to hold an n x n matrix the
-    # full affinity is also cached and gradient batches just slice it.
+    # full affinity is also cached and gradient batches just slice it; when
+    # the batch is the whole dataset, every step uses it as it stands.
     Z_full, _ = twin_net.forward(X)
     features = Z_full if config.features == "twin" else X
+    full_batch = m == n
     affinity_full = None
-    if n * n <= 16_000_000:
+    if full_batch or n * n <= 16_000_000:
         affinity_full = heat_kernel(pairwise_distances(Z_full), bandwidth)
 
     def batch_affinity(idx):
@@ -235,23 +250,32 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
                     * 0.5
                     * (1.0 + np.cos(np.pi * step / half_steps))
                 )
-            ortho_idx, grad_idx = _draw_batches(n, m, run_rng)
-
-            # Orthogonalization step: refit the map on fresh points.
-            Y_raw, _ = net.forward(features[ortho_idx])
-            Y_ortho, ortho_map = orthogonalize(Y_raw, config.jitter)
+            if full_batch:
+                # One pass serves both steps: the whitened output is the Y
+                # the gradient step sees, and its cache is what backward needs.
+                out, cache = net.forward(features)
+                Y_ortho, ortho_map = orthogonalize(out, config.jitter)
+                Y, affinity = Y_ortho, affinity_full
+            else:
+                ortho_idx, grad_idx = _draw_batches(n, m, run_rng)
+                # Orthogonalization step: refit the map on fresh points.
+                Y_raw, _ = net.forward(features[ortho_idx])
+                Y_ortho, ortho_map = orthogonalize(Y_raw, config.jitter)
+                # Gradient step through the frozen map.
+                out, cache = net.forward(features[grad_idx])
+                Y = out @ ortho_map.transform
+                affinity = batch_affinity(grad_idx)
             ortho_residuals.append(ortho_residual(Y_ortho, m))
-
-            # Gradient step through the frozen map.
-            out, cache = net.forward(features[grad_idx])
-            Y = out @ ortho_map.transform
-            loss, grad_Y = spectral_loss(batch_affinity(grad_idx), Y)
+            loss, grad_Y = spectral_loss(affinity, Y)
             grads, _ = net.backward(cache, grad_Y @ ortho_map.transform.T)
             optimizer.step(net, grads)
             loss_history.append(loss)
 
         # The last update left the stored map stale; refit it once more.
-        final_idx, _ = _draw_batches(n, m, run_rng)
+        if full_batch:
+            final_idx = np.arange(n)
+        else:
+            final_idx, _ = _draw_batches(n, m, run_rng)
         Y_raw, _ = net.forward(features[final_idx])
         Y_ortho, ortho_map = orthogonalize(Y_raw, config.jitter)
         ortho_residuals.append(ortho_residual(Y_ortho, m))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rpspectral.errors import BadArchitecture, ShapeMismatch
-from rpspectral.mlp import Adam, Mlp, gradient_check, load_checkpoint, save_checkpoint
+from rpspectral.mlp import Adam, Mlp, gradient_check
+from rpspectral.serialize import read_json, write_json
 
 
 def quadratic_loss(output):
@@ -120,6 +121,72 @@ def test_adam_rejects_mismatched_grads():
         opt.step(net, [(np.zeros((3, 5)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))])
 
 
+def reference_adam_step(net, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook update with explicit bias-corrected temporaries."""
+    state["t"] += 1
+    t = state["t"]
+    for i, layer in enumerate(net.layers):
+        for j, param in enumerate((layer.weights, layer.biases)):
+            grad = grads[i][j]
+            m, v = state["m"][i][j], state["v"][i][j]
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / (1.0 - beta1**t)
+            v_hat = v / (1.0 - beta2**t)
+            param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_adam_matches_reference_update_bit_for_bit():
+    rng = np.random.default_rng(6)
+    net = Mlp.init([3, 16, 16, 2], activation="relu", seed=4)
+    ref = net.copy()
+    opt = Adam(net, learning_rate=3e-3)
+    state = {
+        "t": 0,
+        "m": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
+        "v": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
+    }
+    for _ in range(120):
+        batch = rng.normal(size=(24, 3))
+        out, cache = net.forward(batch)
+        grads, _ = net.backward(cache, quadratic_loss(out)[1])
+        ref_out, ref_cache = ref.forward(batch)
+        ref_grads, _ = ref.backward(ref_cache, quadratic_loss(ref_out)[1])
+        opt.step(net, grads)
+        reference_adam_step(ref, ref_grads, state, lr=3e-3)
+        for la, lb in zip(net.layers, ref.layers):
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.biases, lb.biases)
+    assert opt.step_count == state["t"] == 120
+    for i in range(len(net.layers)):
+        for j in range(2):
+            assert np.array_equal(opt.m[i][j], state["m"][i][j])
+            assert np.array_equal(opt.v[i][j], state["v"][i][j])
+
+
+def test_adam_rejected_step_changes_nothing():
+    rng = np.random.default_rng(7)
+    net = Mlp.init([3, 4, 4, 2], seed=0)
+    opt = Adam(net)
+    out, cache = net.forward(rng.normal(size=(5, 3)))
+    grads, _ = net.backward(cache, out)
+    opt.step(net, grads)  # nonzero moments, so a partial update would show
+    before = net.copy()
+    moments = [[p.copy() for p in pair] for pair in opt.m + opt.v]
+    bad = grads[:-1] + [(grads[-1][0], np.zeros(3))]  # last layer's bias
+    with pytest.raises(ShapeMismatch):
+        opt.step(net, bad)
+    assert opt.step_count == 1
+    for la, lb in zip(net.layers, before.layers):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.biases, lb.biases)
+    for saved, pair in zip(moments, opt.m + opt.v):
+        for a, b in zip(saved, pair):
+            assert np.array_equal(a, b)
+
+
 def test_copy_is_independent():
     net = Mlp.init([3, 5, 2], seed=0)
     clone = net.copy()
@@ -130,8 +197,8 @@ def test_copy_is_independent():
 def test_checkpoint_round_trip(tmp_path):
     net = Mlp.init([4, 9, 3], activation="tanh", seed=11)
     path = tmp_path / "net.json"
-    save_checkpoint(net, path)
-    loaded = load_checkpoint(path)
+    write_json(path, net.to_dict())
+    loaded = Mlp.from_dict(read_json(path))
     assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
     for la, lb in zip(net.layers, loaded.layers):
         assert np.array_equal(la.weights, lb.weights)  # bit-exact via repr

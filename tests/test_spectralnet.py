@@ -151,6 +151,23 @@ def test_spectral_loss_shape_mismatch():
         spectral_loss(np.zeros((3, 3)), np.zeros((4, 2)))
 
 
+def test_loss_and_whitening_ignore_row_order():
+    # The full-batch path trains on rows in their natural order instead of a
+    # permutation; that is sound because neither of these depends on order.
+    rng = np.random.default_rng(9)
+    A = rng.uniform(size=(30, 30))
+    A = 0.5 * (A + A.T)
+    Y = rng.normal(size=(30, 3))
+    p = rng.permutation(30)
+    loss, grad = spectral_loss(A, Y)
+    loss_p, grad_p = spectral_loss(A[np.ix_(p, p)], Y[p])
+    assert abs(loss_p - loss) <= 1e-12 * max(1.0, abs(loss))
+    assert np.abs(grad_p - grad[p]).max() <= 1e-12
+    _, ortho = orthogonalize(Y)
+    _, ortho_p = orthogonalize(Y[p])
+    assert np.abs(ortho_p.transform - ortho.transform).max() <= 1e-12
+
+
 # --- training ---
 
 
@@ -204,6 +221,27 @@ def test_embedding_shape_and_final_batch_whiteness():
     # the stored map was refit on final_batch, so that subset is white
     Y_final = embed(model, X[model.final_batch])
     assert ortho_residual(Y_final, 48) <= 1e-6 * 48
+
+
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_full_batch_training(restarts):
+    X, _ = blobs_case()
+    n = len(X)
+    config = SpectralConfig(
+        n_clusters=3,
+        batch_size=n,
+        total_steps=40,
+        seed=4,
+        hidden_sizes=(8,),
+        restarts=restarts,
+    )
+    a = train_spectralnet(X, identity_twin(2), 0.5, config)
+    b = train_spectralnet(X, identity_twin(2), 0.5, config)
+    assert a.loss_history == b.loss_history
+    assert np.array_equal(embed(a, X), embed(b, X))
+    assert np.array_equal(a.final_batch, np.arange(n))
+    assert ortho_residual(embed(a, X), n) <= 1e-6 * n
+    assert len(a.loss_history) == config.total_steps // 2
 
 
 def test_training_rejects_undersized_dataset():

@@ -1,0 +1,73 @@
+"""Every module of the package and of the test suite binds each global it reads.
+
+The project configures no linter, so a missing import would otherwise show
+up only as a NameError once the code path that uses it runs. This walks each
+module's symbol tables (stdlib ``symtable``) and lists the global names that
+some scope reads but that the module never binds, imports or finds among the
+builtins.
+"""
+
+import builtins
+import symtable
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = sorted([*ROOT.glob("src/rpspectral/*.py"), *ROOT.glob("tests/*.py")])
+# Set by the import system on every module, with no binding in its source.
+MODULE_ATTRIBUTES = {"__file__", "__cached__", "__builtins__"}
+KNOWN = set(dir(builtins)) | MODULE_ATTRIBUTES
+
+
+def _scopes(table):
+    yield table
+    for child in table.get_children():
+        yield from _scopes(child)
+
+
+def undefined_globals(source, filename="<source>"):
+    """Sorted global names that some scope reads and nothing binds."""
+    top = symtable.symtable(source, filename, "exec")
+    bound, read = set(), set()
+    for scope in _scopes(top):
+        for sym in scope.get_symbols():
+            name = sym.get_name()
+            if scope is top or sym.is_declared_global():
+                if sym.is_assigned() or sym.is_imported():
+                    bound.add(name)
+            if sym.is_referenced() and sym.is_global():
+                read.add(name)
+    return sorted(read - bound - KNOWN)
+
+
+def test_checker_flags_only_unbound_names():
+    source = """
+import os.path
+from dataclasses import field as fld
+
+def f(c):
+    global COUNT
+    COUNT = len(c)
+    with open(__file__) as fh:
+        for line in fh:
+            pass
+    try:
+        return replace(c, x=fld, y=os.path.sep, z=[q for q in c if q], w=line)
+    except ValueError as err:
+        raise BadArchitecture(str(err)) from None
+
+class C:
+    size = 1
+    def g(self):
+        return size + COUNT + f(self) + C.size
+"""
+    assert undefined_globals(source) == ["BadArchitecture", "replace", "size"]
+
+
+def test_every_module_binds_the_globals_it_reads():
+    assert CHECKED, "no sources found to check"
+    found = {}
+    for path in CHECKED:
+        names = undefined_globals(path.read_text(encoding="utf-8"), str(path))
+        if names:
+            found[str(path.relative_to(ROOT))] = names
+    assert found == {}
