@@ -40,7 +40,7 @@ from .harness import (
     sweep,
 )
 from .mlp import Adam, Mlp, gradient_check
-from .pairing import PairCounts, PairSet, expected_pair_counts, knn_pairs, rptree_pairs
+from .pairing import PairSet, expected_pair_counts, knn_pairs, rptree_pairs
 from .rptree import (
     DirectionStrategy,
     TreeConfig,
@@ -82,7 +82,6 @@ __all__ = [
     "Mlp",
     "OrthoMap",
     "PairConfusion",
-    "PairCounts",
     "PairSet",
     "PipelineRun",
     "SiameseConfig",

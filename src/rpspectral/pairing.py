@@ -29,31 +29,30 @@ class PairSet:
     warning: str | None = None
 
     def validate(self):
-        """Raise ValueError when any pair-set invariant is broken."""
-        for name, pairs in (("positives", self.positives), ("negatives", self.negatives)):
-            if pairs.size and (pairs[:, 0] >= pairs[:, 1]).any():
+        """Raise ValueError when any pair-set invariant is broken.
+
+        Rows must be canonical (i < j), neither polarity may repeat a row,
+        and no row may sit in both. The repeat checks run on one stable
+        lexicographic sort of both polarities, exact for any integer indices:
+        equal rows end up adjacent, positives ahead of negatives.
+        """
+        positives = self.positives.reshape(-1, 2)
+        negatives = self.negatives.reshape(-1, 2)
+        rows = np.concatenate([positives, negatives])
+        tag = np.repeat([0, 1], [len(positives), len(negatives)])
+        order = np.lexsort((rows[:, 1], rows[:, 0]))
+        rows, tag = rows[order], tag[order]
+        repeat = (rows[1:, 0] == rows[:-1, 0]) & (rows[1:, 1] == rows[:-1, 1])
+        same_tag = tag[1:] == tag[:-1]
+        for polarity, (name, pairs) in enumerate(
+            (("positives", positives), ("negatives", negatives))
+        ):
+            if (pairs[:, 0] >= pairs[:, 1]).any():
                 raise ValueError(f"{name} contain self-pairs or unnormalized rows")
-            if len(np.unique(pairs, axis=0)) != len(pairs):
+            if (repeat & same_tag & (tag[1:] == polarity)).any():
                 raise ValueError(f"{name} contain duplicates")
-        pos = {tuple(p) for p in self.positives.tolist()}
-        neg = {tuple(p) for p in self.negatives.tolist()}
-        if pos & neg:
+        if (repeat & ~same_tag).any():
             raise ValueError("a pair appears in both polarities")
-
-
-@dataclass(frozen=True)
-class PairCounts:
-    positive_count: int
-    negative_count: int
-
-    @property
-    def total_count(self):
-        return self.positive_count + self.negative_count
-
-
-def count_pairs(pairs: PairSet) -> PairCounts:
-    """Exact deduplicated cardinalities of a pair set."""
-    return PairCounts(len(pairs.positives), len(pairs.negatives))
 
 
 def expected_pair_counts(n: int, k: int, leaf_size: int) -> dict:
@@ -74,6 +73,12 @@ def knn_pairs(X, k, rng) -> PairSet:
     uniform draws (without replacement) from the points it shares no positive
     pair with as negatives. The closure keeps the polarities disjoint even
     when neighborhoods are not mutual.
+
+    A point's draw is a set of ranks among its candidates, mapped past its
+    sorted excluded set (itself and its partners), so each point costs O(k)
+    rather than a pass over all n points; the ranks come from
+    ``rng.choice(count, ...)``, which consumes the stream exactly as drawing
+    from the candidate array itself would.
     """
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
@@ -86,40 +91,47 @@ def knn_pairs(X, k, rng) -> PairSet:
     directed[:, 1] = neighbor_lists.reshape(-1)
     positives = _unique_unordered(directed)
 
-    partner = [set() for _ in range(n)]
-    for i, j in positives.tolist():
-        partner[i].add(j)
-        partner[j].add(i)
+    # Point i's excluded set is excluded[bounds[i]:bounds[i + 1]], sorted.
+    points = np.arange(n)
+    owner = np.concatenate([positives[:, 0], positives[:, 1], points])
+    excluded = np.concatenate([positives[:, 1], positives[:, 0], points])
+    order = np.lexsort((excluded, owner))
+    owner, excluded = owner[order], excluded[order]
+    bounds = np.searchsorted(owner, np.arange(n + 1))
+    # Subtracting each excluded point's rank within its set leaves the number
+    # of candidates below it, so candidate rank r is r plus the count of
+    # these at or below r.
+    below = excluded - (np.arange(len(excluded)) - bounds[owner])
 
-    negative_rows = []
-    mask = np.empty(n, dtype=bool)
+    negatives = np.empty((n * k, 2), dtype=np.int64)
+    filled = 0
     for i in range(n):
-        mask[:] = True
-        mask[i] = False
-        mask[list(partner[i])] = False
-        candidates = np.flatnonzero(mask)
-        take = min(k, len(candidates))
+        lo, hi = bounds[i], bounds[i + 1]
+        available = n - (hi - lo)
+        take = min(k, available)
         if take:
-            chosen = rng.choice(candidates, size=take, replace=False)
-            rows = np.empty((take, 2), dtype=np.int64)
-            rows[:, 0] = i
-            rows[:, 1] = chosen
-            negative_rows.append(rows)
-    negatives = (
-        _unique_unordered(np.concatenate(negative_rows))
-        if negative_rows
-        else _EMPTY_PAIRS
-    )
+            ranks = rng.choice(available, size=take, replace=False)
+            negatives[filled : filled + take, 0] = i
+            negatives[filled : filled + take, 1] = ranks + np.searchsorted(
+                below[lo:hi], ranks, side="right"
+            )
+            filled += take
     return PairSet(
         positives=positives,
-        negatives=negatives,
+        negatives=_unique_unordered(negatives[:filled]),
         source=f"knn:k={k}",
         raw_positive_count=n * k,
     )
 
 
 def _knn_indices(X, k, chunk=512):
-    """Row-chunked brute-force k-nn; returns an n x k neighbor index matrix."""
+    """Row-chunked brute-force k-nn; returns an n x k neighbor index matrix.
+
+    Each row lists its neighbors by squared distance, exact ties broken
+    toward the lower index, i.e. the first k columns of a stable argsort.
+    Only the entries at or below the row's k-th smallest distance (found by
+    ``np.partition``) are ordered, by (distance, index).
+    """
     n = len(X)
     sq_norms = (X**2).sum(axis=1)
     out = np.empty((n, k), dtype=np.int64)
@@ -128,11 +140,17 @@ def _knn_indices(X, k, chunk=512):
         block = X[start:stop]
         d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ X.T)
         np.maximum(d2, 0.0, out=d2)
-        for r in range(stop - start):
-            d2[r, start + r] = np.inf
-        # Stable sort keeps the lower index first among exact distance ties.
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[start:stop] = order[:, :k]
+        local = np.arange(stop - start)
+        d2[local, start + local] = np.inf
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        row, col = np.nonzero(d2 <= kth[:, None])
+        counts = np.bincount(row, minlength=stop - start)
+        if (counts < k).any():
+            # NaN compares false; it comes from non-finite or overflowing X.
+            raise ValueError("squared distances are not all finite")
+        order = np.lexsort((col, d2[row, col], row))
+        first = np.cumsum(counts) - counts
+        out[start:stop] = col[order][first[:, None] + np.arange(k)]
     return out
 
 
@@ -143,38 +161,48 @@ def rptree_pairs(tree, rng) -> PairSet:
     other leaf uniformly and contributes the full cross product. With a
     single leaf there is nothing to pair against; negatives come back empty
     with a warning attached.
+
+    Both polarities are built from one array of every leaf's members, laid
+    out leaf after leaf: positives as one (leaves, s) block per leaf size s,
+    negatives by repeat and offset arithmetic over the partner choices.
     """
     leaf_sets = leaves(tree)
-    positive_rows = []
-    raw_count = 0
-    for idx in leaf_sets:
-        s = len(idx)
-        raw_count += s * s  # ordered-with-self convention of the estimate
-        if s >= 2:
-            a, b = np.triu_indices(s, k=1)
-            positive_rows.append(np.stack([idx[a], idx[b]], axis=1))
-    positives = (
-        _unique_unordered(np.concatenate(positive_rows))
-        if positive_rows
-        else _EMPTY_PAIRS
-    )
+    sizes = np.array([len(idx) for idx in leaf_sets], dtype=np.int64)
+    # Ordered-with-self convention of the estimate.
+    raw_count = sum(s * s for s in sizes.tolist())
+    members = np.concatenate(leaf_sets)
+    starts = np.cumsum(sizes) - sizes
+
+    positive_rows = [_EMPTY_PAIRS]
+    for s in np.unique(sizes[sizes >= 2]).tolist():
+        block = members[starts[sizes == s][:, None] + np.arange(s)]
+        a, b = np.triu_indices(s, k=1)
+        positive_rows.append(
+            np.stack([block[:, a].reshape(-1), block[:, b].reshape(-1)], axis=1)
+        )
+    positives = _unique_unordered(np.concatenate(positive_rows))
 
     warning = None
     if len(leaf_sets) < 2:
         negatives = _EMPTY_PAIRS
         warning = "tree has a single leaf; no negative pairs generated"
     else:
-        negative_rows = []
-        for x, idx in enumerate(leaf_sets):
+        # One draw per leaf, in leaf order: a single vectorised draw would
+        # consume the stream differently.
+        partner = np.empty(len(leaf_sets), dtype=np.int64)
+        for x in range(len(leaf_sets)):
             other = int(rng.integers(0, len(leaf_sets) - 1))
-            if other >= x:
-                other += 1
-            partner_idx = leaf_sets[other]
-            grid_a, grid_b = np.meshgrid(idx, partner_idx, indexing="ij")
-            negative_rows.append(
-                np.stack([grid_a.reshape(-1), grid_b.reshape(-1)], axis=1)
-            )
-        negatives = _unique_unordered(np.concatenate(negative_rows))
+            partner[x] = other + (other >= x)
+        # Each member of leaf x, in order, meets every member of leaf
+        # partner[x] in turn: runs[i] rows for member i, step counting
+        # through the partner leaf.
+        runs = np.repeat(sizes[partner], sizes)
+        member = np.repeat(np.arange(len(members)), runs)
+        step = np.arange(len(member)) - np.repeat(np.cumsum(runs) - runs, runs)
+        partner_start = np.repeat(starts[partner], sizes)
+        negatives = _unique_unordered(
+            np.stack([members[member], members[partner_start[member] + step]], axis=1)
+        )
     return PairSet(
         positives=positives,
         negatives=negatives,
@@ -185,12 +213,25 @@ def rptree_pairs(tree, rng) -> PairSet:
 
 
 def _unique_unordered(pairs):
-    """Normalize rows to (min, max) and drop duplicates; sorted output."""
+    """Normalize rows to (min, max) and drop duplicates; sorted output.
+
+    The result equals ``np.unique`` with ``axis=0`` on the normalized rows.
+    Each row is encoded as one int64 key ``lo * width + hi`` (indices are
+    nonnegative and ``width`` exceeds every ``hi``), so a 1-D ``np.sort``
+    orders the rows lexicographically; adjacent repeats are dropped and
+    ``divmod`` decodes the rest.
+    """
     if not len(pairs):
         return _EMPTY_PAIRS
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+    width = hi.max() + 1
+    keys = np.sort(lo * width + hi)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    lo, hi = np.divmod(keys[keep], width)
+    return np.stack([lo, hi], axis=1)
 
 
 def save_pairs_csv(pairs: PairSet, positives_path, negatives_path):

@@ -102,6 +102,12 @@ def orthogonalize(Y_raw, jitter=1e-6):
     above tolerance; batches whose outputs are genuinely rank-deficient
     cannot be whitened and raise SingularGram.
     """
+    Y, ortho_map, _ = _orthogonalize(Y_raw, jitter)
+    return Y, ortho_map
+
+
+def _orthogonalize(Y_raw, jitter):
+    """``orthogonalize``, also returning ``ortho_residual`` of its output."""
     Y_raw = np.asarray(Y_raw, dtype=np.float64)
     m, g = Y_raw.shape
     if m < g:
@@ -110,7 +116,8 @@ def orthogonalize(Y_raw, jitter=1e-6):
         )
     transform = _whitening_map(Y_raw.T @ Y_raw, m, jitter)
     Y = Y_raw @ transform
-    if ortho_residual(Y, m) > _ORTHO_TOL * m:
+    residual = ortho_residual(Y, m)
+    if residual > _ORTHO_TOL * m:
         second = _whitening_map(Y.T @ Y, m, jitter)
         transform = transform @ second
         Y = Y_raw @ transform
@@ -120,14 +127,16 @@ def orthogonalize(Y_raw, jitter=1e-6):
                 "batch outputs are rank-deficient; whitening residual "
                 f"{residual:.3e} exceeds {_ORTHO_TOL * m:.3e}"
             )
-    return Y, OrthoMap(transform=transform, batch_size=m)
+    return Y, OrthoMap(transform=transform, batch_size=m), residual
 
 
-def spectral_loss(affinity, Y):
+def spectral_loss(affinity, Y, degrees=None):
     """Laplacian quadratic form (1/m^2) sum_ij a_ij ||y_i - y_j||^2.
 
     Computed in trace form with M = diag(row sums) - A:
     loss = (2/m^2) tr(Y^T M Y), gradient (4/m^2) M Y.
+    ``degrees``, the row sums ``affinity.sum(axis=1)``, are computed here
+    unless a caller that reuses one affinity passes them in.
     Returns (loss, grad_Y).
     """
     affinity = np.asarray(affinity, dtype=np.float64)
@@ -137,7 +146,13 @@ def spectral_loss(affinity, Y):
         raise ShapeMismatch(
             f"affinity {affinity.shape} does not match batch of {m}"
         )
-    MY = affinity.sum(axis=1)[:, None] * Y - affinity @ Y
+    if degrees is None:
+        degrees = affinity.sum(axis=1)
+    elif np.shape(degrees) != (m,):
+        raise ShapeMismatch(
+            f"degrees {np.shape(degrees)} do not match batch of {m}"
+        )
+    MY = degrees[:, None] * Y - affinity @ Y
     loss = max(float((Y * MY).sum()) * 2.0 / (m * m), 0.0)
     grad = (4.0 / (m * m)) * MY
     return loss, grad
@@ -224,9 +239,11 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
     Z_full, _ = twin_net.forward(X)
     features = Z_full if config.features == "twin" else X
     full_batch = m == n
-    affinity_full = None
+    affinity_full = degrees_full = None
     if full_batch or n * n <= 16_000_000:
         affinity_full = heat_kernel(pairwise_distances(Z_full), bandwidth)
+    if full_batch:
+        degrees_full = affinity_full.sum(axis=1)
 
     def batch_affinity(idx):
         if affinity_full is not None:
@@ -254,19 +271,19 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
                 # One pass serves both steps: the whitened output is the Y
                 # the gradient step sees, and its cache is what backward needs.
                 out, cache = net.forward(features)
-                Y_ortho, ortho_map = orthogonalize(out, config.jitter)
-                Y, affinity = Y_ortho, affinity_full
+                Y, ortho_map, residual = _orthogonalize(out, config.jitter)
+                affinity = affinity_full
             else:
                 ortho_idx, grad_idx = _draw_batches(n, m, run_rng)
                 # Orthogonalization step: refit the map on fresh points.
                 Y_raw, _ = net.forward(features[ortho_idx])
-                Y_ortho, ortho_map = orthogonalize(Y_raw, config.jitter)
+                _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
                 # Gradient step through the frozen map.
                 out, cache = net.forward(features[grad_idx])
                 Y = out @ ortho_map.transform
                 affinity = batch_affinity(grad_idx)
-            ortho_residuals.append(ortho_residual(Y_ortho, m))
-            loss, grad_Y = spectral_loss(affinity, Y)
+            ortho_residuals.append(residual)
+            loss, grad_Y = spectral_loss(affinity, Y, degrees_full)
             grads, _ = net.backward(cache, grad_Y @ ortho_map.transform.T)
             optimizer.step(net, grads)
             loss_history.append(loss)
@@ -277,8 +294,8 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
         else:
             final_idx, _ = _draw_batches(n, m, run_rng)
         Y_raw, _ = net.forward(features[final_idx])
-        Y_ortho, ortho_map = orthogonalize(Y_raw, config.jitter)
-        ortho_residuals.append(ortho_residual(Y_ortho, m))
+        _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
+        ortho_residuals.append(residual)
         return net, ortho_map, final_idx, loss_history, ortho_residuals
 
     if config.restarts == 1:

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from rpspectral.errors import KTooLarge
 from rpspectral.pairing import (
+    PairSet,
+    _knn_indices,
+    _unique_unordered,
     expected_pair_counts,
     knn_pairs,
     rptree_pairs,
     save_pairs_csv,
 )
-from rpspectral.rptree import Internal, Leaf, TreeConfig, build_tree
+from rpspectral.rptree import Internal, Leaf, TreeConfig, build_tree, leaves
 
 
 def brute_force_knn(X, k):
@@ -94,8 +97,6 @@ def test_leaf_pairs_cover_leaves_exactly():
     X = np.random.default_rng(5).normal(size=(120, 2))
     tree = build_tree(X, TreeConfig(leaf_size=10, seed=0))
     pairs = rptree_pairs(tree, np.random.default_rng(1))
-    from rpspectral.rptree import leaves
-
     expected = set()
     raw = 0
     for part in leaves(tree):
@@ -111,8 +112,6 @@ def test_leaf_pairs_cover_leaves_exactly():
 def test_leaf_negatives_come_from_other_leaves():
     X = np.random.default_rng(6).normal(size=(80, 2))
     tree = build_tree(X, TreeConfig(leaf_size=8, seed=3))
-    from rpspectral.rptree import leaves
-
     leaf_of = {}
     for leaf_id, part in enumerate(leaves(tree)):
         for index in part:
@@ -152,6 +151,7 @@ def test_knn_property_reference_agreement(n, k, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     pairs = knn_pairs(X, k, np.random.default_rng(seed + 1))
+    pairs.validate()
     assert as_set(pairs.positives) == brute_force_knn(X, k)
     assert pairs.raw_positive_count == n * k
 
@@ -172,3 +172,266 @@ def test_save_pairs_csv_round_trip(tmp_path):
     assert np.array_equal(loaded, pairs.positives)
     loaded_neg = np.loadtxt(neg, delimiter=",", skiprows=1, dtype=np.int64, ndmin=2)
     assert np.array_equal(loaded_neg, pairs.negatives)
+
+
+# --- reference loop versions of the pair-mining kernels ---
+
+
+def reference_unique_unordered(pairs):
+    if not len(pairs):
+        return np.empty((0, 2), dtype=np.int64)
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0)
+
+
+def reference_knn_indices(X, k, chunk=512):
+    """Full stable argsort of every distance row, first k columns kept."""
+    n = len(X)
+    sq_norms = (X**2).sum(axis=1)
+    out = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = X[start:stop]
+        d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ X.T)
+        np.maximum(d2, 0.0, out=d2)
+        for r in range(stop - start):
+            d2[r, start + r] = np.inf
+        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return out
+
+
+def reference_knn_pairs(X, k, rng):
+    """knn_pairs with partner sets and an n-wide candidate mask per point."""
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    directed = np.empty((n * k, 2), dtype=np.int64)
+    directed[:, 0] = np.repeat(np.arange(n), k)
+    directed[:, 1] = reference_knn_indices(X, k).reshape(-1)
+    positives = reference_unique_unordered(directed)
+    partner = [set() for _ in range(n)]
+    for i, j in positives.tolist():
+        partner[i].add(j)
+        partner[j].add(i)
+    negative_rows = []
+    mask = np.empty(n, dtype=bool)
+    for i in range(n):
+        mask[:] = True
+        mask[i] = False
+        mask[list(partner[i])] = False
+        candidates = np.flatnonzero(mask)
+        take = min(k, len(candidates))
+        if take:
+            chosen = rng.choice(candidates, size=take, replace=False)
+            negative_rows.append(np.stack([np.full(take, i), chosen], axis=1))
+    negatives = (
+        reference_unique_unordered(np.concatenate(negative_rows))
+        if negative_rows
+        else np.empty((0, 2), dtype=np.int64)
+    )
+    return PairSet(positives, negatives, f"knn:k={k}", n * k)
+
+
+def reference_rptree_pairs(tree, rng):
+    """rptree_pairs with one triu/meshgrid block per leaf."""
+    leaf_sets = leaves(tree)
+    positive_rows = [np.empty((0, 2), dtype=np.int64)]
+    raw_count = 0
+    for idx in leaf_sets:
+        raw_count += len(idx) ** 2
+        a, b = np.triu_indices(len(idx), k=1)
+        positive_rows.append(np.stack([idx[a], idx[b]], axis=1))
+    positives = reference_unique_unordered(np.concatenate(positive_rows))
+    if len(leaf_sets) < 2:
+        negatives = np.empty((0, 2), dtype=np.int64)
+        warning = "tree has a single leaf; no negative pairs generated"
+    else:
+        negative_rows = []
+        for x, idx in enumerate(leaf_sets):
+            other = int(rng.integers(0, len(leaf_sets) - 1))
+            if other >= x:
+                other += 1
+            grid_a, grid_b = np.meshgrid(idx, leaf_sets[other], indexing="ij")
+            negative_rows.append(np.stack([grid_a.reshape(-1), grid_b.reshape(-1)], axis=1))
+        negatives = reference_unique_unordered(np.concatenate(negative_rows))
+        warning = None
+    return PairSet(positives, negatives, "rptree", raw_count, warning)
+
+
+def assert_same_pairs(got, want, got_rng, want_rng):
+    for name in ("positives", "negatives"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape
+        assert np.array_equal(a, b), name
+    assert got.raw_positive_count == want.raw_positive_count
+    assert got.warning == want.warning
+    assert got.source == want.source
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    got.validate()
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        np.empty((0, 2), dtype=np.int64),
+        np.array([[4, 1]]),
+        np.array([[5, 0], [3, 2], [9, 7], [2, 3], [0, 5]]),
+        np.random.default_rng(0).integers(0, 6, size=(400, 2)),
+    ],
+    ids=["empty", "one-row", "reversed-rows", "heavy-duplicates"],
+)
+def test_unique_unordered_matches_np_unique(pairs):
+    got = _unique_unordered(pairs)
+    want = reference_unique_unordered(pairs)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def chain_tree(*leaf_nodes):
+    """A right-leaning chain of splits whose in-order leaves are leaf_nodes."""
+    node = leaf_nodes[-1]
+    for leaf in reversed(leaf_nodes[:-1]):
+        node = Internal(np.array([1.0]), 0.0, left=leaf, right=node)
+    return node
+
+
+HAND_TREES = {
+    "mixed-sizes": chain_tree(
+        Leaf([7, 2, 9]), Leaf([4, 1]), Leaf([3, 8, 5, 6, 10]), Leaf([0, 11, 12])
+    ),
+    "size-1-leaves": chain_tree(Leaf([3]), Leaf([0, 2]), Leaf([1]), Leaf([4])),
+    "only-size-1": chain_tree(Leaf([1]), Leaf([0])),
+    "degenerate": chain_tree(
+        Leaf([0, 1]), Leaf(np.arange(2, 14)[::-1], degenerate=True), Leaf([14])
+    ),
+    "single-leaf": Leaf([5, 3, 0, 1, 4, 2]),
+    "single-point": Leaf([0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TREES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rptree_pairs_match_reference_loop(name, seed):
+    tree = HAND_TREES[name]
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_pairs(
+        rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n=st.integers(1, 200),
+    leaf_size=st.integers(1, 12),
+    copies=st.integers(1, 3),
+    seed=st.integers(0, 500),
+)
+def test_rptree_pairs_property_reference_agreement(n, leaf_size, copies, seed):
+    # Repeated points freeze into degenerate leaves above the size bound.
+    X = np.repeat(np.random.default_rng(seed).normal(size=(n, 2)), copies, axis=0)
+    tree = build_tree(X, TreeConfig(leaf_size=leaf_size, seed=seed))
+    got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert_same_pairs(
+        rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+    )
+
+
+def integer_grid(side):
+    return np.stack(np.meshgrid(np.arange(side), np.arange(side)), axis=-1).reshape(-1, 2)
+
+
+KNN_INPUTS = {
+    "grid": integer_grid(6),
+    "duplicated-points": np.repeat(np.random.default_rng(1).normal(size=(10, 3)), 3, axis=0),
+    "collinear-integers": np.arange(20.0)[:, None] % 7,
+    "gaussian": np.random.default_rng(2).normal(size=(45, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNN_INPUTS))
+@pytest.mark.parametrize("k", ["1", "2", "n-1"])
+def test_knn_pairs_match_reference_argsort(name, k):
+    X = KNN_INPUTS[name]
+    k = len(X) - 1 if k == "n-1" else int(k)
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    assert_same_pairs(
+        knn_pairs(X, k, got_rng), reference_knn_pairs(X, k, want_rng), got_rng, want_rng
+    )
+
+
+def test_knn_indices_match_reference_across_chunks():
+    X = integer_grid(9).astype(np.float64)
+    for k in (1, 4, 9):
+        assert np.array_equal(_knn_indices(X, k, chunk=16), reference_knn_indices(X, k, chunk=16))
+
+
+def test_knn_indices_reject_non_finite_points():
+    X = np.random.default_rng(4).normal(size=(12, 2))
+    X[5, 1] = np.nan
+    with pytest.raises(ValueError, match="not all finite"):
+        _knn_indices(X, 2)
+
+
+# --- PairSet.validate ---
+
+
+def reference_validate(pairs):
+    """The set-based PairSet.validate; returns its message or None."""
+    for name, rows in (("positives", pairs.positives), ("negatives", pairs.negatives)):
+        if rows.size and (rows[:, 0] >= rows[:, 1]).any():
+            return f"{name} contain self-pairs or unnormalized rows"
+        if len(np.unique(rows, axis=0)) != len(rows):
+            return f"{name} contain duplicates"
+    if {tuple(p) for p in pairs.positives.tolist()} & {tuple(p) for p in pairs.negatives.tolist()}:
+        return "a pair appears in both polarities"
+    return None
+
+
+def validate_message(pairs):
+    try:
+        pairs.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def pair_set(positives, negatives):
+    as_rows = lambda rows: np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    return PairSet(as_rows(positives), as_rows(negatives), "test", 0)
+
+
+@pytest.mark.parametrize(
+    "positives, negatives, message",
+    [
+        ([], [], None),
+        ([[-3, -1], [-1, 0]], [[-3, 0]], None),
+        ([[0, 1], [2, 2]], [], "positives contain self-pairs or unnormalized rows"),
+        ([[-1, -2]], [], "positives contain self-pairs or unnormalized rows"),
+        ([[0, 1]], [[3, 2]], "negatives contain self-pairs or unnormalized rows"),
+        ([[0, 1], [2, 5], [0, 1]], [], "positives contain duplicates"),
+        ([[-4, -2], [-4, -2]], [], "positives contain duplicates"),
+        ([[0, 1], [0, 2], [0, 1]], [], "positives contain duplicates"),
+        ([], [[1, 2], [0, 3], [1, 2]], "negatives contain duplicates"),
+        ([[0, 1], [2, 3]], [[1, 4], [2, 3]], "a pair appears in both polarities"),
+        ([[-5, -1]], [[-5, -1]], "a pair appears in both polarities"),
+        ([[0, 1]], [[0, 2], [0, 1]], "a pair appears in both polarities"),
+        # The checks keep their order: a duplicate is named before an overlap.
+        ([[0, 1], [0, 1]], [[0, 1]], "positives contain duplicates"),
+        ([[0, 1]], [[0, 1], [0, 1]], "negatives contain duplicates"),
+    ],
+)
+def test_validate_names_the_broken_invariant(positives, negatives, message):
+    pairs = pair_set(positives, negatives)
+    assert validate_message(pairs) == message == reference_validate(pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    positives=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+    negatives=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+)
+def test_validate_agrees_with_set_reference(positives, negatives):
+    pairs = pair_set(positives, negatives)
+    assert validate_message(pairs) == reference_validate(pairs)

@@ -102,7 +102,10 @@ def test_spectral_loss_equals_double_sum():
         A = 0.5 * (A + A.T)
         np.fill_diagonal(A, 0.0)
         Y = rng.normal(size=(m, g))
-        loss, _ = spectral_loss(A, Y)
+        loss, grad = spectral_loss(A, Y)
+        # Row sums passed in by the caller give the same bits.
+        given = spectral_loss(A, Y, A.sum(axis=1))
+        assert given[0] == loss and np.array_equal(given[1], grad)
         brute = sum(
             A[i, j] * np.sum((Y[i] - Y[j]) ** 2)
             for i in range(m)
@@ -149,6 +152,8 @@ def test_spectral_loss_zero_for_constant_embedding():
 def test_spectral_loss_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         spectral_loss(np.zeros((3, 3)), np.zeros((4, 2)))
+    with pytest.raises(ShapeMismatch):
+        spectral_loss(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(4))
 
 
 def test_loss_and_whitening_ignore_row_order():
@@ -221,6 +226,7 @@ def test_embedding_shape_and_final_batch_whiteness():
     # the stored map was refit on final_batch, so that subset is white
     Y_final = embed(model, X[model.final_batch])
     assert ortho_residual(Y_final, 48) <= 1e-6 * 48
+    assert model.ortho_residuals[-1] == ortho_residual(Y_final, 48)
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
@@ -241,6 +247,7 @@ def test_full_batch_training(restarts):
     assert np.array_equal(embed(a, X), embed(b, X))
     assert np.array_equal(a.final_batch, np.arange(n))
     assert ortho_residual(embed(a, X), n) <= 1e-6 * n
+    assert a.ortho_residuals[-1] == ortho_residual(embed(a, X), n)
     assert len(a.loss_history) == config.total_steps // 2
 
 
