@@ -24,7 +24,6 @@ class KmeansConfig:
     max_iterations: int = 300
     tolerance: float = 1e-6
     restarts: int = 10
-    seed: int = 0
 
     def validate(self):
         if self.k < 1:
@@ -109,15 +108,13 @@ def _lloyd(points, k, centers, max_iterations, tolerance):
     return labels, centers, inertia
 
 
-def kmeans(points, config: KmeansConfig, rng=None):
-    """Best of several seeded Lloyd runs, judged by within-cluster scatter."""
+def kmeans(points, config: KmeansConfig, rng):
+    """Best of several Lloyd runs seeded from ``rng``, judged by scatter."""
     config.validate()
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if config.k > n:
         raise KTooLarge(f"k={config.k} exceeds the {n} available points")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     best = None
     for _ in range(config.restarts):
@@ -235,5 +232,7 @@ def spectral_oracle(X, n_clusters, bandwidth=None, seed=0):
     laplacian = np.diag(affinity.sum(axis=1)) - affinity
     _, vectors = np.linalg.eigh(laplacian)
     embedding = vectors[:, :n_clusters]
-    result = kmeans(embedding, KmeansConfig(k=n_clusters, seed=seed))
+    result = kmeans(
+        embedding, KmeansConfig(k=n_clusters), np.random.default_rng(seed)
+    )
     return result.labels

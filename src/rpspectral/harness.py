@@ -38,7 +38,7 @@ from .errors import (
 from .mlp import Mlp
 from .pairing import knn_pairs, rptree_pairs
 from .rptree import DirectionStrategy, TreeConfig, build_tree
-from .serialize import write_json
+from .serialize import section_from_dict, write_json
 from .siamese import (
     SiameseConfig,
     select_bandwidth,
@@ -188,15 +188,15 @@ def _stage(name, durations):
 def mine_pairs(X, method: MethodConfig, rng):
     """Mine a pair set with whichever route the method config names."""
     if method.kind == "knn":
-        return knn_pairs(X, method.k, rng)
-    tree_config = TreeConfig(
-        leaf_size=method.leaf_size,
-        strategy=DirectionStrategy.parse(method.strategy),
-        max_split_retries=method.max_split_retries,
-    )
-    tree = build_tree(X, tree_config, rng=rng)
-    pairs = rptree_pairs(tree, rng)
-    pairs.source = f"rptree:leaf_size={method.leaf_size}"
+        pairs = knn_pairs(X, method.k, rng)
+    else:
+        tree_config = TreeConfig(
+            leaf_size=method.leaf_size,
+            strategy=DirectionStrategy.parse(method.strategy),
+            max_split_retries=method.max_split_retries,
+        )
+        pairs = rptree_pairs(build_tree(X, tree_config, rng), rng)
+    pairs.source = method.label
     return pairs
 
 
@@ -375,46 +375,23 @@ def _override(config: ExperimentConfig, key, value) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    if isinstance(config.dataset, SyntheticSpec):
-        dataset = {"type": "synthetic", **dataclasses.asdict(config.dataset)}
-    else:
-        dataset = {"type": "csv", **dataclasses.asdict(config.dataset)}
-    siamese = dataclasses.asdict(config.siamese)
-    siamese["hidden_sizes"] = list(siamese["hidden_sizes"])
-    spectral = dataclasses.asdict(config.spectral_config)
-    spectral["hidden_sizes"] = list(spectral["hidden_sizes"])
-    return {
-        "dataset": dataset,
+    synthetic = isinstance(config.dataset, SyntheticSpec)
+    doc = {
+        "dataset": {
+            "type": "synthetic" if synthetic else "csv",
+            **dataclasses.asdict(config.dataset),
+        },
         "method": dataclasses.asdict(config.method),
         "n_clusters": config.n_clusters,
         "runs": config.runs,
         "base_seed": config.base_seed,
-        "siamese": siamese,
-        "spectral": spectral,
+        "siamese": dataclasses.asdict(config.siamese),
+        "spectral": dataclasses.asdict(config.spectral_config),
         "kmeans": dataclasses.asdict(config.kmeans_config),
     }
-
-
-def _section_from_dict(cls, name, data, **fixed):
-    if not isinstance(data, dict):
-        raise ConfigError(f"'{name}' must be a JSON object")
-    data = dict(data)
-    if "hidden_sizes" in data:
-        data["hidden_sizes"] = tuple(data["hidden_sizes"])
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {name} option(s): {', '.join(unknown)}")
-    for key in set(data) & set(fixed):
-        if data[key] != fixed[key]:
-            raise ConfigError(
-                f"{name}.{key} conflicts with the top-level value"
-            )
-        data.pop(key)
-    try:
-        return cls(**{**fixed, **data})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} config: {exc}") from exc
+    for section in ("siamese", "spectral"):  # JSON arrays read back as lists
+        doc[section]["hidden_sizes"] = list(doc[section]["hidden_sizes"])
+    return doc
 
 
 def _dataset_from_dict(data) -> SyntheticSpec | CsvSource:
@@ -426,8 +403,8 @@ def _dataset_from_dict(data) -> SyntheticSpec | CsvSource:
     if declared not in (None, "csv", "synthetic"):
         raise ConfigError(f"unknown dataset type {declared!r}")
     if is_csv:
-        return _section_from_dict(CsvSource, "dataset", data)
-    return _section_from_dict(SyntheticSpec, "dataset", data)
+        return section_from_dict(CsvSource, "dataset", data)
+    return section_from_dict(SyntheticSpec, "dataset", data)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -435,16 +412,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     data = dict(data)
-    known = {
-        "dataset",
-        "method",
-        "n_clusters",
-        "runs",
-        "base_seed",
-        "siamese",
-        "spectral",
-        "kmeans",
-    }
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
@@ -459,15 +427,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(
         dataset=_dataset_from_dict(data["dataset"]),
-        method=_section_from_dict(MethodConfig, "method", data.get("method", {})),
+        method=section_from_dict(MethodConfig, "method", data.get("method", {})),
         n_clusters=n_clusters,
         runs=runs,
         base_seed=base_seed,
-        siamese=_section_from_dict(
+        siamese=section_from_dict(
             SiameseConfig, "siamese", data.get("siamese", {})
         ),
         spectral=(
-            _section_from_dict(
+            section_from_dict(
                 SpectralConfig,
                 "spectral",
                 data["spectral"],
@@ -477,7 +445,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             else None
         ),
         kmeans=(
-            _section_from_dict(
+            section_from_dict(
                 KmeansConfig, "kmeans", data["kmeans"], k=n_clusters
             )
             if "kmeans" in data
@@ -493,13 +461,6 @@ def _dataset_label(config_dict) -> str:
     if ds.get("type") == "csv" or "path" in ds:
         return Path(ds["path"]).name
     return f"{ds['kind']}:n={ds['n']}"
-
-
-def _method_label(config_dict) -> str:
-    md = config_dict["method"]
-    if md["kind"] == "knn":
-        return f"knn:k={md['k']}"
-    return f"rptree:leaf={md['leaf_size']}:{md['strategy']}"
 
 
 def _write_csv(path, header, rows):
@@ -536,7 +497,8 @@ _RUN_METRICS = (
 def _summary_row(record):
     cfg = record["config"]
     summary = record["summary"]
-    row = [_dataset_label(cfg), _method_label(cfg)]
+    method = section_from_dict(MethodConfig, "method", cfg["method"])
+    row = [_dataset_label(cfg), method.label]
     row.extend(summary[k] for k in _SUMMARY_FIELDS)
     return row
 
@@ -556,11 +518,40 @@ def _run_metric_rows(record):
     return rows
 
 
+def _split_timings(record):
+    """(record without run durations, those durations in the same layout).
+
+    Durations differ on every rerun; kept apart, they leave results.json
+    byte-stable for a fixed config. A run without durations (a failed run,
+    or a record read back from results.json) has no timings entry.
+    """
+    if "cells" in record:
+        split = [_split_timings(cell["experiment"]) for cell in record["cells"]]
+        cells = [
+            {**cell, "experiment": results}
+            for cell, (results, _) in zip(record["cells"], split)
+        ]
+        timed = [
+            {"values": cell["values"], **timings}
+            for cell, (_, timings) in zip(record["cells"], split)
+        ]
+        return {**record, "cells": cells}, {"cells": timed}
+    runs, timed = [], []
+    for run in record["runs"]:
+        run = dict(run)
+        durations = run.pop("durations", None)
+        runs.append(run)
+        if durations is not None:
+            timed.append({"run_index": run["run_index"], "durations": durations})
+    return {**record, "runs": runs}, {"runs": timed}
+
+
 def report(record: dict, outdir) -> dict:
-    """Write results.json, summary.csv, and plotdata.csv for a record.
+    """Write results.json, timings.json, summary.csv and plotdata.csv.
 
     Accepts either a single experiment record or a sweep record (detected by
-    its "cells" key). Returns the paths written.
+    its "cells" key). Run durations go to timings.json, everything else to
+    results.json. Returns the paths written.
     """
     outdir = Path(outdir)
     try:
@@ -569,9 +560,12 @@ def report(record: dict, outdir) -> dict:
         raise IoError(str(exc), path=str(outdir)) from exc
 
     results_path = outdir / "results.json"
+    timings_path = outdir / "timings.json"
     summary_path = outdir / "summary.csv"
     plot_path = outdir / "plotdata.csv"
-    write_json(results_path, record)
+    results, timings = _split_timings(record)
+    write_json(results_path, results)
+    write_json(timings_path, timings)
 
     if "cells" in record:
         cell_names = [
@@ -607,6 +601,7 @@ def report(record: dict, outdir) -> dict:
         )
     return {
         "results": str(results_path),
+        "timings": str(timings_path),
         "summary": str(summary_path),
         "plotdata": str(plot_path),
     }

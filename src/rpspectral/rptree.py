@@ -72,7 +72,6 @@ class DirectionStrategy:
 class TreeConfig:
     leaf_size: int
     strategy: DirectionStrategy = DirectionStrategy.random()
-    seed: int = 0
     max_split_retries: int = 3
 
     def __post_init__(self):
@@ -205,20 +204,17 @@ def split_node(indices, X, direction, rng, max_retries=3):
     )
 
 
-def build_tree(X, config, rng=None):
-    """Build a tree over all rows of ``X``.
+def build_tree(X, config, rng):
+    """Build a tree over all rows of ``X``, drawing from generator ``rng``.
 
     Nodes larger than ``config.leaf_size`` are split; smaller ones become
     leaves. Nodes whose points cannot be separated (duplicates) freeze into
     leaves flagged degenerate, which may exceed the size bound. Deterministic
-    given the config seed; pass ``rng`` to drive the build from an external
-    stream instead.
+    given the generator's state.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("X must be a nonempty 2-D matrix")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     def make_node(indices):
         if len(indices) <= config.leaf_size:

@@ -31,7 +31,6 @@ class SiameseConfig:
     margin: float = 1.0
     epochs: int = 40
     batch_size: int = 128
-    seed: int = 0
     hidden_sizes: tuple = (128, 128)
     embedding_dim: int = 32
     activation: str = "relu"
@@ -90,12 +89,13 @@ def _contrastive_batch(Z1, Z2, positive_mask, margin):
     return float(losses.mean()), G1, -G1
 
 
-def train_siamese(X, pairs, config: SiameseConfig, rng=None):
+def train_siamese(X, pairs, config: SiameseConfig, rng):
     """Train the shared twin on a pair set; returns (net, epoch_loss_history).
 
     Every mini-batch holds equal positive and negative counts; the smaller
     polarity is resampled with replacement each epoch so batches stay
-    balanced even on heavily skewed pair sets. Deterministic given the seed.
+    balanced even on heavily skewed pair sets. Deterministic given the
+    state of the generator ``rng``.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -106,8 +106,6 @@ def train_siamese(X, pairs, config: SiameseConfig, rng=None):
     if n_pos == 0 or n_neg == 0:
         missing = "positives" if n_pos == 0 else "negatives"
         raise MissingPolarity(f"pair set has no {missing}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     sizes = [X.shape[1], *config.hidden_sizes, config.embedding_dim]
     net = Mlp.init(

@@ -9,13 +9,13 @@ network weights through that frozen map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import BadArchitecture, BatchTooSmall, ShapeMismatch, SingularGram
 from .mlp import Adam, Mlp
-from .serialize import read_json, write_json
+from .serialize import read_json, section_from_dict, write_json
 from .siamese import heat_kernel, pairwise_distances
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
@@ -26,7 +26,6 @@ class SpectralConfig:
     n_clusters: int
     batch_size: int = 64
     total_steps: int = 1024
-    seed: int = 0
     hidden_sizes: tuple = (128, 128)
     activation: str = "relu"
     learning_rate: float = 1e-3
@@ -190,7 +189,7 @@ def _draw_batches(n, m, rng):
 _SELECTION_TAIL = 10  # gradient losses averaged when ranking restarts
 
 
-def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
+def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     """Alternating orthogonalization / gradient training.
 
     Affinities for each gradient batch come from the frozen twin network:
@@ -229,8 +228,6 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng=None):
     m = config.batch_size
     if n < m:
         raise BatchTooSmall(f"dataset has {n} points, batch size is {m}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
 
     # The twin net is frozen, so its embedding of the dataset never changes;
     # compute it once. For datasets small enough to hold an n x n matrix the
@@ -348,19 +345,7 @@ def save_spectral_checkpoint(model: SpectralModel, path):
         "loss_history": model.loss_history,
         "ortho_residuals": model.ortho_residuals,
         "selected_restart": model.selected_restart,
-        "config": {
-            "n_clusters": model.config.n_clusters,
-            "batch_size": model.config.batch_size,
-            "total_steps": model.config.total_steps,
-            "seed": model.config.seed,
-            "hidden_sizes": list(model.config.hidden_sizes),
-            "activation": model.config.activation,
-            "learning_rate": model.config.learning_rate,
-            "learning_rate_schedule": model.config.learning_rate_schedule,
-            "restarts": model.config.restarts,
-            "features": model.config.features,
-            "jitter": model.config.jitter,
-        },
+        "config": asdict(model.config),
     }
     if model.config.features == "twin":
         # Twin-feature models cannot embed without the feature net; keep the
@@ -371,20 +356,6 @@ def save_spectral_checkpoint(model: SpectralModel, path):
 
 def load_spectral_checkpoint(path):
     payload = read_json(path)
-    cfg = payload["config"]
-    config = SpectralConfig(
-        n_clusters=cfg["n_clusters"],
-        batch_size=cfg["batch_size"],
-        total_steps=cfg["total_steps"],
-        seed=cfg["seed"],
-        hidden_sizes=tuple(cfg["hidden_sizes"]),
-        activation=cfg.get("activation", "relu"),
-        learning_rate=cfg["learning_rate"],
-        learning_rate_schedule=cfg.get("learning_rate_schedule", "constant"),
-        restarts=cfg.get("restarts", 1),
-        features=cfg.get("features", "raw"),
-        jitter=cfg["jitter"],
-    )
     return SpectralModel(
         net=Mlp.from_dict(payload["network"]),
         ortho=OrthoMap(
@@ -394,7 +365,7 @@ def load_spectral_checkpoint(path):
         final_batch=np.asarray(payload["final_batch"], dtype=np.int64),
         loss_history=list(payload["loss_history"]),
         ortho_residuals=list(payload["ortho_residuals"]),
-        config=config,
+        config=section_from_dict(SpectralConfig, "spectral", payload["config"]),
         twin=Mlp.from_dict(payload["twin"]) if "twin" in payload else None,
         selected_restart=payload.get("selected_restart", 0),
     )

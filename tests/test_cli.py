@@ -63,7 +63,7 @@ def test_pairs_verb(tmp_path, capsys):
     )
     assert code == 0
     meta = read_json(outdir / "pairs.json")
-    assert meta["source"] == "rptree:leaf_size=10"
+    assert meta["source"] == "rptree:leaf=10:random"
     assert meta["positive"] > 0 and meta["negative"] > 0
     positives = np.loadtxt(
         outdir / "positives.csv", delimiter=",", skiprows=1, dtype=np.int64, ndmin=2
@@ -154,6 +154,19 @@ def test_experiment_verb(tmp_path, capsys):
     assert (outdir / "summary.csv").exists()
     assert (outdir / "plotdata.csv").exists()
     assert "mean ari" in capsys.readouterr().out
+
+
+def test_experiment_results_are_byte_stable(tmp_path):
+    config = write_config(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["experiment", "--config", config, "--outdir", str(first)]) == 0
+    assert main(["experiment", "--config", config, "--outdir", str(second)]) == 0
+    assert (first / "results.json").read_bytes() == (
+        second / "results.json"
+    ).read_bytes()
+    timings = read_json(first / "timings.json")
+    assert [run["run_index"] for run in timings["runs"]] == [0, 1]
+    assert all(run["durations"]["total"] > 0 for run in timings["runs"])
 
 
 def test_experiment_runs_override(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,6 +90,23 @@ def test_config_from_dict_rejects_unknown_keys():
         )
 
 
+@pytest.mark.parametrize("section", ["siamese", "spectral", "kmeans"])
+def test_config_from_dict_rejects_section_seed(section):
+    # Each stage draws from the run's per-stage generator; a section seed
+    # would be a setting that changes nothing.
+    with pytest.raises(ConfigError, match=f"unknown {section} option.*seed"):
+        config_from_dict(
+            {"dataset": {"kind": "blobs", "n": 50}, section: {"seed": 1}}
+        )
+
+
+def test_config_from_dict_rejects_scalar_hidden_sizes():
+    with pytest.raises(ConfigError, match="bad siamese config"):
+        config_from_dict(
+            {"dataset": {"kind": "blobs", "n": 50}, "siamese": {"hidden_sizes": 8}}
+        )
+
+
 def test_config_from_dict_requires_dataset():
     with pytest.raises(ConfigError):
         config_from_dict({"runs": 3})
@@ -170,7 +189,7 @@ def test_mine_pairs_routes():
         MethodConfig(kind="rptree", leaf_size=10),
         np.random.default_rng(1),
     )
-    assert tree.source == "rptree:leaf_size=10"
+    assert tree.source == "rptree:leaf=10:random"
     assert len(tree.positives) > 0 and len(tree.negatives) > 0
 
 
@@ -187,7 +206,7 @@ def test_run_pipeline_record_contract():
     assert record["seed"] == config.base_seed + 1
     assert -0.5 <= record["ari"] <= 1.0
     assert record["bandwidth"] > 0
-    assert record["pair_source"] == "rptree:leaf_size=10"
+    assert record["pair_source"] == "rptree:leaf=10:random"
     counts = record["pair_counts"]
     assert counts["positive"] > 0
     assert counts["raw_positive"] >= counts["positive"]
@@ -289,14 +308,18 @@ def test_report_writes_three_files(tmp_path):
     record = run_experiment(quick_config(runs=1))
     paths = report(record, tmp_path / "out")
     results = json.loads((tmp_path / "out" / "results.json").read_text())
-    assert results == record
+    timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+    run = dict(record["runs"][0])
+    durations = run.pop("durations")
+    assert results == {**record, "runs": [run]}
+    assert timings == {"runs": [{"run_index": 0, "durations": durations}]}
     summary_text = (tmp_path / "out" / "summary.csv").read_text()
     assert summary_text.startswith("dataset,method,")
     assert "blobs:n=60" in summary_text
     plot_text = (tmp_path / "out" / "plotdata.csv").read_text()
     assert "run_index,metric,value" in plot_text.splitlines()[0]
     assert "ari" in plot_text
-    assert set(paths) == {"results", "summary", "plotdata"}
+    assert set(paths) == {"results", "timings", "summary", "plotdata"}
 
 
 def test_report_is_byte_stable(tmp_path):
@@ -316,6 +339,25 @@ def test_report_sweep_record(tmp_path):
     assert summary_lines[0].startswith("cell,")
     assert len(summary_lines) == 3
     assert "method.leaf_size=8" in summary_lines[1]
+    results = json.loads((tmp_path / "results.json").read_text())
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert len(timings["cells"]) == len(results["cells"]) == 2
+    for cell, timed in zip(results["cells"], timings["cells"]):
+        assert timed["values"] == cell["values"]
+        assert "durations" not in cell["experiment"]["runs"][0]
+        assert timed["runs"][0]["durations"]["total"] > 0
+
+
+def test_report_method_column_is_method_label(tmp_path):
+    config = quick_config(runs=1)
+    record = sweep(config, {"method.kind": ["knn", "rptree"]})
+    report(record, tmp_path)
+    with open(tmp_path / "summary.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["method"] for row in rows] == [
+        replace(config.method, kind="knn").label,
+        replace(config.method, kind="rptree").label,
+    ]
 
 
 def test_report_failed_runs_marked_in_plotdata(tmp_path):

@@ -95,7 +95,7 @@ def test_leaf_pairs_hand_case():
 
 def test_leaf_pairs_cover_leaves_exactly():
     X = np.random.default_rng(5).normal(size=(120, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=10, seed=0))
+    tree = build_tree(X, TreeConfig(leaf_size=10), rng=np.random.default_rng(0))
     pairs = rptree_pairs(tree, np.random.default_rng(1))
     expected = set()
     raw = 0
@@ -111,7 +111,7 @@ def test_leaf_pairs_cover_leaves_exactly():
 
 def test_leaf_negatives_come_from_other_leaves():
     X = np.random.default_rng(6).normal(size=(80, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=8, seed=3))
+    tree = build_tree(X, TreeConfig(leaf_size=8), rng=np.random.default_rng(3))
     leaf_of = {}
     for leaf_id, part in enumerate(leaves(tree)):
         for index in part:
@@ -134,7 +134,7 @@ def test_single_leaf_tree_warns_and_has_no_negatives():
 
 def test_rptree_pairs_deterministic_given_rng_seed():
     X = np.random.default_rng(8).normal(size=(100, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=10, seed=0))
+    tree = build_tree(X, TreeConfig(leaf_size=10), rng=np.random.default_rng(0))
     a = rptree_pairs(tree, np.random.default_rng(5))
     b = rptree_pairs(tree, np.random.default_rng(5))
     assert np.array_equal(a.positives, b.positives)
@@ -331,7 +331,7 @@ def test_rptree_pairs_match_reference_loop(name, seed):
 def test_rptree_pairs_property_reference_agreement(n, leaf_size, copies, seed):
     # Repeated points freeze into degenerate leaves above the size bound.
     X = np.repeat(np.random.default_rng(seed).normal(size=(n, 2)), copies, axis=0)
-    tree = build_tree(X, TreeConfig(leaf_size=leaf_size, seed=seed))
+    tree = build_tree(X, TreeConfig(leaf_size=leaf_size), rng=np.random.default_rng(seed))
     got_rng, want_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     assert_same_pairs(
         rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng

@@ -51,7 +51,7 @@ def walk_and_check(tree, X, leaf_size):
 def test_tree_partitions_all_points():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(200, 3))
-    tree = build_tree(X, TreeConfig(leaf_size=10, seed=4))
+    tree = build_tree(X, TreeConfig(leaf_size=10), rng=np.random.default_rng(4))
     parts = leaves(tree)
     merged = np.concatenate(parts)
     assert len(merged) == 200
@@ -69,7 +69,7 @@ def test_tree_partitions_all_points():
 def test_partition_invariant_property(n, dim, leaf_size, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, dim))
-    tree = build_tree(X, TreeConfig(leaf_size=leaf_size, seed=seed))
+    tree = build_tree(X, TreeConfig(leaf_size=leaf_size), rng=np.random.default_rng(seed))
     merged = np.concatenate(leaves(tree))
     assert np.array_equal(np.sort(merged), np.arange(n))
     walk_and_check(tree, X, leaf_size=leaf_size)
@@ -77,14 +77,14 @@ def test_partition_invariant_property(n, dim, leaf_size, seed):
 
 def test_small_input_is_single_leaf():
     X = np.random.default_rng(1).normal(size=(10, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=20))
+    tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
     assert isinstance(tree, Leaf)
     assert len(tree.indices) == 10
 
 
 def test_leaf_count_lower_bound():
     X = np.random.default_rng(2).normal(size=(100, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=20, seed=0))
+    tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
     stats = leaf_size_stats(tree)
     assert stats.count >= 5  # 100 points cannot fit in fewer 20-point leaves
     assert stats.max_size <= 20
@@ -93,20 +93,22 @@ def test_leaf_count_lower_bound():
 
 def test_build_is_deterministic():
     X = np.random.default_rng(3).normal(size=(150, 2))
-    config = TreeConfig(leaf_size=15, seed=9)
-    assert tree_to_json(build_tree(X, config)) == tree_to_json(build_tree(X, config))
+    config = TreeConfig(leaf_size=15)
+    a = build_tree(X, config, rng=np.random.default_rng(9))
+    b = build_tree(X, config, rng=np.random.default_rng(9))
+    assert tree_to_json(a) == tree_to_json(b)
 
 
 def test_seed_changes_tree():
     X = np.random.default_rng(3).normal(size=(150, 2))
-    a = tree_to_json(build_tree(X, TreeConfig(leaf_size=15, seed=0)))
-    b = tree_to_json(build_tree(X, TreeConfig(leaf_size=15, seed=1)))
+    a = tree_to_json(build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(0)))
+    b = tree_to_json(build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(1)))
     assert a != b
 
 
 def test_duplicates_freeze_into_degenerate_leaf():
     X = np.ones((40, 2))
-    tree = build_tree(X, TreeConfig(leaf_size=8, seed=0))
+    tree = build_tree(X, TreeConfig(leaf_size=8), rng=np.random.default_rng(0))
     assert isinstance(tree, Leaf)
     assert tree.degenerate
     assert len(tree.indices) == 40  # exceeds the bound, flagged instead
@@ -115,7 +117,7 @@ def test_duplicates_freeze_into_degenerate_leaf():
 def test_mixed_duplicates_still_partition():
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(size=(30, 2)), np.zeros((30, 2))])
-    tree = build_tree(X, TreeConfig(leaf_size=5, seed=1))
+    tree = build_tree(X, TreeConfig(leaf_size=5), rng=np.random.default_rng(1))
     merged = np.concatenate(leaves(tree))
     assert np.array_equal(np.sort(merged), np.arange(60))
     stats = leaf_size_stats(tree)
@@ -228,4 +230,4 @@ def test_tree_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(leaf_size=5, max_split_retries=0)
     with pytest.raises(ValueError):
-        build_tree(np.zeros((0, 2)), TreeConfig(leaf_size=5))
+        build_tree(np.zeros((0, 2)), TreeConfig(leaf_size=5), rng=np.random.default_rng(0))

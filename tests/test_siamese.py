@@ -179,8 +179,8 @@ def two_cluster_data():
 
 def test_training_reduces_loss():
     X, pairs = two_cluster_data()
-    config = SiameseConfig(epochs=30, batch_size=16, seed=0, hidden_sizes=(16,), embedding_dim=4)
-    net, history = train_siamese(X, pairs, config)
+    config = SiameseConfig(epochs=30, batch_size=16, hidden_sizes=(16,), embedding_dim=4)
+    net, history = train_siamese(X, pairs, config, rng=np.random.default_rng(0))
     assert len(history) == 30
     assert history[-1] < 0.5 * history[0]
     # learned geometry: positives closer than negatives on average
@@ -191,9 +191,9 @@ def test_training_reduces_loss():
 
 def test_training_is_deterministic():
     X, pairs = two_cluster_data()
-    config = SiameseConfig(epochs=5, batch_size=16, seed=4, hidden_sizes=(8,), embedding_dim=3)
-    net1, hist1 = train_siamese(X, pairs, config)
-    net2, hist2 = train_siamese(X, pairs, config)
+    config = SiameseConfig(epochs=5, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
+    net1, hist1 = train_siamese(X, pairs, config, rng=np.random.default_rng(4))
+    net2, hist2 = train_siamese(X, pairs, config, rng=np.random.default_rng(4))
     assert hist1 == hist2
     for a, b in zip(net1.layers, net2.layers):
         assert np.array_equal(a.weights, b.weights)
@@ -203,11 +203,11 @@ def test_training_pair_set_errors():
     X = np.zeros((4, 2))
     config = SiameseConfig(epochs=1, batch_size=2)
     with pytest.raises(EmptyPairSet):
-        train_siamese(X, make_pairs([], []), config)
+        train_siamese(X, make_pairs([], []), config, rng=np.random.default_rng(0))
     with pytest.raises(MissingPolarity):
-        train_siamese(X, make_pairs([(0, 1)], []), config)
+        train_siamese(X, make_pairs([(0, 1)], []), config, rng=np.random.default_rng(0))
     with pytest.raises(MissingPolarity):
-        train_siamese(X, make_pairs([], [(0, 1)]), config)
+        train_siamese(X, make_pairs([], [(0, 1)]), config, rng=np.random.default_rng(0))
 
 
 def test_config_validation():
@@ -237,8 +237,8 @@ def test_siamese_distances_identity_net():
 
 def test_twin_checkpoint_round_trip(tmp_path):
     X, pairs = two_cluster_data()
-    config = SiameseConfig(epochs=2, batch_size=16, seed=1, hidden_sizes=(8,), embedding_dim=3)
-    net, _ = train_siamese(X, pairs, config)
+    config = SiameseConfig(epochs=2, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
+    net, _ = train_siamese(X, pairs, config, rng=np.random.default_rng(1))
     path = tmp_path / "twin.json"
     save_twin_checkpoint(net, 0.42, "rptree:leaf_size=20", path)
     loaded, bandwidth, source = load_twin_checkpoint(path)

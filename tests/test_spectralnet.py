@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -190,11 +190,12 @@ def test_training_progress_and_orthogonality():
         n_clusters=3,
         batch_size=64,
         total_steps=400,
-        seed=0,
         hidden_sizes=(16, 16),
         learning_rate=1e-4,
     )
-    model = train_spectralnet(X, twin, bandwidth=0.5, config=config)
+    model = train_spectralnet(
+        X, twin, bandwidth=0.5, config=config, rng=np.random.default_rng(0)
+    )
     assert len(model.loss_history) == 200  # one per gradient step
     assert len(model.ortho_residuals) == 201  # plus the trailing refit
     assert np.mean(model.loss_history[-20:]) < np.mean(model.loss_history[:20])
@@ -205,10 +206,10 @@ def test_training_is_deterministic():
     X, _ = blobs_case()
     twin = identity_twin(2)
     config = SpectralConfig(
-        n_clusters=3, batch_size=32, total_steps=50, seed=3, hidden_sizes=(8,)
+        n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    a = train_spectralnet(X, twin, 0.5, config)
-    b = train_spectralnet(X, twin, 0.5, config)
+    a = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(3))
+    b = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(3))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert np.array_equal(a.final_batch, b.final_batch)
@@ -218,9 +219,9 @@ def test_embedding_shape_and_final_batch_whiteness():
     X, _ = blobs_case()
     twin = identity_twin(2)
     config = SpectralConfig(
-        n_clusters=3, batch_size=48, total_steps=100, seed=1, hidden_sizes=(8, 8)
+        n_clusters=3, batch_size=48, total_steps=100, hidden_sizes=(8, 8)
     )
-    model = train_spectralnet(X, twin, 0.5, config)
+    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(1))
     Y = embed(model, X)
     assert Y.shape == (len(X), 3)
     # the stored map was refit on final_batch, so that subset is white
@@ -237,12 +238,11 @@ def test_full_batch_training(restarts):
         n_clusters=3,
         batch_size=n,
         total_steps=40,
-        seed=4,
         hidden_sizes=(8,),
         restarts=restarts,
     )
-    a = train_spectralnet(X, identity_twin(2), 0.5, config)
-    b = train_spectralnet(X, identity_twin(2), 0.5, config)
+    a = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(4))
+    b = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(4))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert np.array_equal(a.final_batch, np.arange(n))
@@ -255,7 +255,7 @@ def test_training_rejects_undersized_dataset():
     X = np.zeros((10, 2))
     config = SpectralConfig(n_clusters=2, batch_size=32, total_steps=10)
     with pytest.raises(BatchTooSmall):
-        train_spectralnet(X, identity_twin(2), 0.5, config)
+        train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0))
 
 
 def test_config_validation():
@@ -284,11 +284,10 @@ def test_checkpoint_round_trip(tmp_path):
         n_clusters=3,
         batch_size=32,
         total_steps=20,
-        seed=5,
         hidden_sizes=(8,),
         activation="tanh",
     )
-    model = train_spectralnet(X, identity_twin(2), 0.5, config)
+    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(5))
     path = tmp_path / "spectral.json"
     save_spectral_checkpoint(model, path)
     loaded = load_spectral_checkpoint(path)
@@ -308,15 +307,18 @@ def test_cosine_schedule_is_deterministic_and_changes_the_run():
         n_clusters=3,
         batch_size=32,
         total_steps=60,
-        seed=2,
         hidden_sizes=(8,),
         learning_rate_schedule="cosine",
     )
-    a = train_spectralnet(X, twin, 0.5, config)
-    b = train_spectralnet(X, twin, 0.5, config)
+    a = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(2))
+    b = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(2))
     assert a.loss_history == b.loss_history
     constant = train_spectralnet(
-        X, twin, 0.5, replace(config, learning_rate_schedule="constant")
+        X,
+        twin,
+        0.5,
+        replace(config, learning_rate_schedule="constant"),
+        rng=np.random.default_rng(2),
     )
     # identical draws, different step sizes: histories diverge after step one
     assert a.loss_history[0] == constant.loss_history[0]
@@ -333,7 +335,6 @@ def test_restart_selection_follows_documented_derivation():
         n_clusters=3,
         batch_size=32,
         total_steps=40,
-        seed=0,
         hidden_sizes=(8,),
         restarts=3,
     )
@@ -360,10 +361,12 @@ def test_single_restart_keeps_the_plain_stream():
     X, _ = blobs_case()
     twin = identity_twin(2)
     base = SpectralConfig(
-        n_clusters=3, batch_size=32, total_steps=50, seed=3, hidden_sizes=(8,)
+        n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    a = train_spectralnet(X, twin, 0.5, base)
-    b = train_spectralnet(X, twin, 0.5, replace(base, restarts=1))
+    a = train_spectralnet(X, twin, 0.5, base, rng=np.random.default_rng(3))
+    b = train_spectralnet(
+        X, twin, 0.5, replace(base, restarts=1), rng=np.random.default_rng(3)
+    )
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
 
@@ -375,11 +378,10 @@ def test_twin_feature_training_and_embedding():
         n_clusters=3,
         batch_size=32,
         total_steps=60,
-        seed=6,
         hidden_sizes=(8,),
         features="twin",
     )
-    model = train_spectralnet(X, twin, 0.5, config)
+    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(6))
     Y = embed(model, X)
     assert Y.shape == (len(X), 3)
     # the embedding really is body(twin(x)) through the stored map
@@ -397,14 +399,39 @@ def test_twin_feature_model_requires_its_twin():
         n_clusters=3,
         batch_size=32,
         total_steps=20,
-        seed=6,
         hidden_sizes=(8,),
         features="twin",
     )
-    model = train_spectralnet(X, twin, 0.5, config)
+    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(6))
     model.twin = None
     with pytest.raises(BadArchitecture):
         embed(model, X)
+
+
+def test_checkpoint_round_trip_every_config_field(tmp_path):
+    X, _ = blobs_case()
+    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
+    config = SpectralConfig(
+        n_clusters=3,
+        batch_size=32,
+        total_steps=20,
+        hidden_sizes=(8, 4),
+        activation="tanh",
+        learning_rate=5e-4,
+        learning_rate_schedule="cosine",
+        restarts=2,
+        features="twin",
+        jitter=1e-7,
+    )
+    for f in fields(SpectralConfig):
+        if f.default is not MISSING:
+            assert getattr(config, f.name) != f.default, f.name
+    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(5))
+    path = tmp_path / "spectral.json"
+    save_spectral_checkpoint(model, path)
+    loaded = load_spectral_checkpoint(path)
+    assert loaded.config == model.config
+    assert np.array_equal(embed(loaded, X), embed(model, X))
 
 
 def test_checkpoint_round_trip_twin_features(tmp_path):
@@ -414,13 +441,12 @@ def test_checkpoint_round_trip_twin_features(tmp_path):
         n_clusters=3,
         batch_size=32,
         total_steps=20,
-        seed=5,
         hidden_sizes=(8,),
         features="twin",
         restarts=2,
         learning_rate_schedule="cosine",
     )
-    model = train_spectralnet(X, twin, 0.5, config)
+    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(5))
     path = tmp_path / "spectral_twin.json"
     save_spectral_checkpoint(model, path)
     loaded = load_spectral_checkpoint(path)
