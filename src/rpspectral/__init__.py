@@ -23,7 +23,6 @@ from .datasets import (
     generate_synthetic,
     load_csv,
     standardize,
-    subsample,
 )
 from .harness import (
     CsvSource,
@@ -40,7 +39,7 @@ from .harness import (
     sweep,
 )
 from .mlp import Adam, Mlp, gradient_check
-from .pairing import PairSet, expected_pair_counts, knn_pairs, rptree_pairs
+from .pairing import PairSet, knn_pairs, rptree_pairs
 from .rptree import (
     DirectionStrategy,
     TreeConfig,
@@ -96,7 +95,6 @@ __all__ = [
     "config_to_dict",
     "contrastive_loss",
     "embed",
-    "expected_pair_counts",
     "generate_synthetic",
     "gradient_check",
     "heat_kernel",
@@ -121,7 +119,6 @@ __all__ = [
     "spectral_loss",
     "spectral_oracle",
     "standardize",
-    "subsample",
     "sweep",
     "train_siamese",
     "train_spectralnet",

@@ -25,6 +25,7 @@ from .datasets import SYNTHETIC_KINDS, SyntheticSpec, generate_synthetic, load_c
 from .errors import BadGrid, RpSpectralError, StageError
 from .harness import (
     MethodConfig,
+    _split_timings,
     config_from_dict,
     load_dataset,
     mine_pairs,
@@ -109,7 +110,10 @@ def _cmd_run(args):
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
-    write_json(outdir / "run.json", result.record)
+    # Durations differ on every rerun; keep them out of run.json.
+    results, timings = _split_timings({"runs": [result.record]})
+    write_json(outdir / "run.json", results["runs"][0])
+    write_json(outdir / "timings.json", timings)
     with open(outdir / "labels.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("index", "label"))

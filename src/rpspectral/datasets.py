@@ -238,35 +238,3 @@ def standardize(X: np.ndarray) -> np.ndarray:
     centered = X - mean
     out = np.divide(centered, std, out=np.zeros_like(centered), where=std > 0)
     return out
-
-
-def subsample(X, y, size, seed, stratified=True):
-    """Seeded subsample of at most ``size`` rows, stratified by class.
-
-    Keeps desk-scale runs tractable on large files. Returns the data
-    unchanged when it is already small enough.
-    """
-    n = len(X)
-    if size >= n:
-        return np.array(X), np.array(y)
-    rng = np.random.default_rng(seed)
-    if not stratified:
-        idx = np.sort(rng.choice(n, size=size, replace=False))
-        return X[idx], y[idx]
-    classes, counts = np.unique(y, return_counts=True)
-    # Largest-remainder allocation, each present class keeps at least one row.
-    quota = counts * (size / n)
-    alloc = np.maximum(np.floor(quota).astype(int), 1)
-    while alloc.sum() > size:
-        alloc[np.argmax(alloc)] -= 1
-    remainders = quota - alloc
-    while alloc.sum() < size:
-        i = int(np.argmax(remainders))
-        alloc[i] += 1
-        remainders[i] = -1.0
-    picked = []
-    for cls, take in zip(classes, alloc):
-        members = np.flatnonzero(y == cls)
-        picked.append(rng.choice(members, size=take, replace=False))
-    idx = np.sort(np.concatenate(picked))
-    return X[idx], y[idx]

@@ -118,14 +118,6 @@ class Mlp:
             upstream = dz @ self.layers[i].weights.T
         return grads, upstream
 
-    def parameter_count(self):
-        return sum(l.weights.size + l.biases.size for l in self.layers)
-
-    def copy(self):
-        return Mlp(
-            [Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in self.layers]
-        )
-
     def to_dict(self):
         return {
             "layers": [

@@ -1,8 +1,8 @@
 """Mining positive/negative training pairs from k-nn graphs or tree leaves.
 
 Pairs are unordered, deduplicated, and self-pair free. The raw directed count
-(before merging) is kept alongside because it is the quantity the closed-form
-storage estimates predict.
+(before merging) is kept alongside: n*k for k-nn, the sum of squared leaf
+sizes for tree leaves.
 """
 
 from __future__ import annotations
@@ -53,16 +53,6 @@ class PairSet:
                 raise ValueError(f"{name} contain duplicates")
         if (repeat & ~same_tag).any():
             raise ValueError("a pair appears in both polarities")
-
-
-def expected_pair_counts(n: int, k: int, leaf_size: int) -> dict:
-    """Closed-form positive-pair estimates for both mining routes.
-
-    The k-nn route needs n*k directed pairs; the tree route fills each of the
-    ~n/leaf_size leaves with leaf_size^2 ordered pairs, i.e. n*leaf_size.
-    Measured deduplicated counts sit below these estimates.
-    """
-    return {"knn_positive": n * k, "rptree_positive": n * leaf_size}
 
 
 def knn_pairs(X, k, rng) -> PairSet:

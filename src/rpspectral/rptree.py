@@ -288,32 +288,3 @@ def leaf_size_stats(tree):
         mean_size=float(np.mean(sizes)),
         degenerate_count=degenerate,
     )
-
-
-def tree_to_json(tree):
-    """Nested plain-dict form of the tree, for debug dumps and golden tests."""
-
-    def convert(node):
-        if isinstance(node, Leaf):
-            return {
-                "indices": [int(i) for i in node.indices],
-                "degenerate": bool(node.degenerate),
-            }
-        return {
-            "direction": [float(c) for c in node.direction],
-            "threshold": float(node.threshold),
-            "left": None,
-            "right": None,
-        }
-
-    root = convert(tree)
-    stack = [(tree, root)]
-    while stack:
-        node, doc = stack.pop()
-        if isinstance(node, Leaf):
-            continue
-        doc["left"] = convert(node.left)
-        doc["right"] = convert(node.right)
-        stack.append((node.left, doc["left"]))
-        stack.append((node.right, doc["right"]))
-    return root

@@ -1,10 +1,11 @@
 """Spectral embedding network with batch orthogonalization.
 
 The network maps points to a g-dimensional embedding trained to minimize the
-graph Laplacian quadratic form over mini-batch affinities. Training alternates
-two kinds of steps: orthogonalization steps refit a linear whitening map from
-a Cholesky factor of the batch Gram matrix, and gradient steps update the
-network weights through that frozen map.
+graph Laplacian quadratic form over batch affinities, subject to the batch
+outputs being orthonormal. Each training step whitens the raw outputs of one
+batch with a Cholesky factor of their Gram matrix and follows the exact
+gradient of the whitened loss, whitening map included, back into the
+network weights.
 """
 
 from __future__ import annotations
@@ -169,46 +170,43 @@ class SpectralModel:
     selected_restart: int = 0
 
 
-def _draw_batches(n, m, rng):
-    """An orthogonalization batch and a gradient batch of m points each.
+def _whitened_loss(out, affinity, jitter, degrees=None):
+    """Loss of the whitened batch output and its exact gradient in ``out``.
 
-    The two are disjoint when the dataset is large enough to allow it;
-    otherwise they are drawn independently. Only the sampled path of
-    ``train_spectralnet`` (m < n) draws batches; with m == n every batch is
-    the whole dataset and nothing is drawn.
+    With Y = out @ T whitened so that Y^T Y = m I, the loss equals
+    (2/m) tr(G^-1 P) for G = out^T out, P = out^T M out and the batch
+    Laplacian M = diag(row sums) - A, whatever the choice of T. Its gradient
+    in ``out`` is (grad_Y - Y (Y^T grad_Y) / m) T^T, which equals
+    (4/m)(M out G^-1 - out G^-1 P G^-1) because T T^T = m G^-1.
+    Returns (loss, grad_out, whitening residual).
     """
-    if n >= 2 * m:
-        order = rng.permutation(n)
-        return order[:m], order[m : 2 * m]
-    return (
-        rng.choice(n, size=m, replace=False),
-        rng.choice(n, size=m, replace=False),
-    )
+    Y, ortho_map, residual = _orthogonalize(out, jitter)
+    loss, grad_Y = spectral_loss(affinity, Y, degrees)
+    grad_out = (grad_Y - Y @ (Y.T @ grad_Y) / Y.shape[0]) @ ortho_map.transform.T
+    return loss, grad_out, residual
 
 
 _SELECTION_TAIL = 10  # gradient losses averaged when ranking restarts
 
 
 def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
-    """Alternating orthogonalization / gradient training.
+    """Train on the whitened Laplacian loss, one batch per step.
 
-    Affinities for each gradient batch come from the frozen twin network:
-    embed the batch, take pairwise distances, apply the heat kernel at the
-    supplied bandwidth. The whitening map is refitted on every
-    orthogonalization step and held fixed through the following gradient
-    step; a final refit after the last update keeps the stored map in sync
-    with the trained weights.
+    Each of the ``total_steps // 2`` steps (a step counts as one whitening
+    plus one gradient update) takes one batch: every row in natural order
+    when the batch size equals the dataset size, otherwise m distinct rows
+    drawn from ``rng``. It runs the net once over the batch, whitens that
+    output (``_orthogonalize``), takes ``spectral_loss`` on the batch
+    affinity and backpropagates the exact gradient of the whitened loss,
+    whitening map included (``_whitened_loss``). A final whitening after the
+    last update fits the stored map to the trained weights, on the whole
+    dataset or on one more drawn batch; that batch is ``final_batch``.
 
-    When the batch size is smaller than the dataset, each step draws an
-    orthogonalization batch and a gradient batch (``_draw_batches``) and runs
-    the net over each. When it equals the dataset size, both batches would
-    be permutations of the whole set, and the whitening map, the loss and
-    the weight gradients do not depend on row order; so each step runs the
-    net once over the rows in their natural order, whitens that output, and
-    backpropagates the loss of the whitened output through the same pass.
-    Nothing is drawn and ``final_batch`` is ``arange(n)``. The full n x n
-    affinity is built once and cached whenever n * n <= 16M, and always when
-    the batch is the whole dataset, since every step then needs all of it.
+    Affinities come from the frozen twin network: embed the points, take
+    pairwise distances, apply the heat kernel at the supplied bandwidth. The
+    full n x n affinity is built once and cached whenever n * n <= 16M, and
+    always when the batch is the whole dataset; otherwise each batch builds
+    its own.
 
     The body network consumes raw coordinates by default; with
     ``features="twin"`` it consumes the frozen twin's embedding instead
@@ -216,11 +214,9 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
 
     With ``restarts > 1``, that many nets train on generators seeded by
     consecutive 63-bit draws from ``rng``, and the one with the lowest mean
-    over its last ten gradient losses wins (ties to the earliest). A single
-    restart trains directly on ``rng``, so the default configuration draws
-    exactly the same stream it always has. ``learning_rate_schedule="cosine"``
-    decays the step size to zero across the run, which stops the optimizer
-    from orbiting the solution it found.
+    over its last ten losses wins (ties to the earliest). A single restart
+    trains directly on ``rng``. ``learning_rate_schedule="cosine"`` decays
+    the step size to zero across the run.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -231,8 +227,8 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
 
     # The twin net is frozen, so its embedding of the dataset never changes;
     # compute it once. For datasets small enough to hold an n x n matrix the
-    # full affinity is also cached and gradient batches just slice it; when
-    # the batch is the whole dataset, every step uses it as it stands.
+    # full affinity is also cached and batches just slice it; when the batch
+    # is the whole dataset, every step uses it as it stands.
     Z_full, _ = twin_net.forward(X)
     features = Z_full if config.features == "twin" else X
     full_batch = m == n
@@ -265,31 +261,24 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
                     * (1.0 + np.cos(np.pi * step / half_steps))
                 )
             if full_batch:
-                # One pass serves both steps: the whitened output is the Y
-                # the gradient step sees, and its cache is what backward needs.
-                out, cache = net.forward(features)
-                Y, ortho_map, residual = _orthogonalize(out, config.jitter)
-                affinity = affinity_full
+                batch, affinity = features, affinity_full
             else:
-                ortho_idx, grad_idx = _draw_batches(n, m, run_rng)
-                # Orthogonalization step: refit the map on fresh points.
-                Y_raw, _ = net.forward(features[ortho_idx])
-                _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
-                # Gradient step through the frozen map.
-                out, cache = net.forward(features[grad_idx])
-                Y = out @ ortho_map.transform
-                affinity = batch_affinity(grad_idx)
-            ortho_residuals.append(residual)
-            loss, grad_Y = spectral_loss(affinity, Y, degrees_full)
-            grads, _ = net.backward(cache, grad_Y @ ortho_map.transform.T)
+                idx = run_rng.choice(n, size=m, replace=False)
+                batch, affinity = features[idx], batch_affinity(idx)
+            out, cache = net.forward(batch)
+            loss, grad_out, residual = _whitened_loss(
+                out, affinity, config.jitter, degrees_full
+            )
+            grads, _ = net.backward(cache, grad_out)
             optimizer.step(net, grads)
             loss_history.append(loss)
+            ortho_residuals.append(residual)
 
         # The last update left the stored map stale; refit it once more.
         if full_batch:
             final_idx = np.arange(n)
         else:
-            final_idx, _ = _draw_batches(n, m, run_rng)
+            final_idx = run_rng.choice(n, size=m, replace=False)
         Y_raw, _ = net.forward(features[final_idx])
         _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
         ortho_residuals.append(residual)

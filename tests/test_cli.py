@@ -107,6 +107,18 @@ def test_run_verb_happy_path(tmp_path, capsys):
     assert "ari=" in capsys.readouterr().out
 
 
+def test_run_results_are_byte_stable(tmp_path):
+    config = write_config(tmp_path)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", config, "--outdir", str(first)]) == 0
+    assert main(["run", "--config", config, "--outdir", str(second)]) == 0
+    assert (first / "run.json").read_bytes() == (second / "run.json").read_bytes()
+    assert "durations" not in read_json(first / "run.json")
+    timings = read_json(first / "timings.json")
+    assert [run["run_index"] for run in timings["runs"]] == [0]
+    assert timings["runs"][0]["durations"]["total"] > 0
+
+
 def test_run_verb_save_models(tmp_path):
     outdir = tmp_path / "run_saved"
     code = main(

@@ -6,7 +6,6 @@ from rpspectral.datasets import (
     generate_synthetic,
     load_csv,
     standardize,
-    subsample,
 )
 from rpspectral.errors import (
     BadSpec,
@@ -166,18 +165,3 @@ def test_standardize_idempotent():
     once = standardize(X)
     twice = standardize(once)
     assert np.abs(once - twice).max() < 1e-12
-
-
-def test_subsample_stratified_and_seeded():
-    rng = np.random.default_rng(2)
-    X = rng.normal(size=(100, 2))
-    y = np.repeat([0, 1], 50)
-    Xs, ys = subsample(X, y, 20, seed=0)
-    assert len(Xs) == 20
-    counts = np.bincount(ys)
-    assert abs(int(counts[0]) - int(counts[1])) <= 2
-    Xs2, _ = subsample(X, y, 20, seed=0)
-    assert np.array_equal(Xs, Xs2)
-    # a request covering everything returns the data unchanged
-    Xall, _ = subsample(X, y, 100, seed=0)
-    assert np.array_equal(Xall, X)

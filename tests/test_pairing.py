@@ -8,7 +8,6 @@ from rpspectral.pairing import (
     PairSet,
     _knn_indices,
     _unique_unordered,
-    expected_pair_counts,
     knn_pairs,
     rptree_pairs,
     save_pairs_csv,
@@ -154,12 +153,6 @@ def test_knn_property_reference_agreement(n, k, seed):
     pairs.validate()
     assert as_set(pairs.positives) == brute_force_knn(X, k)
     assert pairs.raw_positive_count == n * k
-
-
-def test_expected_pair_counts_formulas():
-    counts = expected_pair_counts(1000, k=2, leaf_size=20)
-    assert counts["knn_positive"] == 2000
-    assert counts["rptree_positive"] == 20000
 
 
 def test_save_pairs_csv_round_trip(tmp_path):

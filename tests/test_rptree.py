@@ -16,8 +16,24 @@ from rpspectral.rptree import (
     principal_direction,
     random_direction,
     split_node,
-    tree_to_json,
 )
+
+
+def same_tree(a, b):
+    """Whether two trees have identical structure, cuts and leaves."""
+    if isinstance(a, Leaf) or isinstance(b, Leaf):
+        return (
+            isinstance(a, Leaf)
+            and isinstance(b, Leaf)
+            and np.array_equal(a.indices, b.indices)
+            and a.degenerate == b.degenerate
+        )
+    return (
+        np.array_equal(a.direction, b.direction)
+        and a.threshold == b.threshold
+        and same_tree(a.left, b.left)
+        and same_tree(a.right, b.right)
+    )
 
 
 def walk_and_check(tree, X, leaf_size):
@@ -96,14 +112,14 @@ def test_build_is_deterministic():
     config = TreeConfig(leaf_size=15)
     a = build_tree(X, config, rng=np.random.default_rng(9))
     b = build_tree(X, config, rng=np.random.default_rng(9))
-    assert tree_to_json(a) == tree_to_json(b)
+    assert same_tree(a, b)
 
 
 def test_seed_changes_tree():
     X = np.random.default_rng(3).normal(size=(150, 2))
-    a = tree_to_json(build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(0)))
-    b = tree_to_json(build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(1)))
-    assert a != b
+    a = build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(0))
+    b = build_tree(X, TreeConfig(leaf_size=15), rng=np.random.default_rng(1))
+    assert not same_tree(a, b)
 
 
 def test_duplicates_freeze_into_degenerate_leaf():

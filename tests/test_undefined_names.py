@@ -4,12 +4,17 @@ The project configures no linter, so a missing import would otherwise show
 up only as a NameError once the code path that uses it runs. This walks each
 module's symbol tables (stdlib ``symtable``) and lists the global names that
 some scope reads but that the module never binds, imports or finds among the
-builtins.
+builtins. The README's ```python blocks get the same check, and each
+``rp.<name>`` they use must be exported in ``rpspectral.__all__``.
 """
 
+import ast
 import builtins
+import re
 import symtable
 from pathlib import Path
+
+import rpspectral
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted([*ROOT.glob("src/rpspectral/*.py"), *ROOT.glob("tests/*.py")])
@@ -71,3 +76,19 @@ def test_every_module_binds_the_globals_it_reads():
         if names:
             found[str(path.relative_to(ROOT))] = names
     assert found == {}
+
+
+def test_readme_examples_use_only_exported_names():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks, "README has no python examples"
+    for block in blocks:
+        assert undefined_globals(block, "README.md") == []
+        used = {
+            node.attr
+            for node in ast.walk(ast.parse(block))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "rp"
+        }
+        assert sorted(used - set(rpspectral.__all__)) == []
