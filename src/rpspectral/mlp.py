@@ -145,7 +145,14 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction.
+
+    Each moment is one flat buffer over every parameter, layer by layer and
+    weights before biases; ``m[i][j]`` and ``v[i][j]`` are views of
+    parameter j of layer i into it. A step runs each stage of the update as
+    one ufunc call over the whole vector, so its cost does not grow with
+    the number of parameter arrays.
+    """
 
     def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
@@ -153,14 +160,27 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-        self.v = [(np.zeros_like(l.weights), np.zeros_like(l.biases)) for l in net.layers]
-        # Two scratch buffers per parameter hold the update's intermediates,
-        # so a step allocates nothing.
-        self._scratch = [
-            [(np.empty_like(p), np.empty_like(p)) for p in (l.weights, l.biases)]
-            for l in net.layers
-        ]
+        self._shapes = [p.shape for l in net.layers for p in (l.weights, l.biases)]
+        bounds = np.cumsum([0] + [int(np.prod(s)) for s in self._shapes])
+        self._m, self._v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
+        # The gradient copy and two scratch buffers hold the update's
+        # intermediates, so a step allocates nothing.
+        self._grad, self._a, self._b = (np.empty(bounds[-1]) for _ in range(3))
+
+        def views(flat):
+            return [
+                flat[lo:hi].reshape(shape)
+                for lo, hi, shape in zip(bounds, bounds[1:], self._shapes)
+            ]
+
+        def per_layer(flat):
+            parts = views(flat)
+            return list(zip(parts[::2], parts[1::2]))
+
+        self.m = per_layer(self._m)
+        self.v = per_layer(self._v)
+        self._grad_views = views(self._grad)
+        self._update_views = views(self._a)
 
     def step(self, net, grads):
         """Apply one update in place; increments the step counter.
@@ -168,42 +188,40 @@ class Adam:
         Every gradient shape is checked before anything changes, so a
         rejected step leaves the parameters, the moments and the counter as
         they were. The update is lr * (m / c1) / (sqrt(v / c2) + eps), with
-        c1, c2 the bias corrections.
+        c1, c2 the bias corrections; the gradients are copied into one flat
+        buffer first, so they may be any strided arrays.
         """
-        if len(grads) != len(net.layers):
+        params = [p for l in net.layers for p in (l.weights, l.biases)]
+        flat_grads = [g for pair in grads for g in pair]
+        if len(grads) != len(net.layers) or len(flat_grads) != len(self._shapes):
             raise ShapeMismatch("gradient list length does not match layers")
-        for layer, (dW, db) in zip(net.layers, grads):
-            for param, grad in ((layer.weights, dW), (layer.biases, db)):
-                if param.shape != grad.shape:
-                    raise ShapeMismatch(
-                        f"grad shape {grad.shape} vs param {param.shape}"
-                    )
+        for param, grad, shape in zip(params, flat_grads, self._shapes):
+            if not param.shape == grad.shape == shape:
+                raise ShapeMismatch(
+                    f"grad shape {grad.shape} vs param {param.shape}"
+                )
+        for view, grad in zip(self._grad_views, flat_grads):
+            view[...] = grad
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - self.beta1**t
         correction2 = 1.0 - self.beta2**t
-        for i, layer in enumerate(net.layers):
-            for param, grad, m, v, (a, b) in zip(
-                (layer.weights, layer.biases),
-                grads[i],
-                self.m[i],
-                self.v[i],
-                self._scratch[i],
-            ):
-                m *= self.beta1
-                np.multiply(1.0 - self.beta1, grad, out=a)
-                m += a
-                v *= self.beta2
-                np.multiply(1.0 - self.beta2, grad, out=b)
-                b *= grad
-                v += b
-                np.divide(m, correction1, out=a)
-                a *= self.learning_rate
-                np.divide(v, correction2, out=b)
-                np.sqrt(b, out=b)
-                b += self.eps
-                a /= b
-                param -= a
+        g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
+        m *= self.beta1
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=b)
+        b *= g
+        v += b
+        np.divide(m, correction1, out=a)
+        a *= self.learning_rate
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        for param, update in zip(params, self._update_views):
+            param -= update
 
 
 def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):

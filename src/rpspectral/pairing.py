@@ -125,10 +125,18 @@ def _knn_indices(X, k, chunk=512):
     n = len(X)
     sq_norms = (X**2).sum(axis=1)
     out = np.empty((n, k), dtype=np.int64)
+    # Two block buffers, reused: doubling is exact and d -= g equals
+    # d + (-g), so d2 has the bits of sq_i + sq_j - 2.0 * (block @ X.T).
+    gram = np.empty((min(chunk, n), n))
+    dist = np.empty_like(gram)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        block = X[start:stop]
-        d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ X.T)
+        g = gram[: stop - start]
+        d2 = dist[: stop - start]
+        np.matmul(X[start:stop], X.T, out=g)
+        g *= 2.0
+        np.add(sq_norms[start:stop, None], sq_norms, out=d2)
+        d2 -= g
         np.maximum(d2, 0.0, out=d2)
         local = np.arange(stop - start)
         d2[local, start + local] = np.inf

@@ -89,13 +89,52 @@ def _contrastive_batch(Z1, Z2, positive_mask, margin):
     return float(losses.mean()), G1, -G1
 
 
+def _twin_gradients(net, X, ends, positive_mask, margin, slot):
+    """Mean contrastive loss of one batch and its parameter gradients.
+
+    ``ends`` holds the batch's left endpoints, then its right ones. The twin
+    runs forward and backward once, over the distinct points they touch, and
+    each point's gradient is the sum over its endpoints. ``slot`` is
+    length-n integer scratch, overwritten: after ``slot[ends] = count``
+    exactly one endpoint of each point reads its own position back, whichever
+    duplicate write won, so the distinct points are found without a sort.
+    """
+    count = np.arange(len(ends))
+    slot[ends] = count
+    first = slot[ends] == count
+    points = ends[first]
+    slot[points] = np.arange(len(points))
+    local = slot[ends]  # each endpoint's row among the distinct points
+
+    Z, cache = net.forward(X[points])
+    half = len(ends) // 2
+    loss, G1, G2 = _contrastive_batch(
+        Z[local[:half]], Z[local[half:]], positive_mask, margin
+    )
+    G_ends = np.concatenate([G1, G2])
+    # The first occurrences fill every row in order; only repeats scatter.
+    G = G_ends[first]
+    repeat = ~first
+    np.add.at(G, local[repeat], G_ends[repeat])
+    grads, _ = net.backward(cache, G)
+    return loss, grads
+
+
+def _check_indices(index_pairs, n):
+    if index_pairs.size and (index_pairs.min() < 0 or index_pairs.max() >= n):
+        raise IndexOutOfRange(f"pair indices outside 0..{n - 1}")
+
+
 def train_siamese(X, pairs, config: SiameseConfig, rng):
     """Train the shared twin on a pair set; returns (net, epoch_loss_history).
 
     Every mini-batch holds equal positive and negative counts; the smaller
     polarity is resampled with replacement each epoch so batches stay
-    balanced even on heavily skewed pair sets. Deterministic given the
-    state of the generator ``rng``.
+    balanced even on heavily skewed pair sets. Each step runs the twin once
+    over the distinct points the batch's pairs touch and backpropagates the
+    summed endpoint gradients once. Deterministic given the state of the
+    generator ``rng``. Pair indices outside ``0..len(X) - 1`` raise
+    IndexOutOfRange before training starts.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -106,6 +145,8 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     if n_pos == 0 or n_neg == 0:
         missing = "positives" if n_pos == 0 else "negatives"
         raise MissingPolarity(f"pair set has no {missing}")
+    _check_indices(pairs.positives, len(X))
+    _check_indices(pairs.negatives, len(X))
 
     sizes = [X.shape[1], *config.hidden_sizes, config.embedding_dim]
     net = Mlp.init(
@@ -115,6 +156,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
 
     half = config.batch_size // 2
     major = max(n_pos, n_neg)
+    slot = np.empty(len(X), dtype=np.intp)
     history = []
     for _ in range(config.epochs):
         pos_order = (
@@ -131,21 +173,13 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
         for start in range(0, major, half):
             pos_batch = pairs.positives[pos_order[start : start + half]]
             neg_batch = pairs.negatives[neg_order[start : start + half]]
-            left = np.concatenate([pos_batch[:, 0], neg_batch[:, 0]])
-            right = np.concatenate([pos_batch[:, 1], neg_batch[:, 1]])
-            mask = np.zeros(len(left), dtype=bool)
+            ends = np.concatenate(
+                [pos_batch[:, 0], neg_batch[:, 0], pos_batch[:, 1], neg_batch[:, 1]]
+            )
+            mask = np.zeros(len(ends) // 2, dtype=bool)
             mask[: len(pos_batch)] = True
-
-            Z1, cache1 = net.forward(X[left])
-            Z2, cache2 = net.forward(X[right])
-            loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, config.margin)
-            grads1, _ = net.backward(cache1, G1)
-            grads2, _ = net.backward(cache2, G2)
-            total = [
-                (gw1 + gw2, gb1 + gb2)
-                for (gw1, gb1), (gw2, gb2) in zip(grads1, grads2)
-            ]
-            optimizer.step(net, total)
+            loss, grads = _twin_gradients(net, X, ends, mask, config.margin, slot)
+            optimizer.step(net, grads)
             batch_losses.append(loss)
         history.append(float(np.mean(batch_losses)))
     return net, history
@@ -155,12 +189,7 @@ def siamese_distances(net, X, index_pairs):
     """Embedding-space Euclidean distance for each (i, j) pair."""
     X = np.asarray(X, dtype=np.float64)
     index_pairs = np.asarray(index_pairs, dtype=np.int64)
-    if index_pairs.size and (
-        index_pairs.min() < 0 or index_pairs.max() >= len(X)
-    ):
-        raise IndexOutOfRange(
-            f"pair indices outside 0..{len(X) - 1}"
-        )
+    _check_indices(index_pairs, len(X))
     Z, _ = net.forward(X)
     diff = Z[index_pairs[:, 0]] - Z[index_pairs[:, 1]]
     return np.sqrt((diff * diff).sum(axis=1))

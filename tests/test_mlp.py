@@ -188,6 +188,26 @@ def test_adam_rejected_step_changes_nothing():
             assert np.array_equal(a, b)
 
 
+def test_adam_takes_strided_gradients():
+    # Transposed views of transposed copies and reversed views: the same
+    # values, so the same update as from contiguous arrays.
+    rng = np.random.default_rng(8)
+    net = Mlp.init([3, 5, 2], seed=1)
+    twin = copy.deepcopy(net)
+    plain, strided = Adam(net, learning_rate=1e-2), Adam(twin, learning_rate=1e-2)
+    for _ in range(3):
+        out, cache = net.forward(rng.normal(size=(6, 3)))
+        grads, _ = net.backward(cache, out)
+        views = [(dW.T.copy().T, db[::-1].copy()[::-1]) for dW, db in grads]
+        assert not any(dW.flags.c_contiguous for dW, _ in views)
+        assert not any(db.flags.c_contiguous for _, db in views)
+        plain.step(net, grads)
+        strided.step(twin, views)
+        for la, lb in zip(net.layers, twin.layers):
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.biases, lb.biases)
+
+
 def test_checkpoint_round_trip(tmp_path):
     net = Mlp.init([4, 9, 3], activation="tanh", seed=11)
     path = tmp_path / "net.json"

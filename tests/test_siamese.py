@@ -13,6 +13,8 @@ from rpspectral.mlp import Mlp
 from rpspectral.pairing import PairSet
 from rpspectral.siamese import (
     SiameseConfig,
+    _contrastive_batch,
+    _twin_gradients,
     contrastive_loss,
     heat_kernel,
     load_twin_checkpoint,
@@ -99,6 +101,90 @@ def test_contrastive_gradients_match_finite_differences():
 def test_contrastive_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         contrastive_loss(np.zeros(2), np.zeros(3), True)
+
+
+def batch_case(seed=2, m=12, scale=0.3):
+    """Embedded pairs, half positive, with negatives on both hinge sides."""
+    rng = np.random.default_rng(seed)
+    Z1 = rng.normal(size=(m, 3)) * scale
+    Z2 = rng.normal(size=(m, 3)) * scale
+    Z2[-1] = Z1[-1] + [2.0, 0.0, 0.0]  # a negative past the margin
+    mask = np.arange(m) < m // 2
+    return Z1, Z2, mask
+
+
+def test_contrastive_batch_is_mean_of_pair_losses():
+    Z1, Z2, mask = batch_case()
+    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, 1.0)
+    per_pair = [
+        contrastive_loss(z1, z2, positive, margin=1.0)
+        for z1, z2, positive in zip(Z1, Z2, mask)
+    ]
+    m = len(Z1)
+    assert loss == pytest.approx(np.mean([l for l, _, _ in per_pair]), rel=1e-12)
+    assert np.allclose(G1, [g1 / m for _, g1, _ in per_pair], rtol=1e-12, atol=0)
+    assert np.allclose(G2, [g2 / m for _, _, g2 in per_pair], rtol=1e-12, atol=0)
+    assert not G1[-1].any()  # the negative past the margin costs nothing
+
+
+def test_contrastive_batch_matches_finite_differences():
+    Z1, Z2, mask = batch_case(seed=3)
+    _, G1, G2 = _contrastive_batch(Z1, Z2, mask, 1.0)
+    eps = 1e-6
+    for Z, G in ((Z1, G1), (Z2, G2)):
+        for index in np.ndindex(Z.shape):
+            saved = Z[index]
+            Z[index] = saved + eps
+            up = _contrastive_batch(Z1, Z2, mask, 1.0)[0]
+            Z[index] = saved - eps
+            down = _contrastive_batch(Z1, Z2, mask, 1.0)[0]
+            Z[index] = saved
+            assert (up - down) / (2 * eps) == pytest.approx(G[index], abs=1e-8)
+
+
+def reference_twin_gradients(net, X, left, right, mask, margin):
+    """The two-pass step: each side forward and backward, gradients summed."""
+    Z1, cache1 = net.forward(X[left])
+    Z2, cache2 = net.forward(X[right])
+    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, margin)
+    grads1, _ = net.backward(cache1, G1)
+    grads2, _ = net.backward(cache2, G2)
+    total = [
+        (gw1 + gw2, gb1 + gb2) for (gw1, gb1), (gw2, gb2) in zip(grads1, grads2)
+    ]
+    return loss, total
+
+
+TWIN_BATCHES = {
+    # point 0 sits in both polarities; 1, 2 and 3 repeat as well
+    "repeated": ([(0, 1), (1, 2), (0, 2), (2, 3)], [(0, 5), (1, 6), (3, 7), (0, 8)]),
+    # one pair drawn twice, as resampling with replacement does
+    "duplicate-pair": ([(0, 1), (0, 1)], [(0, 2), (3, 4)]),
+    "no-repeats": ([(0, 1), (2, 3)], [(4, 5), (6, 7)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWIN_BATCHES))
+def test_twin_gradients_match_two_pass_reference(case):
+    positives, negatives = TWIN_BATCHES[case]
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(10, 3))
+    net = Mlp.init([3, 8, 8, 4], seed=6)
+    pairs = np.array(positives + negatives)
+    mask = np.arange(len(pairs)) < len(positives)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    slot = np.full(len(X), len(X) - 1, dtype=np.intp)  # stale content is fine
+    loss, grads = _twin_gradients(net, X, ends, mask, 5.0, slot)
+    ref_loss, ref_grads = reference_twin_gradients(
+        net, X, pairs[:, 0], pairs[:, 1], mask, 5.0
+    )
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for got, want in zip(grads, ref_grads):
+        assert [g.shape for g in got] == [w.shape for w in want]
+    # Relative to the largest entry: the output bias gradient sums to zero.
+    got = np.concatenate([g.ravel() for pair in grads for g in pair])
+    want = np.concatenate([w.ravel() for pair in ref_grads for w in pair])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- bandwidth ---
@@ -208,6 +294,39 @@ def test_training_pair_set_errors():
         train_siamese(X, make_pairs([(0, 1)], []), config, rng=np.random.default_rng(0))
     with pytest.raises(MissingPolarity):
         train_siamese(X, make_pairs([], [(0, 1)]), config, rng=np.random.default_rng(0))
+
+
+def test_training_leaves_rng_after_the_documented_draws():
+    # One draw seeds the net; each epoch then orders the larger polarity by
+    # permutation and resamples the smaller with replacement.
+    X, pairs = two_cluster_data()
+    config = SiameseConfig(epochs=3, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
+    rng = np.random.default_rng(12)
+    train_siamese(X, pairs, config, rng)
+    n_pos, n_neg = len(pairs.positives), len(pairs.negatives)
+    assert n_pos > n_neg
+    expected = np.random.default_rng(12)
+    expected.integers(0, 2**63 - 1)
+    for _ in range(config.epochs):
+        expected.permutation(n_pos)
+        expected.integers(0, n_neg, size=n_pos)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "positives, negatives",
+    [
+        ([(0, 1)], [(-1, 2)]),
+        ([(-2, 1)], [(0, 2)]),
+        ([(0, 1)], [(2, 4)]),
+        ([(1, 5)], [(0, 2)]),
+    ],
+)
+def test_training_rejects_out_of_range_pair_indices(positives, negatives):
+    X = np.zeros((4, 2))
+    config = SiameseConfig(epochs=1, batch_size=2)
+    with pytest.raises(IndexOutOfRange):
+        train_siamese(X, make_pairs(positives, negatives), config, rng=np.random.default_rng(0))
 
 
 def test_config_validation():
