@@ -78,6 +78,10 @@ class MissingPolarity(RpSpectralError):
     """Training requested without both positive and negative pairs."""
 
 
+class NonFiniteInput(RpSpectralError):
+    """Training data holds NaN or infinite values."""
+
+
 class IndexOutOfRange(RpSpectralError):
     """A pair index points outside the data matrix."""
 

@@ -1,8 +1,10 @@
 """Minimal multilayer perceptron: forward pass, manual backprop, Adam.
 
-Shared by the contrastive twin and the spectral embedding network. Everything
-is float64 numpy; no autodiff, gradients are hand-derived and verified by
-finite differences in the test suite.
+Shared by the contrastive twin and the spectral embedding network. A net
+computes in the dtype of its weights (float64 unless cast with ``astype``):
+the forward pass, the backward pass and Adam's buffers all follow it. No
+autodiff; gradients are hand-derived and verified by finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -22,13 +24,18 @@ def _activate(name, z):
     return z
 
 
-def _activation_grad(name, z, a):
-    # a is the already-computed activation of z; reused where it is cheaper.
+def _through_activation(name, upstream, z, a):
+    """upstream times the activation's derivative at z, in upstream's dtype.
+
+    ``a`` is the already-computed activation of z, reused where cheaper.
+    ReLU multiplies by a boolean mask (subgradient 0 at the kink), which
+    keeps the dtype where a float mask would fix it.
+    """
     if name == "relu":
-        return (z > 0.0).astype(np.float64)  # subgradient 0 at the kink
+        return upstream * (z > 0.0)
     if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        return upstream * (1.0 - a * a)
+    return upstream
 
 
 class Layer:
@@ -70,6 +77,19 @@ class Mlp:
             )
         return cls(layers)
 
+    def astype(self, dtype):
+        """A copy of the net with weights and biases cast to ``dtype``."""
+        return Mlp(
+            [
+                Layer(l.weights.astype(dtype), l.biases.astype(dtype), l.activation)
+                for l in self.layers
+            ]
+        )
+
+    @property
+    def dtype(self):
+        return self.layers[0].weights.dtype
+
     @property
     def input_dim(self):
         return self.layers[0].weights.shape[0]
@@ -81,10 +101,10 @@ class Mlp:
     def forward(self, batch):
         """Run a batch through the net; returns (output, cache).
 
-        The cache holds per-layer inputs and pre-activations and is what
-        backward() consumes.
+        The batch is cast to the weights' dtype. The cache holds per-layer
+        inputs and pre-activations and is what backward() consumes.
         """
-        batch = np.asarray(batch, dtype=np.float64)
+        batch = np.asarray(batch, dtype=self.dtype)
         if batch.ndim != 2 or batch.shape[1] != self.input_dim:
             raise ShapeMismatch(
                 f"batch shape {batch.shape} does not feed a {self.input_dim}-wide net"
@@ -101,10 +121,11 @@ class Mlp:
     def backward(self, cache, output_grad):
         """Backpropagate a loss gradient through a cached forward pass.
 
-        Returns (param_grads, input_grad) where param_grads is a list of
-        (dW, db) congruent with the layers.
+        The gradient is cast to the weights' dtype. Returns (param_grads,
+        input_grad) where param_grads is a list of (dW, db) congruent with
+        the layers.
         """
-        output_grad = np.asarray(output_grad, dtype=np.float64)
+        output_grad = np.asarray(output_grad, dtype=self.dtype)
         if output_grad.shape != cache[-1][2].shape:
             raise ShapeMismatch(
                 f"output grad {output_grad.shape} vs output {cache[-1][2].shape}"
@@ -113,7 +134,7 @@ class Mlp:
         upstream = output_grad
         for i in range(len(self.layers) - 1, -1, -1):
             a_in, z, a_out = cache[i]
-            dz = upstream * _activation_grad(self.layers[i].activation, z, a_out)
+            dz = _through_activation(self.layers[i].activation, upstream, z, a_out)
             grads[i] = (a_in.T @ dz, dz.sum(axis=0))
             upstream = dz @ self.layers[i].weights.T
         return grads, upstream
@@ -151,7 +172,8 @@ class Adam:
     weights before biases; ``m[i][j]`` and ``v[i][j]`` are views of
     parameter j of layer i into it. A step runs each stage of the update as
     one ufunc call over the whole vector, so its cost does not grow with
-    the number of parameter arrays.
+    the number of parameter arrays. The buffers take the parameters' dtype,
+    so a float32 net is updated in float32.
     """
 
     def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -162,10 +184,11 @@ class Adam:
         self.step_count = 0
         self._shapes = [p.shape for l in net.layers for p in (l.weights, l.biases)]
         bounds = np.cumsum([0] + [int(np.prod(s)) for s in self._shapes])
-        self._m, self._v = np.zeros(bounds[-1]), np.zeros(bounds[-1])
+        size, dtype = bounds[-1], net.dtype
+        self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
         # The gradient copy and two scratch buffers hold the update's
         # intermediates, so a step allocates nothing.
-        self._grad, self._a, self._b = (np.empty(bounds[-1]) for _ in range(3))
+        self._grad, self._a, self._b = (np.empty(size, dtype) for _ in range(3))
 
         def views(flat):
             return [

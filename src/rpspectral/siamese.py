@@ -4,6 +4,12 @@ One shared-parameter network embeds both sides of every pair. Positive pairs
 are pulled together (squared distance), negative pairs pushed past a margin
 (hinge on the plain distance). Embedding distances then feed a heat kernel
 whose bandwidth is the median positive-pair distance.
+
+The twin trains in float32 and is handed back widened to float64, exactly;
+everything after training (distances, bandwidth, kernel, checkpoints)
+computes in float64. Float32 keeps about seven significant digits, so inputs
+are expected at standardized scale: a large constant offset in a feature
+costs the float32 copy its precision. The harness standardizes CSV input.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .errors import (
     EmptyPairSet,
     IndexOutOfRange,
     MissingPolarity,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from .mlp import Adam, Mlp
@@ -133,11 +140,23 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     balanced even on heavily skewed pair sets. Each step runs the twin once
     over the distinct points the batch's pairs touch and backpropagates the
     summed endpoint gradients once. Deterministic given the state of the
-    generator ``rng``. Pair indices outside ``0..len(X) - 1`` raise
-    IndexOutOfRange before training starts.
+    generator ``rng``.
+
+    The net and a copy of ``X`` are cast to float32 for training, and the
+    net is returned widened to float64, which is exact; ``X`` is expected at
+    standardized scale (see the module docstring). Before training starts,
+    a value of ``X`` that is NaN, infinite or beyond float32's range (about
+    3.4e38) raises NonFiniteInput, and pair indices outside
+    ``0..len(X) - 1`` raise IndexOutOfRange.
     """
     config.validate()
-    X = np.asarray(X, dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflowing value is reported below
+        X = np.asarray(X, dtype=np.float32)
+    bad = np.count_nonzero(~np.isfinite(X))
+    if bad:
+        raise NonFiniteInput(
+            f"{bad} input value(s) are NaN, infinite or beyond float32 range"
+        )
     n_pos = len(pairs.positives)
     n_neg = len(pairs.negatives)
     if n_pos + n_neg == 0:
@@ -151,7 +170,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     sizes = [X.shape[1], *config.hidden_sizes, config.embedding_dim]
     net = Mlp.init(
         sizes, config.activation, seed=int(rng.integers(0, 2**63 - 1))
-    )
+    ).astype(np.float32)
     optimizer = Adam(net, learning_rate=config.learning_rate)
 
     half = config.batch_size // 2
@@ -182,7 +201,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
             optimizer.step(net, grads)
             batch_losses.append(loss)
         history.append(float(np.mean(batch_losses)))
-    return net, history
+    return net.astype(np.float64), history
 
 
 def siamese_distances(net, X, index_pairs):

@@ -7,7 +7,7 @@ import pytest
 
 from rpspectral.clustering import KmeansConfig
 from rpspectral.datasets import SyntheticSpec
-from rpspectral.errors import BadGrid, ConfigError
+from rpspectral.errors import BadGrid, ConfigError, NonFiniteInput, StageError
 from rpspectral.harness import (
     CsvSource,
     ExperimentConfig,
@@ -262,6 +262,16 @@ def test_run_experiment_collects_stage_failures():
     for run in record["runs"]:
         assert run["error"]["stage"] == "pairs"
         assert "k=60" in run["error"]["message"] or "60" in run["error"]["message"]
+
+
+def test_run_pipeline_names_non_finite_input_in_the_siamese_stage():
+    config = quick_config()
+    X, y = load_dataset(config.dataset)
+    X[3, 0] = np.nan
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == "siamese"
+    assert isinstance(caught.value.cause, NonFiniteInput)
 
 
 # --- sweep ---

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpspectral.errors import BadArchitecture, ShapeMismatch
-from rpspectral.mlp import Adam, Mlp, gradient_check
+from rpspectral.mlp import Adam, Layer, Mlp, gradient_check
 from rpspectral.serialize import read_json, write_json
 
 
@@ -95,6 +95,80 @@ def test_backward_rejects_wrong_grad_shape():
         net.backward(cache, np.zeros((5, 3)))
 
 
+def mixed_activation_net(seed):
+    """A 4->6->5->3 net whose layers are relu, tanh and identity."""
+    rng = np.random.default_rng(seed)
+    sizes = [4, 6, 5, 3]
+    return Mlp(
+        [
+            Layer(rng.normal(size=(i, o)), rng.normal(size=o), act)
+            for i, o, act in zip(sizes, sizes[1:], ("relu", "tanh", "identity"))
+        ]
+    )
+
+
+def test_float64_backward_matches_the_float_derivative_formula():
+    # The derivative each activation had as a float array: ReLU's 0/1 mask,
+    # tanh's 1 - a^2 and identity's ones, multiplied in.
+    net = mixed_activation_net(9)
+    net.layers[0].biases[:] = 0.0
+    rng = np.random.default_rng(10)
+    batch = rng.normal(size=(12, 4))
+    batch[0, :] = 0.0  # row 0 sits on every ReLU kink
+    out, cache = net.forward(batch)
+    output_grad = rng.normal(size=out.shape)
+    grads, input_grad = net.backward(cache, output_grad)
+
+    derivative = {
+        "relu": lambda z, a: (z > 0).astype(np.float64),
+        "tanh": lambda z, a: 1 - a * a,
+        "identity": lambda z, a: np.ones_like(z),
+    }
+
+    def same_bits(a, b):  # unlike array_equal, tells -0.0 from 0.0
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    upstream = output_grad
+    for i in range(len(net.layers) - 1, -1, -1):
+        a_in, z, a_out = cache[i]
+        dz = upstream * derivative[net.layers[i].activation](z, a_out)
+        assert same_bits(grads[i][0], a_in.T @ dz)
+        assert same_bits(grads[i][1], dz.sum(axis=0))
+        upstream = dz @ net.layers[i].weights.T
+    assert same_bits(input_grad, upstream)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_float32_net_computes_in_float32(activation):
+    net = Mlp.init([3, 7, 6, 2], activation=activation, seed=2).astype(np.float32)
+    rng = np.random.default_rng(11)
+    out, cache = net.forward(rng.normal(size=(9, 3)))  # a float64 batch
+    assert out.dtype == np.float32
+    assert all(x.dtype == np.float32 for entry in cache for x in entry)
+    grads, input_grad = net.backward(cache, rng.normal(size=out.shape))
+    assert input_grad.dtype == np.float32
+    assert all(g.dtype == np.float32 for pair in grads for g in pair)
+    opt = Adam(net, learning_rate=1e-2)
+    opt.step(net, grads)
+    assert all(x.dtype == np.float32 for pair in opt.m + opt.v for x in pair)
+    assert all(
+        p.dtype == np.float32 for l in net.layers for p in (l.weights, l.biases)
+    )
+
+
+def test_astype_round_trip_through_float32_is_exact():
+    net = Mlp.init([3, 5, 2], activation="tanh", seed=3)
+    narrow = net.astype(np.float32)
+    wide = narrow.astype(np.float64)
+    assert [l.activation for l in wide.layers] == [l.activation for l in net.layers]
+    for ln, lw in zip(narrow.layers, wide.layers):
+        assert lw.weights.dtype == lw.biases.dtype == np.float64
+        assert np.array_equal(lw.weights, ln.weights)
+        assert np.array_equal(lw.biases, ln.biases)
+    batch = np.random.default_rng(12).normal(size=(4, 3))
+    assert np.array_equal(net.forward(batch)[0], net.astype(np.float64).forward(batch)[0])
+
+
 def test_adam_reduces_quadratic_loss():
     rng = np.random.default_rng(5)
     net = Mlp.init([4, 16, 2], activation="tanh", seed=2)
@@ -163,6 +237,35 @@ def test_adam_matches_reference_update_bit_for_bit():
     assert opt.step_count == state["t"] == 120
     for i in range(len(net.layers)):
         for j in range(2):
+            assert np.array_equal(opt.m[i][j], state["m"][i][j])
+            assert np.array_equal(opt.v[i][j], state["v"][i][j])
+
+
+def test_float32_adam_matches_reference_update_bit_for_bit():
+    # The textbook update run on float32 arrays with Python-float constants
+    # is float32 throughout; any step Adam takes through float64 rounds
+    # differently and shows here.
+    rng = np.random.default_rng(13)
+    net = Mlp.init([3, 16, 16, 2], activation="relu", seed=4).astype(np.float32)
+    ref = copy.deepcopy(net)
+    opt = Adam(net, learning_rate=3e-3)
+    state = {
+        "t": 0,
+        "m": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
+        "v": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
+    }
+    for _ in range(60):
+        out, cache = net.forward(rng.normal(size=(24, 3)))
+        grads, _ = net.backward(cache, quadratic_loss(out)[1])
+        opt.step(net, grads)
+        reference_adam_step(ref, grads, state, lr=3e-3)
+        for la, lb in zip(net.layers, ref.layers):
+            assert la.weights.dtype == np.float32
+            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.biases, lb.biases)
+    for i in range(len(net.layers)):
+        for j in range(2):
+            assert opt.m[i][j].dtype == opt.v[i][j].dtype == np.float32
             assert np.array_equal(opt.m[i][j], state["m"][i][j])
             assert np.array_equal(opt.v[i][j], state["v"][i][j])
 

@@ -7,6 +7,7 @@ from rpspectral.errors import (
     EmptyPairSet,
     IndexOutOfRange,
     MissingPolarity,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from rpspectral.mlp import Mlp
@@ -187,6 +188,39 @@ def test_twin_gradients_match_two_pass_reference(case):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def test_float32_twin_gradients_stay_float32_and_track_float64():
+    positives, negatives = TWIN_BATCHES["repeated"]
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(10, 3))
+    narrow = Mlp.init([3, 8, 8, 4], seed=8).astype(np.float32)
+    pairs = np.array(positives + negatives)
+    mask = np.arange(len(pairs)) < len(positives)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    slot = np.empty(len(X), dtype=np.intp)
+
+    Z = narrow.forward(X)[0]
+    _, G1, G2 = _contrastive_batch(Z[pairs[:, 0]], Z[pairs[:, 1]], mask, 5.0)
+    assert G1.dtype == G2.dtype == np.float32
+    # forward and backward cast what they are handed, so that is checked too
+    handed = []
+    forward, backward = narrow.forward, narrow.backward
+    narrow.forward = lambda batch: handed.append(batch.dtype) or forward(batch)
+    narrow.backward = lambda cache, G: handed.append(G.dtype) or backward(cache, G)
+    loss, grads = _twin_gradients(narrow, X.astype(np.float32), ends, mask, 5.0, slot)
+    del narrow.forward, narrow.backward
+    assert handed == [np.float32, np.float32]
+    assert all(g.dtype == np.float32 for pair in grads for g in pair)
+
+    wide_loss, wide_grads = _twin_gradients(
+        narrow.astype(np.float64), X.astype(np.float32).astype(np.float64),
+        ends, mask, 5.0, slot,
+    )
+    assert loss == pytest.approx(wide_loss, rel=1e-4)
+    got = np.concatenate([g.ravel() for pair in grads for g in pair])
+    want = np.concatenate([w.ravel() for pair in wide_grads for w in pair])
+    assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+
 # --- bandwidth ---
 
 
@@ -285,6 +319,29 @@ def test_training_is_deterministic():
         assert np.array_equal(a.weights, b.weights)
 
 
+def test_training_returns_a_float64_net_widened_from_float32():
+    X, pairs = two_cluster_data()
+    config = SiameseConfig(epochs=2, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
+    net, _ = train_siamese(X, pairs, config, rng=np.random.default_rng(5))
+    for layer in net.layers:
+        for param in (layer.weights, layer.biases):
+            assert param.dtype == np.float64
+            assert np.array_equal(param, param.astype(np.float32).astype(np.float64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+def test_training_rejects_values_float32_cannot_hold(bad):
+    X, pairs = two_cluster_data()
+    X[7, 1] = bad
+    config = SiameseConfig(epochs=1, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
+    with pytest.raises(NonFiniteInput, match="1 input value"):
+        train_siamese(X, pairs, config, rng=np.random.default_rng(0))
+    # Ahead of the pair-set checks: a bad value is named even when the pair
+    # set is unusable too.
+    with pytest.raises(NonFiniteInput):
+        train_siamese(X, make_pairs([], []), config, rng=np.random.default_rng(0))
+
+
 def test_training_pair_set_errors():
     X = np.zeros((4, 2))
     config = SiameseConfig(epochs=1, batch_size=2)
@@ -363,4 +420,7 @@ def test_twin_checkpoint_round_trip(tmp_path):
     loaded, bandwidth, source = load_twin_checkpoint(path)
     assert bandwidth == 0.42
     assert source == "rptree:leaf_size=20"
+    for la, lb in zip(net.layers, loaded.layers):
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.biases.tobytes() == lb.biases.tobytes()
     assert np.array_equal(loaded.forward(X)[0], net.forward(X)[0])
