@@ -189,6 +189,7 @@ class Adam:
         # The gradient copy and two scratch buffers hold the update's
         # intermediates, so a step allocates nothing.
         self._grad, self._a, self._b = (np.empty(size, dtype) for _ in range(3))
+        self._tiny, self._normal = np.finfo(dtype).tiny, np.empty(size, bool)
 
         def views(flat):
             return [
@@ -211,8 +212,9 @@ class Adam:
         Every gradient shape is checked before anything changes, so a
         rejected step leaves the parameters, the moments and the counter as
         they were. The update is lr * (m / c1) / (sqrt(v / c2) + eps), with
-        c1, c2 the bias corrections; the gradients are copied into one flat
-        buffer first, so they may be any strided arrays.
+        c1, c2 the bias corrections, and m is flushed to zero where it falls
+        below the dtype's smallest normal number. The gradients are copied
+        into one flat buffer first, so they may be any strided arrays.
         """
         params = [p for l in net.layers for p in (l.weights, l.biases)]
         flat_grads = [g for pair in grads for g in pair]
@@ -233,6 +235,14 @@ class Adam:
         m *= self.beta1
         np.multiply(1.0 - self.beta1, g, out=a)
         m += a
+        # Where the gradient stays zero (a dead ReLU unit), m decays by beta1
+        # into the subnormal range and sticks there, since beta1 * x rounds
+        # back to x for the smallest subnormals; every later step would take
+        # the processor's slow subnormal path on it. In float32 this starts
+        # ~800 steps after the unit dies. Flushing to 0 changes no normal value.
+        np.abs(m, out=a)
+        np.greater_equal(a, self._tiny, out=self._normal)
+        m *= self._normal
         v *= self.beta2
         np.multiply(1.0 - self.beta2, g, out=b)
         b *= g
