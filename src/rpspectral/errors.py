@@ -79,7 +79,7 @@ class MissingPolarity(RpSpectralError):
 
 
 class NonFiniteInput(RpSpectralError):
-    """Training data holds NaN or infinite values."""
+    """Training data holds NaN, infinite or float32-overflowing values."""
 
 
 class IndexOutOfRange(RpSpectralError):

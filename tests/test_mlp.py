@@ -279,13 +279,13 @@ def test_adam_flushes_a_decayed_first_moment_to_zero(dtype):
     ones = [(np.ones((1, 1), dtype), np.ones(1, dtype))]
     zeros = [(np.zeros((1, 1), dtype), np.zeros(1, dtype))]
     opt.step(net, ones)
-    seen_normal = []
+    nonzero = []
     for _ in range(8000 if dtype is np.float64 else 1000):
         opt.step(net, zeros)
         m = opt.m[0][0][0, 0]
         assert m == 0 or abs(m) >= tiny
-        seen_normal.append(m != 0)
-    assert seen_normal[0] and not seen_normal[-1]
+        nonzero.append(m != 0)
+    assert nonzero[0] and not nonzero[-1]
 
 
 def test_adam_rejected_step_changes_nothing():
