@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadArchitecture, ShapeMismatch
+from .errors import BadArchitecture, NonFiniteInput, ShapeMismatch
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -36,6 +36,22 @@ def _through_activation(name, upstream, z, a):
     if name == "tanh":
         return upstream * (1.0 - a * a)
     return upstream
+
+
+def finite_float32(values, what="input"):
+    """``values`` cast to float32 for a float32 net to train on.
+
+    Raises NonFiniteInput, naming ``what``, if any value is NaN, infinite
+    or beyond float32's range (about 3.4e38), where the cast overflows.
+    """
+    with np.errstate(over="ignore"):  # an overflowing value is reported below
+        values = np.asarray(values, dtype=np.float32)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise NonFiniteInput(
+            f"{bad} {what} value(s) are NaN, infinite or beyond float32 range"
+        )
+    return values
 
 
 class Layer:

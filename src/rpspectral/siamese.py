@@ -24,10 +24,9 @@ from .errors import (
     EmptyPairSet,
     IndexOutOfRange,
     MissingPolarity,
-    NonFiniteInput,
     ShapeMismatch,
 )
-from .mlp import Adam, Mlp
+from .mlp import Adam, Mlp, finite_float32
 from .serialize import read_json, write_json
 
 _NORM_FLOOR = 1e-12  # guards the distance gradient at coincident embeddings
@@ -150,13 +149,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     ``0..len(X) - 1`` raise IndexOutOfRange.
     """
     config.validate()
-    with np.errstate(over="ignore"):  # an overflowing value is reported below
-        X = np.asarray(X, dtype=np.float32)
-    bad = np.count_nonzero(~np.isfinite(X))
-    if bad:
-        raise NonFiniteInput(
-            f"{bad} input value(s) are NaN, infinite or beyond float32 range"
-        )
+    X = finite_float32(X)
     n_pos = len(pairs.positives)
     n_neg = len(pairs.negatives)
     if n_pos + n_neg == 0:

@@ -6,6 +6,15 @@ outputs being orthonormal. Each training step whitens the raw outputs of one
 batch with a Cholesky factor of their Gram matrix and follows the exact
 gradient of the whitened loss, whitening map included, back into the
 network weights.
+
+The network body trains in float32: its forward pass, backward pass and
+Adam update. Each step's raw output is widened to float64 before whitening,
+so the Gram matrix, the Cholesky whitening and its residual check, the loss
+on the float64 affinity and the gradient through the whitening map are all
+float64. The trained net is handed back widened to float64, exactly, and the
+stored whitening map is fitted with it. Float32 keeps about seven
+significant digits, so inputs are expected at standardized scale, as for
+the twin.
 """
 
 from __future__ import annotations
@@ -14,8 +23,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import BadArchitecture, BatchTooSmall, ShapeMismatch, SingularGram
-from .mlp import Adam, Mlp
+from .errors import (
+    BadArchitecture,
+    BatchTooSmall,
+    NonFiniteInput,
+    ShapeMismatch,
+    SingularGram,
+)
+from .mlp import Adam, Mlp, finite_float32
 from .serialize import read_json, section_from_dict, write_json
 from .siamese import heat_kernel, pairwise_distances
 
@@ -117,15 +132,16 @@ def _orthogonalize(Y_raw, jitter):
     transform = _whitening_map(Y_raw.T @ Y_raw, m, jitter)
     Y = Y_raw @ transform
     residual = ortho_residual(Y, m)
-    if residual > _ORTHO_TOL * m:
+    # Written so that a NaN residual (a NaN or infinite output) fails too.
+    if not residual <= _ORTHO_TOL * m:
         second = _whitening_map(Y.T @ Y, m, jitter)
         transform = transform @ second
         Y = Y_raw @ transform
         residual = ortho_residual(Y, m)
-        if residual > _ORTHO_TOL * m:
+        if not residual <= _ORTHO_TOL * m:
             raise SingularGram(
-                "batch outputs are rank-deficient; whitening residual "
-                f"{residual:.3e} exceeds {_ORTHO_TOL * m:.3e}"
+                "batch outputs are rank-deficient or non-finite; whitening "
+                f"residual {residual:.3e} exceeds {_ORTHO_TOL * m:.3e}"
             )
     return Y, OrthoMap(transform=transform, batch_size=m), residual
 
@@ -217,6 +233,18 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     over its last ten losses wins (ties to the earliest). A single restart
     trains directly on ``rng``. ``learning_rate_schedule="cosine"`` decays
     the step size to zero across the run.
+
+    The body trains in float32: the features and each fresh ``Mlp.init`` net
+    are cast once (the generator draws are unchanged), and every forward
+    pass, backward pass and Adam update runs in float32. Each step's output
+    is widened to float64 for the whitening, the loss and the gradient
+    through the whitening map, which ``backward`` casts back. The returned
+    net is widened to float64, exactly, and the stored map is fitted with it
+    on the float64 features, so ``embed`` reproduces it. Inputs are expected
+    at standardized scale. An input or twin-feature value that is NaN,
+    infinite or beyond float32's range (about 3.4e38), or a non-finite value
+    in the twin embedding that builds the affinity, raises NonFiniteInput
+    before any training.
     """
     config.validate()
     X = np.asarray(X, dtype=np.float64)
@@ -225,12 +253,21 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     if n < m:
         raise BatchTooSmall(f"dataset has {n} points, batch size is {m}")
 
+    # The input is checked with twin features too: a tanh twin maps an
+    # infinite input to a finite embedding.
+    narrow = finite_float32(X)
+
     # The twin net is frozen, so its embedding of the dataset never changes;
     # compute it once. For datasets small enough to hold an n x n matrix the
     # full affinity is also cached and batches just slice it; when the batch
     # is the whole dataset, every step uses it as it stands.
     Z_full, _ = twin_net.forward(X)
-    features = Z_full if config.features == "twin" else X
+    features = X
+    if config.features == "twin":
+        features = Z_full
+        narrow = finite_float32(Z_full, "twin feature")
+    if not np.isfinite(Z_full).all():
+        raise NonFiniteInput("the twin embedding holds NaN or infinite values")
     full_batch = m == n
     affinity_full = degrees_full = None
     if full_batch or n * n <= 16_000_000:
@@ -249,32 +286,35 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     def train_once(run_rng):
         net = Mlp.init(
             sizes, config.activation, seed=int(run_rng.integers(0, 2**63 - 1))
-        )
+        ).astype(np.float32)
         optimizer = Adam(net, learning_rate=config.learning_rate)
         loss_history = []
         ortho_residuals = []
         for step in range(half_steps):
             if config.learning_rate_schedule == "cosine":
-                optimizer.learning_rate = (
+                # A Python float, so the float32 update stays in float32.
+                optimizer.learning_rate = float(
                     config.learning_rate
                     * 0.5
                     * (1.0 + np.cos(np.pi * step / half_steps))
                 )
             if full_batch:
-                batch, affinity = features, affinity_full
+                batch, affinity = narrow, affinity_full
             else:
                 idx = run_rng.choice(n, size=m, replace=False)
-                batch, affinity = features[idx], batch_affinity(idx)
+                batch, affinity = narrow[idx], batch_affinity(idx)
             out, cache = net.forward(batch)
             loss, grad_out, residual = _whitened_loss(
-                out, affinity, config.jitter, degrees_full
+                out.astype(np.float64), affinity, config.jitter, degrees_full
             )
             grads, _ = net.backward(cache, grad_out)
             optimizer.step(net, grads)
             loss_history.append(loss)
             ortho_residuals.append(residual)
 
-        # The last update left the stored map stale; refit it once more.
+        # The last update left the stored map stale; refit it once more, with
+        # the float64 net that embed() will run.
+        net = net.astype(np.float64)
         if full_batch:
             final_idx = np.arange(n)
         else:

@@ -7,10 +7,11 @@ from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import (
     BadArchitecture,
     BatchTooSmall,
+    NonFiniteInput,
     ShapeMismatch,
     SingularGram,
 )
-from rpspectral.mlp import Mlp
+from rpspectral.mlp import Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
     SpectralConfig,
@@ -75,6 +76,18 @@ def test_orthogonalize_rank_deficient_with_jitter_still_fails_residual():
     Y_raw = np.hstack([col, col])
     with pytest.raises(SingularGram):
         orthogonalize(Y_raw, jitter=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_orthogonalize_rejects_a_non_finite_batch(bad):
+    # A NaN residual compares False against the tolerance either way round;
+    # the guard must treat it as a failure, not a pass.
+    Y_raw = np.random.default_rng(0).normal(size=(20, 3))
+    Y_raw[4, 1] = bad
+    for jitter in (0.0, 1e-6):
+        with pytest.raises(SingularGram):
+            orthogonalize(Y_raw, jitter=jitter)
 
 
 def test_orthogonalize_near_singular_recovers_via_jitter():
@@ -517,3 +530,194 @@ def test_checkpoint_round_trip_twin_features(tmp_path):
     assert loaded.selected_restart == model.selected_restart
     # the twin rides along, so the loaded model embeds on its own
     assert np.array_equal(embed(loaded, X), embed(model, X))
+
+
+# --- float32 body ---
+
+
+def float32_cases():
+    """Both batch branches, with restarts, cosine steps and twin features."""
+    n = len(blobs_case()[0])
+    base = SpectralConfig(
+        n_clusters=3, batch_size=48, total_steps=40, hidden_sizes=(8, 8),
+        activation="tanh",
+    )
+    return {
+        "sampled": base,
+        "full": replace(base, batch_size=n),
+        "sampled-twin-restarts": replace(
+            base, features="twin", restarts=2, learning_rate_schedule="cosine"
+        ),
+        "full-twin-restarts": replace(
+            base, batch_size=n, features="twin", restarts=2,
+            learning_rate_schedule="cosine",
+        ),
+    }
+
+
+def float32_train(config, seed=0):
+    X, _ = blobs_case()
+    if config.features == "twin":
+        twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
+    else:
+        twin = identity_twin(2)
+    rng = np.random.default_rng(seed)
+    return X, rng, train_spectralnet(X, twin, 0.5, config, rng=rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_step_tracks_the_float64_step(seed):
+    # One training step's loss and parameter gradients from a float32 body,
+    # against the same weights widened to float64. The tolerance is set from
+    # float32's ~1.2e-7 unit roundoff with room for the whitening's
+    # conditioning, not fitted to the result.
+    X, _ = blobs_case()
+    A = heat_kernel(pairwise_distances(X), 0.5)
+    narrow = Mlp.init([2, 8, 8, 3], activation="tanh", seed=seed).astype(np.float32)
+    X32 = X.astype(np.float32)
+    out, cache = narrow.forward(X32)
+    loss, grad_out, _ = _whitened_loss(out.astype(np.float64), A, jitter=1e-6)
+    grads, _ = narrow.backward(cache, grad_out)
+
+    wide = narrow.astype(np.float64)
+    out64, cache64 = wide.forward(X32.astype(np.float64))
+    wide_loss, grad_out64, _ = _whitened_loss(out64, A, jitter=1e-6)
+    wide_grads, _ = wide.backward(cache64, grad_out64)
+    assert loss == pytest.approx(wide_loss, rel=1e-4)
+    got = np.concatenate([g.ravel() for pair in grads for g in pair])
+    want = np.concatenate([w.ravel() for pair in wide_grads for w in pair])
+    assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", list(float32_cases()))
+def test_training_steps_run_in_float32(case, monkeypatch):
+    config = float32_cases()[case]
+    forward, backward, step = Mlp.forward, Mlp.backward, Adam.step
+    seen = {"forward": 0, "backward": 0, "adam": 0, "widened": 0}
+
+    def spy_forward(net, batch):
+        out, cache = forward(net, batch)
+        if net.dtype == np.float64:  # the refit after the last update
+            seen["widened"] += 1
+            return out, cache
+        seen["forward"] += 1
+        # what the loop hands in, not only what forward casts it to
+        assert batch.dtype == np.float32
+        assert out.dtype == np.float32
+        assert all(a.dtype == np.float32 for entry in cache for a in entry)
+        return out, cache
+
+    def spy_backward(net, cache, output_grad):
+        seen["backward"] += 1
+        assert net.dtype == np.float32
+        assert all(a.dtype == np.float32 for entry in cache for a in entry)
+        grads, input_grad = backward(net, cache, output_grad)
+        assert all(g.dtype == np.float32 for pair in grads for g in pair)
+        assert input_grad.dtype == np.float32
+        return grads, input_grad
+
+    def spy_step(optimizer, net, grads):
+        seen["adam"] += 1
+        assert net.dtype == np.float32
+        step(optimizer, net, grads)
+        for pair in optimizer.m + optimizer.v:
+            assert all(moment.dtype == np.float32 for moment in pair)
+        # a NumPy float64 step size would run the update in float64
+        assert np.result_type(optimizer.m[0][0], optimizer.learning_rate) == np.float32
+        assert all(
+            p.dtype == np.float32 for l in net.layers for p in (l.weights, l.biases)
+        )
+
+    monkeypatch.setattr(Mlp, "forward", spy_forward)
+    monkeypatch.setattr(Mlp, "backward", spy_backward)
+    monkeypatch.setattr(Adam, "step", spy_step)
+    float32_train(config)
+    updates = config.restarts * config.total_steps // 2
+    assert seen == {
+        "forward": updates,
+        "backward": updates,
+        "adam": updates,
+        # one refit per restart, plus the float64 twin's pass over X
+        "widened": config.restarts + 1,
+    }
+
+
+@pytest.mark.parametrize("case", list(float32_cases()))
+def test_float32_training_returns_a_widened_float64_net(case):
+    config = float32_cases()[case]
+    X, _, model = float32_train(config)
+    for layer in model.net.layers:
+        for param in (layer.weights, layer.biases):
+            assert param.dtype == np.float64
+            assert np.array_equal(param, param.astype(np.float32).astype(np.float64))
+    m = config.batch_size
+    assert max(model.ortho_residuals) <= 1e-6 * m
+    # the stored map was fitted with the float64 net that embed() runs
+    Y_final = embed(model, X)[model.final_batch]
+    assert Y_final.dtype == np.float64
+    assert ortho_residual(Y_final, m) <= 1e-6 * m
+    assert model.ortho_residuals[-1] == ortho_residual(Y_final, m)
+
+
+@pytest.mark.parametrize("case", list(float32_cases()))
+def test_float32_training_is_reproducible(case):
+    config = float32_cases()[case]
+    X, rng_a, a = float32_train(config, seed=12)
+    _, rng_b, b = float32_train(config, seed=12)
+    assert a.loss_history == b.loss_history
+    assert a.ortho_residuals == b.ortho_residuals
+    assert a.selected_restart == b.selected_restart
+    for la, lb in zip(a.net.layers, b.net.layers):
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.biases.tobytes() == lb.biases.tobytes()
+    assert a.ortho.transform.tobytes() == b.ortho.transform.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize("case", list(float32_cases()))
+def test_float32_trained_checkpoint_round_trips_bit_for_bit(case, tmp_path):
+    config = float32_cases()[case]
+    X, _, model = float32_train(config)
+    path = tmp_path / "spectral.json"
+    save_spectral_checkpoint(model, path)
+    loaded = load_spectral_checkpoint(path)
+    for la, lb in zip(loaded.net.layers, model.net.layers):
+        assert la.weights.dtype == np.float64
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert la.biases.tobytes() == lb.biases.tobytes()
+    assert loaded.ortho.transform.tobytes() == model.ortho.transform.tobytes()
+    assert embed(loaded, X).tobytes() == embed(model, X).tobytes()
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
+def test_training_rejects_values_float32_cannot_hold(bad, full):
+    X, _ = blobs_case()
+    X[7, 1] = bad
+    config = SpectralConfig(
+        n_clusters=3, batch_size=len(X) if full else 48, total_steps=10,
+        hidden_sizes=(8,),
+    )
+    with pytest.raises(NonFiniteInput, match="1 input value"):
+        train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0))
+    # With twin features the input is checked too: a tanh twin maps an
+    # infinite input to a finite embedding.
+    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
+    twin_config = replace(config, features="twin")
+    with pytest.raises(NonFiniteInput, match="1 input value"):
+        train_spectralnet(X, twin, 0.5, twin_config, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("features", ["raw", "twin"])
+@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
+def test_training_rejects_a_non_finite_twin_embedding(full, features):
+    # Finite input, but the twin that builds the affinity maps it to NaN.
+    X, _ = blobs_case()
+    twin = identity_twin(2)
+    twin.layers[0].biases = np.array([0.0, np.nan])
+    config = SpectralConfig(
+        n_clusters=3, batch_size=len(X) if full else 48, total_steps=10,
+        hidden_sizes=(8,), features=features,
+    )
+    with pytest.raises(NonFiniteInput, match="twin (embedding|feature)"):
+        train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(0))
