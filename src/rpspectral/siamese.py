@@ -30,6 +30,9 @@ from .mlp import Adam, Mlp, finite_float32
 from .serialize import read_json, write_json
 
 _NORM_FLOOR = 1e-12  # guards the distance gradient at coincident embeddings
+# Pairs per block in siamese_distances; with the default 32-wide embedding a
+# gathered block of float64 rows is 2 MiB.
+_DISTANCE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -198,13 +201,35 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
 
 
 def siamese_distances(net, X, index_pairs):
-    """Embedding-space Euclidean distance for each (i, j) pair."""
+    """Embedding-space Euclidean distance for each (i, j) pair.
+
+    ``index_pairs`` must be an integer array of shape (k, 2); k = 0 gives an
+    empty float64 array. Any other shape or a non-integer dtype raises
+    ShapeMismatch, and an index outside ``0..len(X) - 1`` IndexOutOfRange.
+    The net embeds ``X`` once through ``Mlp.predict``; the pairs are then
+    gathered and differenced ``_DISTANCE_BLOCK`` at a time, which gives the
+    same bits as one pass over all of them, since each row's sum is its own.
+    """
     X = np.asarray(X, dtype=np.float64)
-    index_pairs = np.asarray(index_pairs, dtype=np.int64)
+    index_pairs = np.asarray(index_pairs)
+    if (
+        index_pairs.ndim != 2
+        or index_pairs.shape[1] != 2
+        or not np.issubdtype(index_pairs.dtype, np.integer)
+    ):
+        raise ShapeMismatch(
+            f"pair indices must be integers of shape (k, 2), got "
+            f"{index_pairs.dtype} of shape {index_pairs.shape}"
+        )
     _check_indices(index_pairs, len(X))
-    Z, _ = net.forward(X)
-    diff = Z[index_pairs[:, 0]] - Z[index_pairs[:, 1]]
-    return np.sqrt((diff * diff).sum(axis=1))
+    Z = net.predict(X)
+    distances = np.empty(len(index_pairs))
+    for start in range(0, len(index_pairs), _DISTANCE_BLOCK):
+        block = index_pairs[start : start + _DISTANCE_BLOCK]
+        diff = Z[block[:, 0]] - Z[block[:, 1]]
+        diff *= diff
+        np.sqrt(diff.sum(axis=1), out=distances[start : start + len(block)])
+    return distances
 
 
 def select_bandwidth(distances):

@@ -261,7 +261,7 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     # compute it once. For datasets small enough to hold an n x n matrix the
     # full affinity is also cached and batches just slice it; when the batch
     # is the whole dataset, every step uses it as it stands.
-    Z_full, _ = twin_net.forward(X)
+    Z_full = twin_net.predict(X)
     features = X
     if config.features == "twin":
         features = Z_full
@@ -319,7 +319,7 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
             final_idx = np.arange(n)
         else:
             final_idx = run_rng.choice(n, size=m, replace=False)
-        Y_raw, _ = net.forward(features[final_idx])
+        Y_raw = net.predict(features[final_idx])
         _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
         ortho_residuals.append(residual)
         return net, ortho_map, final_idx, loss_history, ortho_residuals
@@ -360,8 +360,8 @@ def embed(model: SpectralModel, X):
             raise BadArchitecture(
                 "model embeds twin features but carries no twin network"
             )
-        X, _ = model.twin.forward(X)
-    out, _ = model.net.forward(X)
+        X = model.twin.predict(X)
+    out = model.net.predict(X)
     return out @ model.ortho.transform
 
 

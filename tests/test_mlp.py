@@ -13,6 +13,10 @@ def quadratic_loss(output):
     return 0.5 * float((output**2).sum()), output
 
 
+def same_bits(a, b):  # unlike array_equal, tells -0.0 from 0.0
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_init_shapes():
     net = Mlp.init([4, 8, 2], seed=0)
     assert [l.weights.shape for l in net.layers] == [(4, 8), (8, 2)]
@@ -125,9 +129,6 @@ def test_float64_backward_matches_the_float_derivative_formula():
         "identity": lambda z, a: np.ones_like(z),
     }
 
-    def same_bits(a, b):  # unlike array_equal, tells -0.0 from 0.0
-        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
     upstream = output_grad
     for i in range(len(net.layers) - 1, -1, -1):
         a_in, z, a_out = cache[i]
@@ -154,6 +155,58 @@ def test_float32_net_computes_in_float32(activation):
     assert all(
         p.dtype == np.float32 for l in net.layers for p in (l.weights, l.biases)
     )
+
+
+def predict_batches(dtype):
+    rng = np.random.default_rng(12)
+    kink = rng.normal(size=(10, 3))
+    kink[0, :] = 0.0  # with zero first-layer biases, on every first-layer kink
+    return {"one-row": rng.normal(size=(1, 3)).astype(dtype), "kink": kink.astype(dtype)}
+
+
+@pytest.mark.parametrize("batch_kind", ["one-row", "kink"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_predict_matches_forward_bit_for_bit(activation, dtype, batch_kind):
+    net = Mlp.init([3, 7, 6, 2], activation=activation, seed=4).astype(dtype)
+    for layer in net.layers[1:]:
+        layer.biases[:] = np.linspace(-0.5, 0.5, len(layer.biases))
+    batch = predict_batches(dtype)[batch_kind]
+    assert same_bits(net.predict(batch), net.forward(batch)[0])
+    # a batch of another dtype is cast as forward casts it
+    wide = batch.astype(np.float64 if dtype == np.float32 else np.float32)
+    assert same_bits(net.predict(wide), net.forward(wide)[0])
+
+
+def test_predict_matches_forward_on_a_mixed_net():
+    net = mixed_activation_net(9)
+    net.layers[0].biases[:] = 0.0
+    batch = np.random.default_rng(14).normal(size=(10, 4))
+    batch[0, :] = 0.0  # on every first-layer kink
+    assert same_bits(net.predict(batch), net.forward(batch)[0])
+
+
+@pytest.mark.parametrize(
+    "shape", [(7, 3), (7, 5), (4,), (0,), (2, 3, 4), ()], ids=str
+)
+def test_predict_rejects_the_shapes_forward_rejects(shape):
+    net = Mlp.init([4, 8, 2], seed=1)
+    batch = np.zeros(shape)
+    with pytest.raises(ShapeMismatch):
+        net.forward(batch)
+    with pytest.raises(ShapeMismatch):
+        net.predict(batch)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_predict_leaves_the_batch_unchanged(activation):
+    net = Mlp.init([3, 3], activation=activation, seed=5)
+    net.layers[0].activation = activation  # bias and activation land in place
+    batch = np.random.default_rng(13).normal(size=(6, 3))  # reaches it uncast
+    before = batch.copy()
+    out = net.predict(batch)
+    assert not np.shares_memory(out, batch)
+    assert same_bits(batch, before)
 
 
 def test_astype_round_trip_through_float32_is_exact():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,71 @@ def test_siamese_distances_identity_net():
         siamese_distances(net, X, [(0, 3)])
     with pytest.raises(IndexOutOfRange):
         siamese_distances(net, X, [(-1, 1)])
+
+
+@pytest.mark.parametrize(
+    "index_pairs",
+    [
+        [],
+        [1, 2],
+        [[0, 1, 2]],
+        [[0.5, 1.7]],
+        np.zeros((0, 2)),
+        np.zeros((1, 2), dtype=bool),
+        np.zeros((1, 2, 1), dtype=np.int64),
+    ],
+    ids=["empty-list", "one-flat-pair", "three-columns", "floats", "empty-floats",
+         "bools", "three-dims"],
+)
+def test_siamese_distances_rejects_malformed_pair_indices(index_pairs):
+    net = Mlp.init([2, 4, 3], seed=0)
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    with pytest.raises(ShapeMismatch):
+        siamese_distances(net, X, index_pairs)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
+def test_siamese_distances_takes_any_integer_pairs_including_none(dtype):
+    net = Mlp.init([2, 4, 3], seed=0)
+    X = np.random.default_rng(0).normal(size=(5, 2))
+    d = siamese_distances(net, X, np.empty((0, 2), dtype=dtype))
+    assert d.dtype == np.float64 and d.shape == (0,)
+    pairs = np.array([[0, 4], [3, 1]], dtype=dtype)
+    expected = siamese_distances(net, X, pairs.astype(np.int64))
+    assert siamese_distances(net, X, pairs).tobytes() == expected.tobytes()
+
+
+def reference_distances(net, X, index_pairs):
+    Z, _ = net.forward(X)
+    diff = Z[index_pairs[:, 0]] - Z[index_pairs[:, 1]]
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def test_siamese_distances_across_a_block_boundary_match_one_pass():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(300, 2))
+    net = Mlp.init([2, 16, 16, 32], seed=4)
+    pairs = rng.integers(0, len(X), size=(8193, 2))  # one pair past a block
+    d = siamese_distances(net, X, pairs)
+    assert d.tobytes() == reference_distances(net, X, pairs).tobytes()
+
+
+def test_siamese_distances_keep_no_activation_cache():
+    # A 10k-point pass through the default twin holds two 10k x 128 float64
+    # activations at once, and no more: the bound is three of them. A pass
+    # that kept forward's cache would hold six, and every gathered pair row.
+    n = 10_000
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(n, 2))
+    net = Mlp.init([2, 128, 128, 32], seed=6)
+    pairs = rng.integers(0, n, size=(65_286, 2))
+    tracemalloc.start()
+    try:
+        siamese_distances(net, X, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 128 * 8
 
 
 def test_twin_checkpoint_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -14,7 +15,9 @@ from rpspectral.errors import (
 from rpspectral.mlp import Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
+    OrthoMap,
     SpectralConfig,
+    SpectralModel,
     _whitened_loss,
     embed,
     load_spectral_checkpoint,
@@ -592,20 +595,26 @@ def test_float32_step_tracks_the_float64_step(seed):
 @pytest.mark.parametrize("case", list(float32_cases()))
 def test_training_steps_run_in_float32(case, monkeypatch):
     config = float32_cases()[case]
-    forward, backward, step = Mlp.forward, Mlp.backward, Adam.step
+    forward, predict = Mlp.forward, Mlp.predict
+    backward, step = Mlp.backward, Adam.step
     seen = {"forward": 0, "backward": 0, "adam": 0, "widened": 0}
 
     def spy_forward(net, batch):
         out, cache = forward(net, batch)
-        if net.dtype == np.float64:  # the refit after the last update
-            seen["widened"] += 1
-            return out, cache
         seen["forward"] += 1
+        assert net.dtype == np.float32
         # what the loop hands in, not only what forward casts it to
         assert batch.dtype == np.float32
         assert out.dtype == np.float32
         assert all(a.dtype == np.float32 for entry in cache for a in entry)
         return out, cache
+
+    def spy_predict(net, batch):
+        # the twin's pass over X and the refit after the last update, which
+        # need no gradient and so keep no cache
+        seen["widened"] += 1
+        assert net.dtype == np.float64
+        return predict(net, batch)
 
     def spy_backward(net, cache, output_grad):
         seen["backward"] += 1
@@ -629,6 +638,7 @@ def test_training_steps_run_in_float32(case, monkeypatch):
         )
 
     monkeypatch.setattr(Mlp, "forward", spy_forward)
+    monkeypatch.setattr(Mlp, "predict", spy_predict)
     monkeypatch.setattr(Mlp, "backward", spy_backward)
     monkeypatch.setattr(Adam, "step", spy_step)
     float32_train(config)
@@ -721,3 +731,27 @@ def test_training_rejects_a_non_finite_twin_embedding(full, features):
     )
     with pytest.raises(NonFiniteInput, match="twin (embedding|feature)"):
         train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("features", ["raw", "twin"])
+def test_embed_keeps_no_activation_cache(features):
+    # As for siamese_distances: 10k points through 128-wide layers may hold
+    # two 10k x 128 float64 activations at once, not a forward pass's cache.
+    n = 10_000
+    X = np.random.default_rng(7).normal(size=(n, 2))
+    twin = Mlp.init([2, 128, 128, 32], seed=8)
+    width = 32 if features == "twin" else 2
+    model = SpectralModel(
+        net=Mlp.init([width, 128, 128, 3], seed=9),
+        ortho=OrthoMap(transform=np.eye(3), batch_size=n),
+        final_batch=np.arange(n),
+        config=SpectralConfig(n_clusters=3, features=features),
+        twin=twin,
+    )
+    tracemalloc.start()
+    try:
+        embed(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 128 * 8
