@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateSplit
+from .errors import DegenerateGeometry, DegenerateSplit, NonFiniteInput
 
 _SPLIT_BAND = (0.25, 0.75)  # cut fraction drawn uniformly inside this band
 _POWER_ITERATIONS = 100
@@ -204,17 +204,26 @@ def split_node(indices, X, direction, rng, max_retries=3):
     )
 
 
+def check_finite(X):
+    """Raise NonFiniteInput if the float array ``X`` holds a NaN or an infinity."""
+    if not np.isfinite(X).all():
+        bad = np.count_nonzero(~np.isfinite(X))
+        raise NonFiniteInput(f"{bad} input value(s) are NaN or infinite")
+
+
 def build_tree(X, config, rng):
     """Build a tree over all rows of ``X``, drawing from generator ``rng``.
 
     Nodes larger than ``config.leaf_size`` are split; smaller ones become
     leaves. Nodes whose points cannot be separated (duplicates) freeze into
     leaves flagged degenerate, which may exceed the size bound. Deterministic
-    given the generator's state.
+    given the generator's state. A NaN or an infinity in ``X`` raises
+    NonFiniteInput: no projection could order such a point.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("X must be a nonempty 2-D matrix")
+    check_finite(X)
 
     def make_node(indices):
         if len(indices) <= config.leaf_size:

@@ -264,14 +264,32 @@ def test_run_experiment_collects_stage_failures():
         assert "k=60" in run["error"]["message"] or "60" in run["error"]["message"]
 
 
-def test_run_pipeline_names_non_finite_input_in_the_siamese_stage():
-    config = quick_config()
+ROUTES = {
+    "rptree": MethodConfig(kind="rptree", leaf_size=10, strategy="random"),
+    "knn": MethodConfig(kind="knn", k=3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_run_pipeline_names_non_finite_input_in_the_pairs_stage(route):
+    config = quick_config(method=ROUTES[route])
     X, y = load_dataset(config.dataset)
     X[3, 0] = np.nan
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
-    assert caught.value.stage == "siamese"
+    assert caught.value.stage == "pairs"
     assert isinstance(caught.value.cause, NonFiniteInput)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route):
+    X, y = load_dataset(quick_config().dataset)
+    X[3, 0] = np.inf
+    record = run_experiment(quick_config(method=ROUTES[route]), data=(X, y))
+    assert record["summary"]["runs_failed"] == 2
+    for run in record["runs"]:
+        assert run["error"]["stage"] == "pairs"
+        assert "1 input value" in run["error"]["message"]
 
 
 # --- sweep ---

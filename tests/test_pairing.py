@@ -1,13 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpspectral.errors import KTooLarge
+from rpspectral.errors import KTooLarge, NonFiniteInput
 from rpspectral.pairing import (
     PairSet,
     _knn_indices,
-    _unique_unordered,
+    _unique_pairs,
+    _write_keys,
     knn_pairs,
     rptree_pairs,
     save_pairs_csv,
@@ -167,6 +170,33 @@ def test_save_pairs_csv_round_trip(tmp_path):
     assert np.array_equal(loaded_neg, pairs.negatives)
 
 
+def reference_save_pairs_csv(pairs, positives_path, negatives_path):
+    """save_pairs_csv with each polarity written as one list of rows."""
+    for path, rows in ((positives_path, pairs.positives), (negatives_path, pairs.negatives)):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["i", "j"])
+            writer.writerows(rows.tolist())
+
+
+def test_save_pairs_csv_writes_the_unblocked_bytes_in_bounded_memory(tmp_path, peak_traced_bytes):
+    # 50k positive rows as Python lists take ~7 MiB; one 8192-row block ~1 MiB.
+    # The negatives end one row past a block, and an empty polarity keeps its header.
+    rng = np.random.default_rng(10)
+    for negatives in (rng.integers(0, 10**6, size=(2 * 8192 + 1, 2)), np.empty((0, 2), np.int64)):
+        pairs = PairSet(rng.integers(0, 10**6, size=(50_000, 2)), negatives, "test", 0)
+        got, want = tmp_path / "got", tmp_path / "want"
+        got.mkdir(exist_ok=True)
+        want.mkdir(exist_ok=True)
+        peak = peak_traced_bytes(
+            lambda: save_pairs_csv(pairs, got / "pos.csv", got / "neg.csv")
+        )
+        reference_save_pairs_csv(pairs, want / "pos.csv", want / "neg.csv")
+        for name in ("pos.csv", "neg.csv"):
+            assert (got / name).read_bytes() == (want / name).read_bytes()
+        assert peak < 2 * 2**20
+
+
 # --- reference loop versions of the pair-mining kernels ---
 
 
@@ -275,7 +305,11 @@ def assert_same_pairs(got, want, got_rng, want_rng):
     ids=["empty", "one-row", "reversed-rows", "heavy-duplicates"],
 )
 def test_unique_unordered_matches_np_unique(pairs):
-    got = _unique_unordered(pairs)
+    # Keyed as the mining routes key their rows, deduplicated from the keys.
+    width = int(pairs.max(initial=0)) + 1
+    keys = np.empty(len(pairs), dtype=np.int64)
+    _write_keys(pairs[:, 0].copy(), pairs[:, 1], width, keys)
+    got = _unique_pairs(keys, width)
     want = reference_unique_unordered(pairs)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -354,17 +388,67 @@ def test_knn_pairs_match_reference_argsort(name, k):
     )
 
 
+# Tie-heavy points on a dyadic lattice: every product and sum in a squared
+# distance is exact, so tied distances tie exactly whichever BLAS kernel (one
+# per block height) computes them.
+TIE_HEAVY = {
+    "grid": integer_grid(26).astype(np.float64),
+    "quarter-gaussian": np.round(np.random.default_rng(11).normal(size=(700, 2)) * 4) / 4,
+    "integer-gaussian": np.round(np.random.default_rng(12).normal(size=(600, 3))),
+}
+
+
 def test_knn_indices_match_reference_across_chunks():
-    X = integer_grid(9).astype(np.float64)
-    for k in (1, 4, 9):
-        assert np.array_equal(_knn_indices(X, k, chunk=16), reference_knn_indices(X, k, chunk=16))
+    # The default block height is only safe to shrink while every height
+    # breaks ties the same: 1 row, 7 rows, 16 rows, all rows and the default.
+    for name, X in TIE_HEAVY.items():
+        for k in (1, 4, 9):
+            want = reference_knn_indices(X, k, chunk=len(X))
+            for chunk in (1, 7, 16, len(X), None):
+                assert np.array_equal(_knn_indices(X, k, chunk=chunk), want), (name, k, chunk)
 
 
 def test_knn_indices_reject_non_finite_points():
     X = np.random.default_rng(4).normal(size=(12, 2))
     X[5, 1] = np.nan
-    with pytest.raises(ValueError, match="not all finite"):
+    with pytest.raises(NonFiniteInput, match="not all finite"):
         _knn_indices(X, 2)
+
+
+def test_knn_indices_reject_overflowing_points():
+    # Finite points whose squared norms overflow make NaN distances.
+    X = np.random.default_rng(4).normal(size=(12, 2)) * 1e200
+    with pytest.raises(NonFiniteInput, match="not all finite"):
+        _knn_indices(X, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_both_routes_reject_non_finite_points(bad):
+    X = np.random.default_rng(13).normal(size=(300, 2))
+    X[7, 0] = bad
+    with pytest.raises(NonFiniteInput, match="1 input value"):
+        knn_pairs(X, 2, np.random.default_rng(0))
+    with pytest.raises(NonFiniteInput, match="1 input value"):
+        build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
+
+
+# --- memory bounds ---
+
+
+def test_rptree_pairs_peak_memory_is_keys_plus_output(peak_traced_bytes):
+    # A 40k-point tree gives ~0.26M positives and ~0.5M negatives: 12 MiB of
+    # output and 6 MiB of keys. A (rows, 2) copy of the raw pairs on the way
+    # to deduplication would pass the bound.
+    X = np.random.default_rng(14).normal(size=(40_000, 2))
+    tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
+    assert peak_traced_bytes(lambda: rptree_pairs(tree, np.random.default_rng(1))) < 32 * 2**20
+
+
+def test_knn_pairs_peak_memory_is_independent_of_block_height(peak_traced_bytes):
+    # The output is tiny; the bound holds a few 2 MiB distance blocks. Blocks
+    # of a fixed row count grow with n: 512 rows of 5k distances are 20 MiB.
+    X = np.random.default_rng(15).normal(size=(5_000, 2))
+    assert peak_traced_bytes(lambda: knn_pairs(X, 2, np.random.default_rng(1))) < 16 * 2**20
 
 
 # --- PairSet.validate ---

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -460,7 +458,7 @@ def test_siamese_distances_across_a_block_boundary_match_one_pass():
     assert d.tobytes() == reference_distances(net, X, pairs).tobytes()
 
 
-def test_siamese_distances_keep_no_activation_cache():
+def test_siamese_distances_keep_no_activation_cache(peak_traced_bytes):
     # A 10k-point pass through the default twin holds two 10k x 128 float64
     # activations at once, and no more: the bound is three of them. A pass
     # that kept forward's cache would hold six, and every gathered pair row.
@@ -469,13 +467,7 @@ def test_siamese_distances_keep_no_activation_cache():
     X = rng.normal(size=(n, 2))
     net = Mlp.init([2, 128, 128, 32], seed=6)
     pairs = rng.integers(0, n, size=(65_286, 2))
-    tracemalloc.start()
-    try:
-        siamese_distances(net, X, pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * n * 128 * 8
+    assert peak_traced_bytes(lambda: siamese_distances(net, X, pairs)) < 3 * n * 128 * 8
 
 
 def test_twin_checkpoint_round_trip(tmp_path):

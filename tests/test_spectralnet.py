@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -734,7 +733,7 @@ def test_training_rejects_a_non_finite_twin_embedding(full, features):
 
 
 @pytest.mark.parametrize("features", ["raw", "twin"])
-def test_embed_keeps_no_activation_cache(features):
+def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
     # As for siamese_distances: 10k points through 128-wide layers may hold
     # two 10k x 128 float64 activations at once, not a forward pass's cache.
     n = 10_000
@@ -748,10 +747,4 @@ def test_embed_keeps_no_activation_cache(features):
         config=SpectralConfig(n_clusters=3, features=features),
         twin=twin,
     )
-    tracemalloc.start()
-    try:
-        embed(model, X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * n * 128 * 8
+    assert peak_traced_bytes(lambda: embed(model, X)) < 3 * n * 128 * 8
