@@ -42,6 +42,7 @@ from .mlp import Adam, Mlp, gradient_check
 from .pairing import PairSet, knn_pairs, rptree_pairs
 from .rptree import (
     DirectionStrategy,
+    Tree,
     TreeConfig,
     build_tree,
     leaf_size_stats,
@@ -88,6 +89,7 @@ __all__ = [
     "SpectralModel",
     "SYNTHETIC_KINDS",
     "SyntheticSpec",
+    "Tree",
     "TreeConfig",
     "ari",
     "build_tree",

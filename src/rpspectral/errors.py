@@ -34,10 +34,6 @@ class EmptyFile(RpSpectralError):
 
 # --- tree errors ------------------------------------------------------------
 
-class DegenerateGeometry(RpSpectralError):
-    """Principal-direction search on a subset with all-zero covariance."""
-
-
 class DegenerateSplit(RpSpectralError):
     """Every candidate direction projected all points onto one value."""
 

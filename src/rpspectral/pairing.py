@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KTooLarge, NonFiniteInput
-from .rptree import check_finite, leaves
+from .rptree import check_finite
 
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 # Squared distances per block in _knn_indices: 2 MiB of float64, so the two
@@ -29,6 +29,8 @@ _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
 _KNN_BLOCK = 1 << 18
 # Rows per writerows call in save_pairs_csv; a block's Python lists are ~1 MiB.
 _CSV_BLOCK = 8192
+# Widest index range PairSet.validate keys: 2 * width**2 must fit in an int64.
+_VALIDATE_WIDTH = 1 << 31
 
 
 @dataclass
@@ -45,26 +47,40 @@ class PairSet:
         """Raise ValueError when any pair-set invariant is broken.
 
         Rows must be canonical (i < j), neither polarity may repeat a row,
-        and no row may sit in both. The repeat checks run on one stable
-        lexicographic sort of both polarities, exact for any integer indices:
-        equal rows end up adjacent, positives ahead of negatives.
+        and no row may sit in both. The repeat checks run on one sort of an
+        int64 key per row, ``2 * (row key) + polarity`` with the row key
+        lexicographic: a repeat within a polarity is two equal keys, and a
+        row in both polarities is a positive key followed by its successor.
         """
         positives = self.positives.reshape(-1, 2)
         negatives = self.negatives.reshape(-1, 2)
-        rows = np.concatenate([positives, negatives])
-        tag = np.repeat([0, 1], [len(positives), len(negatives)])
-        order = np.lexsort((rows[:, 1], rows[:, 0]))
-        rows, tag = rows[order], tag[order]
-        repeat = (rows[1:, 0] == rows[:-1, 0]) & (rows[1:, 1] == rows[:-1, 1])
-        same_tag = tag[1:] == tag[:-1]
+        keys = np.empty(len(positives) + len(negatives), dtype=np.int64)
+        if len(keys):
+            lo = min(int(positives.min(initial=0)), int(negatives.min(initial=0)))
+            width = max(int(positives.max(initial=0)), int(negatives.max(initial=0))) - lo + 1
+            if width > _VALIDATE_WIDTH:
+                raise ValueError(f"pair indices span {width} values, more than {_VALIDATE_WIDTH}")
+            for polarity, rows in enumerate((positives, negatives)):
+                out = keys[polarity * len(positives) :][: len(rows)]
+                np.subtract(rows[:, 0], lo, out=out)
+                out *= width
+                out += rows[:, 1]
+                out -= lo
+                out *= 2
+                out += polarity
+            keys.sort()
+        step = np.diff(keys)
+        repeated = keys[1:][step == 0] & 1
+        crossing = keys[:-1][step == 1] & 1 == 0
+        del step
         for polarity, (name, pairs) in enumerate(
             (("positives", positives), ("negatives", negatives))
         ):
             if (pairs[:, 0] >= pairs[:, 1]).any():
                 raise ValueError(f"{name} contain self-pairs or unnormalized rows")
-            if (repeat & same_tag & (tag[1:] == polarity)).any():
+            if (repeated == polarity).any():
                 raise ValueError(f"{name} contain duplicates")
-        if (repeat & ~same_tag).any():
+        if crossing.any():
             raise ValueError("a pair appears in both polarities")
 
 
@@ -80,9 +96,8 @@ def knn_pairs(X, k, rng) -> PairSet:
 
     A point's draw is a set of ranks among its candidates, mapped past its
     sorted excluded set (itself and its partners), so each point costs O(k)
-    rather than a pass over all n points; the ranks come from
-    ``rng.choice(count, ...)``, which consumes the stream exactly as drawing
-    from the candidate array itself would.
+    rather than a pass over all n points. The ranks of all points come from
+    ``_distinct_ranks``, k vectorised steps of Floyd's sampling algorithm.
     """
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
@@ -103,28 +118,42 @@ def knn_pairs(X, k, rng) -> PairSet:
     bounds = np.searchsorted(owner, np.arange(n + 1))
     # Subtracting each excluded point's rank within its set leaves the number
     # of candidates below it, so candidate rank r is r plus the count of
-    # these at or below r.
-    below = excluded - (np.arange(len(excluded)) - bounds[owner])
+    # these at or below r. Keyed by owner, all sets search as one array.
+    below = owner * n + excluded - (np.arange(len(excluded)) - bounds[owner])
 
     available = n - np.diff(bounds)
     takes = np.minimum(k, available)
-    drawn = np.empty(int(takes.sum()), dtype=np.int64)
-    filled = 0
-    for i, (count, take) in enumerate(zip(available.tolist(), takes.tolist())):
-        if take:
-            ranks = rng.choice(count, size=take, replace=False)
-            drawn[filled : filled + take] = ranks + np.searchsorted(
-                below[bounds[i] : bounds[i + 1]], ranks, side="right"
-            )
-            filled += take
+    ranks = _distinct_ranks(available, takes, rng)
+    ranks = ranks[np.arange(ranks.shape[1]) < takes[:, None]]
+    owners = np.repeat(points, takes)
+    drawn = ranks + np.searchsorted(below, owners * n + ranks, side="right") - bounds[owners]
     keys = np.empty(len(drawn), dtype=np.int64)
-    _write_keys(np.repeat(points, takes), drawn, n, keys)
+    _write_keys(owners, drawn, n, keys)
     return PairSet(
         positives=positives,
         negatives=_unique_pairs(keys, n),
         source=f"knn:k={k}",
         raw_positive_count=n * k,
     )
+
+
+def _distinct_ranks(available, takes, rng):
+    """Row i holds ``takes[i]`` distinct ranks uniform over ``range(available[i])``.
+
+    Floyd's algorithm, one column for every row at a time: column s draws t
+    uniformly from ``range(top + 1)`` with ``top = available - takes + s``
+    and keeps t unless an earlier column of the row holds it, in which case
+    it keeps ``top``. Every subset of ``takes[i]`` ranks is equally likely.
+    Returns an (n, max take) array, -1 past each row's take.
+    """
+    ranks = np.full((len(takes), int(takes.max(initial=0))), -1, dtype=np.int64)
+    for s in range(ranks.shape[1]):
+        rows = np.flatnonzero(takes > s)
+        top = available[rows] - takes[rows] + s
+        drawn = rng.integers(0, top + 1)
+        seen = (ranks[rows, :s] == drawn[:, None]).any(axis=1)
+        ranks[rows, s] = np.where(seen, top, drawn)
+    return ranks
 
 
 def _knn_indices(X, k, chunk=None):
@@ -166,7 +195,8 @@ def _knn_indices(X, k, chunk=None):
         local = np.arange(stop - start)
         d2[local, start + local] = np.inf
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        row, col = np.nonzero(d2 <= kth[:, None])
+        # Row-major like np.nonzero, which is ~10x slower on a 2-D mask.
+        row, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), n)
         counts = np.bincount(row, minlength=stop - start)
         order = np.lexsort((col, d2[row, col], row))
         first = np.cumsum(counts) - counts
@@ -182,15 +212,13 @@ def rptree_pairs(tree, rng) -> PairSet:
     single leaf there is nothing to pair against; negatives come back empty
     with a warning attached.
 
-    Both polarities are keyed from one array of every leaf's members, laid
+    Both polarities are keyed from ``tree.points``, every leaf's members laid
     out leaf after leaf: positives one (leaves, s) block per leaf size s,
     negatives one (members, t) block per partner-leaf size t.
     """
-    leaf_sets = leaves(tree)
-    sizes = np.array([len(idx) for idx in leaf_sets], dtype=np.int64)
+    members, sizes = tree.points, tree.leaf_sizes
     # Ordered-with-self convention of the estimate.
-    raw_count = sum(s * s for s in sizes.tolist())
-    members = np.concatenate(leaf_sets)
+    raw_count = int((sizes * sizes).sum())
     starts = np.cumsum(sizes) - sizes
     width = int(members.max(initial=0)) + 1
 
@@ -208,16 +236,11 @@ def rptree_pairs(tree, rng) -> PairSet:
     del keys
 
     warning = None
-    if len(leaf_sets) < 2:
+    if len(sizes) < 2:
         negatives = _EMPTY_PAIRS
         warning = "tree has a single leaf; no negative pairs generated"
     else:
-        # One draw per leaf, in leaf order: a single vectorised draw would
-        # consume the stream differently.
-        partner = np.empty(len(leaf_sets), dtype=np.int64)
-        for x in range(len(leaf_sets)):
-            other = int(rng.integers(0, len(leaf_sets) - 1))
-            partner[x] = other + (other >= x)
+        partner = _partner_leaves(len(sizes), rng)
         # Every member meets each member of its leaf's partner leaf; members
         # whose partner leaf has t members form one (members, t) block.
         partner_size = np.repeat(sizes[partner], sizes)
@@ -238,6 +261,12 @@ def rptree_pairs(tree, rng) -> PairSet:
         raw_positive_count=raw_count,
         warning=warning,
     )
+
+
+def _partner_leaves(count, rng):
+    """For each of ``count`` leaves, one other leaf drawn uniformly, in one draw."""
+    other = rng.integers(0, count - 1, size=count)
+    return other + (other >= np.arange(count))
 
 
 def _write_keys(a, b, width, out):

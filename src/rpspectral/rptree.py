@@ -4,6 +4,13 @@ A tree recursively halves a point set: project the node's points onto a unit
 direction, cut at a random fraction of the projected range, recurse until a
 node holds at most ``leaf_size`` points. Leaves are the unit of pair mining
 downstream, so the structure exposes them directly.
+
+The build runs one depth at a time. The nodes of a depth are contiguous
+segments of one array of point ids, so a single pass of segment operations
+(``reduceat`` over the segments, one draw per node) splits all of them, and a
+stable partition inside each segment puts a node's left child ahead of its
+right one. That array therefore always lists the points in the tree's
+left-to-right order, and the finished tree is a few flat arrays.
 """
 
 from __future__ import annotations
@@ -12,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometry, DegenerateSplit, NonFiniteInput
+from .errors import DegenerateSplit, NonFiniteInput
 
 _SPLIT_BAND = (0.25, 0.75)  # cut fraction drawn uniformly inside this band
-_POWER_ITERATIONS = 100
-_POWER_TOL = 1e-9
+# Covariance entries per block of nodes in the pca strategy: 8 MiB of
+# float64, so a level of many high-dimensional nodes is done a block at a time.
+_COV_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -81,127 +89,179 @@ class TreeConfig:
             raise ValueError("max_split_retries must be >= 1")
 
 
-class Internal:
-    """Split node: unit direction, threshold in projected coordinates."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A built tree as flat arrays.
 
-    __slots__ = ("direction", "threshold", "left", "right")
-
-    def __init__(self, direction, threshold, left=None, right=None):
-        self.direction = direction
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-
-
-class Leaf:
-    """Terminal node holding point indices.
-
-    ``degenerate`` marks leaves frozen because no direction could separate
-    their points (duplicates); those may exceed the leaf size bound.
+    ``points`` holds every point id once, leaf after leaf, leaves left to
+    right; leaf ``j`` owns the next ``leaf_sizes[j]`` of them. ``degenerate``
+    flags the leaves frozen because no direction could separate their points
+    (duplicates); those may exceed the leaf size bound. Split ``s`` sends a
+    point whose projection on ``directions[s]`` is at or below
+    ``thresholds[s]`` to ``children[s, 0]`` and any other to
+    ``children[s, 1]``; a child ``c >= 0`` is split ``c`` and a child
+    ``c < 0`` is leaf ``~c``. Split 0 is the root, and splits are numbered
+    depth by depth; a tree without splits is the single leaf 0.
     """
 
-    __slots__ = ("indices", "degenerate")
-
-    def __init__(self, indices, degenerate=False):
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.degenerate = degenerate
-
-
-def random_direction(dim, rng):
-    """Uniform direction on the unit sphere via a normalized Gaussian draw."""
-    while True:
-        v = rng.standard_normal(dim)
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            return v / norm
+    points: np.ndarray  # (n,) int64
+    leaf_sizes: np.ndarray  # (leaves,) int64
+    degenerate: np.ndarray  # (leaves,) bool
+    directions: np.ndarray  # (splits, dim) float64, unit rows
+    thresholds: np.ndarray  # (splits,) float64
+    children: np.ndarray  # (splits, 2) int64
 
 
-def principal_direction(points):
-    """First principal component of ``points`` by power iteration.
+def _starts(sizes):
+    """First position of each segment when segments of ``sizes`` lie end to end."""
+    return np.cumsum(sizes) - sizes
 
-    Sign-canonicalized so the first nonzero component is positive. Raises
-    DegenerateGeometry when the subset covariance is all-zero (identical
-    points), where no principal direction exists.
+
+def _project(points, directions, sizes):
+    """Each row of ``points`` projected on its segment's direction."""
+    return np.einsum("pd,pd->p", points, np.repeat(directions, sizes, axis=0))
+
+
+def random_directions(shape, rng):
+    """Directions uniform on the unit sphere, normalized Gaussian draws.
+
+    ``shape`` ends with the dimension; one ``standard_normal`` call draws them
+    all, and any draw too short to normalize is drawn again.
     """
-    points = np.asarray(points, dtype=np.float64)
-    centered = points - points.mean(axis=0)
-    cov = centered.T @ centered / len(points)
-    if not np.any(cov):
-        raise DegenerateGeometry("subset covariance is all-zero")
-    # Deterministic start that cannot be orthogonal to every eigenvector.
-    v = np.ones(cov.shape[0]) / np.sqrt(cov.shape[0])
-    for _ in range(_POWER_ITERATIONS):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm <= 1e-300:
-            # Start vector sat in the null space; nudge along the largest
-            # diagonal entry, which any nonzero PSD covariance has.
-            w = np.zeros_like(v)
-            w[int(np.argmax(np.diag(cov)))] = 1.0
-            norm = 1.0
-        w = w / norm
-        if np.linalg.norm(w - v) < _POWER_TOL:
-            v = w
-            break
-        v = w
-    nonzero = np.flatnonzero(v)
-    if nonzero.size and v[nonzero[0]] < 0:
-        v = -v
-    return v
+    v = rng.standard_normal(shape)
+    norms = np.linalg.norm(v, axis=-1)
+    short = norms <= 1e-12
+    while short.any():
+        v[short] = rng.standard_normal((int(short.sum()), shape[-1]))
+        norms[short] = np.linalg.norm(v[short], axis=-1)
+        short = norms <= 1e-12
+    return v / norms[..., None]
 
 
-def choose_direction(points, strategy, rng):
-    """Pick a projection direction for a node's point subset."""
-    direction, _ = choose_direction_scored(points, strategy, rng)
-    return direction
+def principal_directions(points, sizes):
+    """First principal component of each segment of ``points``.
 
-
-def choose_direction_scored(points, strategy, rng):
-    """As choose_direction, also returning per-candidate variance scores.
-
-    Scores are None for the random and pca strategies; for bestof they are
-    the projected variances of every candidate, aligned with draw order.
+    ``points`` holds the segments' rows end to end, segment i ``sizes[i]``
+    rows long. Each segment's scatter matrix is summed with ``reduceat``,
+    one column at a time, and a block of them goes to one batched ``eigh``.
+    Rows are sign-canonicalized so the first nonzero component is positive.
+    A segment of identical points, whose scatter is all-zero, has no
+    principal direction and gets the zero vector, which no cut can split.
     """
-    points = np.asarray(points, dtype=np.float64)
-    dim = points.shape[1]
-    if strategy.kind == "random":
-        return random_direction(dim, rng), None
+    m, dim = len(sizes), points.shape[1]
+    starts = _starts(sizes)
+    centered = points - np.repeat(np.add.reduceat(points, starts) / sizes[:, None], sizes, axis=0)
+    out = np.empty((m, dim))
+    step = max(1, _COV_BLOCK // dim**2)
+    for first in range(0, m, step):
+        last = min(first + step, m)
+        block = centered[starts[first] : starts[last - 1] + sizes[last - 1]]
+        local = starts[first:last] - starts[first]
+        scatter = np.empty((last - first, dim, dim))
+        for column in range(dim):
+            scatter[:, column] = np.add.reduceat(block * block[:, column, None], local)
+        top = np.linalg.eigh(scatter)[1][:, :, -1]
+        top[~scatter.any(axis=(1, 2))] = 0.0
+        out[first:last] = top
+    lead = out[np.arange(m), np.argmax(out != 0, axis=1)]
+    out[lead < 0] *= -1.0
+    return out
+
+
+def choose_directions(points, sizes, strategy, rng):
+    """One projection direction per segment of ``points``.
+
+    ``points`` holds m segments' rows end to end, segment i ``sizes[i]`` rows
+    long. Returns the (m, dim) directions and, for bestof, the (m, n_try)
+    projected variances of every candidate in draw order (None for the
+    random and pca strategies). The random and bestof candidates come from
+    one (m, n_try, dim) draw, so random is bestof with n_try=1 draw for draw.
+    """
+    m, dim = len(sizes), points.shape[1]
     if strategy.kind == "pca":
-        return principal_direction(points), None
-    candidates = [random_direction(dim, rng) for _ in range(strategy.n_try)]
-    scores = np.array([np.var(points @ c) for c in candidates])
-    return candidates[int(np.argmax(scores))], scores
+        return principal_directions(points, sizes), None
+    candidates = random_directions((m, strategy.n_try, dim), rng)
+    if strategy.kind == "random":
+        return candidates[:, 0], None
+    starts = _starts(sizes)
+    scores = np.empty((m, strategy.n_try))
+    for t in range(strategy.n_try):
+        projected = _project(points, candidates[:, t], sizes)
+        projected -= np.repeat(np.add.reduceat(projected, starts) / sizes, sizes)
+        scores[:, t] = np.add.reduceat(projected * projected, starts) / sizes
+    return candidates[np.arange(m), scores.argmax(axis=1)], scores
+
+
+def _cut_segments(points, sizes, directions, rng, max_retries):
+    """Cut every segment of ``points`` by a thresholded projection at once.
+
+    Segment i's threshold sits at a Uniform[0.25, 0.75] fraction of its
+    projected range along ``directions[i]``, and its points at or below it
+    go left. Segments that come up with an empty side (all projections
+    equal, or the cut rounded onto an extreme) are retried together, each
+    with a fresh random direction, up to ``max_retries`` times. A retry
+    draws its directions first; every attempt then draws one cut fraction
+    per segment it tries.
+
+    Returns (left, thresholds, directions, split): the per-point side, and
+    per segment the last attempt's threshold and direction and whether it
+    split.
+    """
+    m = len(sizes)
+    directions = np.array(directions, dtype=np.float64)
+    thresholds = np.empty(m)
+    left = np.zeros(len(points), dtype=bool)
+    split = np.zeros(m, dtype=bool)
+    todo = np.arange(m)  # segments still to cut
+    rows = np.arange(len(points))  # their points
+    for attempt in range(max_retries + 1):
+        if attempt:
+            directions[todo] = random_directions((len(todo), points.shape[1]), rng)
+        todo_sizes = sizes[todo]
+        starts = _starts(todo_sizes)
+        projected = _project(points, directions[todo], todo_sizes)
+        lo = np.minimum.reduceat(projected, starts)
+        hi = np.maximum.reduceat(projected, starts)
+        cut = lo + rng.uniform(*_SPLIT_BAND, size=len(todo)) * (hi - lo)
+        below = projected <= np.repeat(cut, todo_sizes)
+        count = np.add.reduceat(below, starts)
+        ok = (count > 0) & (count < todo_sizes)
+        thresholds[todo] = cut
+        split[todo[ok]] = True
+        done = np.repeat(ok, todo_sizes)
+        left[rows[done]] = below[done]
+        todo = todo[~ok]
+        if not len(todo):
+            break
+        points, rows = points[~done], rows[~done]
+    return left, thresholds, directions, split
 
 
 def split_node(indices, X, direction, rng, max_retries=3):
     """Partition ``indices`` by a thresholded projection.
 
-    The threshold sits at a Uniform[0.25, 0.75] fraction of the projected
-    range, points at or below it go left. When a side comes up empty (all
-    projections equal, or the cut rounded onto the extreme), the split is
-    retried with a fresh random direction up to ``max_retries`` times before
-    raising DegenerateSplit.
+    The one-segment case of the level-wise build's cut: the threshold sits
+    at a Uniform[0.25, 0.75] fraction of the projected range, points at or
+    below it go left, and a cut with an empty side is retried with a fresh
+    random direction up to ``max_retries`` times before raising
+    DegenerateSplit.
 
     Returns (left, right, threshold, direction_used).
     """
     indices = np.asarray(indices, dtype=np.int64)
-    current = direction
-    for attempt in range(max_retries + 1):
-        projected = X[indices] @ current
-        lo = projected.min()
-        hi = projected.max()
-        if hi > lo:
-            beta = rng.uniform(_SPLIT_BAND[0], _SPLIT_BAND[1])
-            threshold = lo + beta * (hi - lo)
-            mask = projected <= threshold
-            if mask.any() and not mask.all():
-                return indices[mask], indices[~mask], threshold, current
-        if attempt < max_retries:
-            current = random_direction(X.shape[1], rng)
-    raise DegenerateSplit(
-        f"no separating direction found for {len(indices)} points "
-        f"after {max_retries} retries"
+    left, thresholds, used, split = _cut_segments(
+        np.asarray(X, dtype=np.float64)[indices],
+        np.array([len(indices)]),
+        np.asarray(direction, dtype=np.float64)[None],
+        rng,
+        max_retries,
     )
+    if not split[0]:
+        raise DegenerateSplit(
+            f"no separating direction found for {len(indices)} points "
+            f"after {max_retries} retries"
+        )
+    return indices[left], indices[~left], thresholds[0], used[0]
 
 
 def check_finite(X):
@@ -216,56 +276,93 @@ def build_tree(X, config, rng):
 
     Nodes larger than ``config.leaf_size`` are split; smaller ones become
     leaves. Nodes whose points cannot be separated (duplicates) freeze into
-    leaves flagged degenerate, which may exceed the size bound. Deterministic
-    given the generator's state. A NaN or an infinity in ``X`` raises
-    NonFiniteInput: no projection could order such a point.
+    leaves flagged degenerate, which may exceed the size bound. All nodes of
+    one depth are split together, so the draws go depth by depth: each
+    depth's directions, then its cut fractions, then its retries'. The tree
+    is deterministic given the generator's state. A NaN or an infinity in
+    ``X`` raises NonFiniteInput: no projection could order such a point.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < 1:
         raise ValueError("X must be a nonempty 2-D matrix")
     check_finite(X)
+    n = len(X)
+    points = np.arange(n, dtype=np.int64)
+    leaf_parts = []  # (start in points, size, degenerate, parent slot) per batch
+    split_parts = []  # (parent slot, direction, threshold) per depth
+    splits = 0
 
-    def make_node(indices):
-        if len(indices) <= config.leaf_size:
-            return Leaf(indices), None
-        try:
-            direction = choose_direction(X[indices], config.strategy, rng)
-            left, right, threshold, used = split_node(
-                indices, X, direction, rng, config.max_split_retries
-            )
-        except (DegenerateSplit, DegenerateGeometry):
-            return Leaf(indices, degenerate=True), None
-        return Internal(used, threshold), (left, right)
+    def admit(start, size, slot):
+        """Record the small nodes as leaves; return the mask of the others."""
+        small = size <= config.leaf_size
+        leaf_parts.append((start[small], size[small], np.zeros(small.sum(), bool), slot[small]))
+        return ~small
 
-    root, children = make_node(np.arange(len(X), dtype=np.int64))
-    # Explicit stack instead of recursion: adversarial spacings can make the
-    # tree arbitrarily deep. Expansion order is fixed (left subtree first),
-    # so the rng stream and hence the tree are reproducible.
-    stack = [(root, children)]
-    while stack:
-        node, pending = stack.pop()
-        if pending is None:
-            continue
-        left_indices, right_indices = pending
-        node.left, left_children = make_node(left_indices)
-        node.right, right_children = make_node(right_indices)
-        stack.append((node.right, right_children))
-        stack.append((node.left, left_children))
-    return root
+    # Nodes still to split: where their points start in ``points``, how many
+    # there are, and the parent's child slot (2 * split + side; -1, the root).
+    start, size, slot = np.zeros(1, np.int64), np.array([n]), np.array([-1])
+    ids = points.copy() if admit(start, size, slot)[0] else points[:0]
+    while len(ids):
+        local = X[ids]
+        directions, _ = choose_directions(local, size, config.strategy, rng)
+        left, thresholds, directions, ok = _cut_segments(
+            local, size, directions, rng, config.max_split_retries
+        )
+        leaf_parts.append((start[~ok], size[~ok], np.ones((~ok).sum(), bool), slot[~ok]))
+        split_parts.append((slot[ok], directions[ok], thresholds[ok]))
+
+        # Stable partition inside each segment, left side first; a frozen
+        # segment has no left side, so it keeps its order.
+        n_left = np.add.reduceat(left, _starts(size))
+        n_right = size - n_left
+        left_before = np.cumsum(left) - left
+        dest = np.where(
+            left,
+            np.repeat(_starts(n_right), size) + left_before,
+            np.repeat(np.cumsum(n_left), size) + np.arange(len(left)) - left_before,
+        )
+        ids_after = np.empty_like(ids)
+        ids_after[dest] = ids
+        points[dest + np.repeat(start - _starts(size), size)] = ids
+
+        split_ids = splits + np.arange(np.count_nonzero(ok))
+        splits += len(split_ids)
+        sides = np.stack([n_left, n_right], axis=1)
+        child_start = np.stack([start, start + n_left], axis=1)[ok].reshape(-1)
+        child_size = sides[ok].reshape(-1)
+        child_slot = (2 * split_ids[:, None] + np.arange(2)).reshape(-1)
+        active = admit(child_start, child_size, child_slot)
+        keep = np.zeros(sides.shape, dtype=bool)
+        keep[ok] = active.reshape(-1, 2)
+        ids = ids_after[np.repeat(keep.reshape(-1), sides.reshape(-1))]
+        start, size, slot = child_start[active], child_size[active], child_slot[active]
+
+    # Leaves are numbered left to right, which is the order of their starts.
+    leaf_start, leaf_sizes, degenerate, leaf_slot = (np.concatenate(p) for p in zip(*leaf_parts))
+    order = np.argsort(leaf_start)
+    leaf_slot = leaf_slot[order]
+    children = np.empty(2 * splits, dtype=np.int64)
+    if split_parts:
+        split_slot, directions, thresholds = (np.concatenate(p) for p in zip(*split_parts))
+        linked = split_slot >= 0
+        children[split_slot[linked]] = np.flatnonzero(linked)
+    else:
+        directions, thresholds = np.empty((0, X.shape[1])), np.empty(0)
+    linked = leaf_slot >= 0
+    children[leaf_slot[linked]] = ~np.flatnonzero(linked)
+    return Tree(
+        points=points,
+        leaf_sizes=leaf_sizes[order],
+        degenerate=degenerate[order],
+        directions=directions,
+        thresholds=thresholds,
+        children=children.reshape(-1, 2),
+    )
 
 
 def leaves(tree):
-    """In-order (left to right) list of leaf index arrays."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append(node.indices)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    """Left-to-right list of leaf index arrays (views into ``tree.points``)."""
+    return np.split(tree.points, np.cumsum(tree.leaf_sizes)[:-1])
 
 
 @dataclass(frozen=True)
@@ -279,21 +376,11 @@ class LeafStats:
 
 def leaf_size_stats(tree):
     """Exact size statistics over the tree's leaves."""
-    sizes = []
-    degenerate = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            sizes.append(len(node.indices))
-            degenerate += int(node.degenerate)
-        else:
-            stack.append(node.right)
-            stack.append(node.left)
+    sizes = tree.leaf_sizes
     return LeafStats(
         count=len(sizes),
-        min_size=min(sizes),
-        max_size=max(sizes),
-        mean_size=float(np.mean(sizes)),
-        degenerate_count=degenerate,
+        min_size=int(sizes.min()),
+        max_size=int(sizes.max()),
+        mean_size=float(sizes.mean()),
+        degenerate_count=int(np.count_nonzero(tree.degenerate)),
     )

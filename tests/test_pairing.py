@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from rpspectral.errors import KTooLarge, NonFiniteInput
 from rpspectral.pairing import (
     PairSet,
+    _distinct_ranks,
     _knn_indices,
+    _partner_leaves,
     _unique_pairs,
     _write_keys,
     knn_pairs,
     rptree_pairs,
     save_pairs_csv,
 )
-from rpspectral.rptree import Internal, Leaf, TreeConfig, build_tree, leaves
+from rpspectral.rptree import Tree, TreeConfig, build_tree, leaves
 
 
 def brute_force_knn(X, k):
@@ -57,7 +59,10 @@ def test_knn_negative_budget_and_disjointness():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 2))
     pairs = knn_pairs(X, 2, np.random.default_rng(7))
-    assert len(pairs.negatives) == 40 * 2
+    # Every point draws 2 distinct negatives; two points drawing each other
+    # give one row, so there are between 40 and 80 rows.
+    assert (np.bincount(pairs.negatives.reshape(-1), minlength=40) >= 2).all()
+    assert 40 <= len(pairs.negatives) <= 40 * 2
     positives = as_set(pairs.positives)
     for a, b in pairs.negatives:
         assert (int(a), int(b)) not in positives
@@ -85,9 +90,7 @@ def test_knn_pair_rows_are_canonical():
 def test_leaf_pairs_hand_case():
     # Two leaves {0,1} and {2}: one positive inside the pair leaf, and the
     # cross products as negatives.
-    tree = Internal(
-        np.array([1.0]), 0.5, left=Leaf(np.array([0, 1])), right=Leaf(np.array([2]))
-    )
+    tree = chain_tree([0, 1], [2])
     pairs = rptree_pairs(tree, np.random.default_rng(0))
     assert as_set(pairs.positives) == {(0, 1)}
     assert as_set(pairs.negatives) == {(0, 2), (1, 2)}
@@ -127,7 +130,7 @@ def test_leaf_negatives_come_from_other_leaves():
 
 
 def test_single_leaf_tree_warns_and_has_no_negatives():
-    tree = Leaf(np.arange(6))
+    tree = chain_tree(np.arange(6))
     pairs = rptree_pairs(tree, np.random.default_rng(0))
     assert len(pairs.positives) == 15
     assert pairs.negatives.shape == (0, 2)
@@ -224,6 +227,17 @@ def reference_knn_indices(X, k, chunk=512):
     return out
 
 
+def reference_distinct_ranks(available, takes, rng):
+    """Floyd's sampling per row, drawing column by column as _distinct_ranks does."""
+    ranks = [[] for _ in takes]
+    for s in range(int(takes.max(initial=0))):
+        rows = [i for i, take in enumerate(takes.tolist()) if take > s]
+        tops = np.array([available[i] - takes[i] + s for i in rows], dtype=np.int64)
+        for i, top, t in zip(rows, tops.tolist(), rng.integers(0, tops + 1).tolist()):
+            ranks[i].append(top if t in ranks[i] else t)
+    return ranks
+
+
 def reference_knn_pairs(X, k, rng):
     """knn_pairs with partner sets and an n-wide candidate mask per point."""
     X = np.asarray(X, dtype=np.float64)
@@ -236,17 +250,20 @@ def reference_knn_pairs(X, k, rng):
     for i, j in positives.tolist():
         partner[i].add(j)
         partner[j].add(i)
-    negative_rows = []
+    candidates = []
     mask = np.empty(n, dtype=bool)
     for i in range(n):
         mask[:] = True
         mask[i] = False
         mask[list(partner[i])] = False
-        candidates = np.flatnonzero(mask)
-        take = min(k, len(candidates))
-        if take:
-            chosen = rng.choice(candidates, size=take, replace=False)
-            negative_rows.append(np.stack([np.full(take, i), chosen], axis=1))
+        candidates.append(np.flatnonzero(mask))
+    available = np.array([len(c) for c in candidates], dtype=np.int64)
+    ranks = reference_distinct_ranks(available, np.minimum(k, available), rng)
+    negative_rows = [
+        np.stack([np.full(len(r), i), candidates[i][r]], axis=1)
+        for i, r in enumerate(ranks)
+        if r
+    ]
     negatives = (
         reference_unique_unordered(np.concatenate(negative_rows))
         if negative_rows
@@ -270,8 +287,8 @@ def reference_rptree_pairs(tree, rng):
         warning = "tree has a single leaf; no negative pairs generated"
     else:
         negative_rows = []
-        for x, idx in enumerate(leaf_sets):
-            other = int(rng.integers(0, len(leaf_sets) - 1))
+        partners = rng.integers(0, len(leaf_sets) - 1, size=len(leaf_sets)).tolist()
+        for x, (idx, other) in enumerate(zip(leaf_sets, partners)):
             if other >= x:
                 other += 1
             grid_a, grid_b = np.meshgrid(idx, leaf_sets[other], indexing="ij")
@@ -316,25 +333,34 @@ def test_unique_unordered_matches_np_unique(pairs):
     assert np.array_equal(got, want)
 
 
-def chain_tree(*leaf_nodes):
-    """A right-leaning chain of splits whose in-order leaves are leaf_nodes."""
-    node = leaf_nodes[-1]
-    for leaf in reversed(leaf_nodes[:-1]):
-        node = Internal(np.array([1.0]), 0.0, left=leaf, right=node)
-    return node
+def chain_tree(*leaf_members, degenerate=()):
+    """A right-leaning chain of splits whose leaves, left to right, hold
+    ``leaf_members``; the leaves numbered in ``degenerate`` are flagged."""
+    count = len(leaf_members)
+    sizes = np.array([len(m) for m in leaf_members], dtype=np.int64)
+    flags = np.zeros(count, dtype=bool)
+    flags[list(degenerate)] = True
+    # Split s sends leaf s left and the rest of the chain right.
+    children = np.array([[~s, s + 1] for s in range(count - 1)], dtype=np.int64).reshape(-1, 2)
+    if count > 1:
+        children[-1, 1] = ~(count - 1)
+    return Tree(
+        points=np.concatenate([np.asarray(m, dtype=np.int64) for m in leaf_members]),
+        leaf_sizes=sizes,
+        degenerate=flags,
+        directions=np.ones((count - 1, 1)),
+        thresholds=np.zeros(count - 1),
+        children=children,
+    )
 
 
 HAND_TREES = {
-    "mixed-sizes": chain_tree(
-        Leaf([7, 2, 9]), Leaf([4, 1]), Leaf([3, 8, 5, 6, 10]), Leaf([0, 11, 12])
-    ),
-    "size-1-leaves": chain_tree(Leaf([3]), Leaf([0, 2]), Leaf([1]), Leaf([4])),
-    "only-size-1": chain_tree(Leaf([1]), Leaf([0])),
-    "degenerate": chain_tree(
-        Leaf([0, 1]), Leaf(np.arange(2, 14)[::-1], degenerate=True), Leaf([14])
-    ),
-    "single-leaf": Leaf([5, 3, 0, 1, 4, 2]),
-    "single-point": Leaf([0]),
+    "mixed-sizes": chain_tree([7, 2, 9], [4, 1], [3, 8, 5, 6, 10], [0, 11, 12]),
+    "size-1-leaves": chain_tree([3], [0, 2], [1], [4]),
+    "only-size-1": chain_tree([1], [0]),
+    "degenerate": chain_tree([0, 1], np.arange(2, 14)[::-1], [14], degenerate=[1]),
+    "single-leaf": chain_tree([5, 3, 0, 1, 4, 2]),
+    "single-point": chain_tree([0]),
 }
 
 
@@ -346,6 +372,35 @@ def test_rptree_pairs_match_reference_loop(name, seed):
     assert_same_pairs(
         rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
     )
+
+
+def test_partner_leaves_are_other_leaves_drawn_uniformly():
+    rng = np.random.default_rng(16)
+    draws = np.stack([_partner_leaves(5, rng) for _ in range(12_000)])
+    counts = np.stack([np.bincount(draws[:, x], minlength=5) for x in range(5)])
+    assert not np.diag(counts).any()
+    off_diagonal = counts[~np.eye(5, dtype=bool)] / len(draws)
+    assert np.abs(off_diagonal - 1 / 4).max() < 0.01
+
+
+def test_distinct_ranks_draw_uniform_subsets():
+    # Four candidates and two draws per row: each of the 6 subsets should
+    # hold a sixth of 60k rows.
+    ranks = _distinct_ranks(np.full(60_000, 4), np.full(60_000, 2), np.random.default_rng(17))
+    assert (ranks[:, 0] != ranks[:, 1]).all() and ranks.min() >= 0 and ranks.max() <= 3
+    subsets, counts = np.unique(np.sort(ranks, axis=1), axis=0, return_counts=True)
+    assert len(subsets) == 6
+    assert np.abs(counts / len(ranks) - 1 / 6).max() < 0.01
+
+
+def test_distinct_ranks_stop_at_each_rows_take():
+    available, takes = np.array([5, 3, 1, 0, 2]), np.array([3, 3, 1, 0, 2])
+    ranks = _distinct_ranks(available, takes, np.random.default_rng(18))
+    assert ranks.shape == (5, 3)
+    for row, a, t in zip(ranks.tolist(), available, takes):
+        assert row[t:] == [-1] * (3 - t)
+        assert len(set(row[:t])) == t and all(0 <= r < a for r in row[:t])
+    assert sorted(ranks[1]) == [0, 1, 2]
 
 
 @settings(max_examples=20, deadline=None)
@@ -454,6 +509,21 @@ def test_knn_pairs_peak_memory_is_independent_of_block_height(peak_traced_bytes)
 # --- PairSet.validate ---
 
 
+def test_validate_peak_memory_is_one_key_per_row(peak_traced_bytes):
+    # ~0.76M rows: one int64 key per row is 6 MiB. A (rows, 2) copy of both
+    # polarities and a lexsort order would pass the bound.
+    X = np.random.default_rng(14).normal(size=(40_000, 2))
+    tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
+    pairs = rptree_pairs(tree, np.random.default_rng(1))
+    assert peak_traced_bytes(pairs.validate) < 24 * 2**20
+
+
+def test_validate_rejects_indices_too_wide_to_key():
+    pairs = pair_set([[0, 2**31]], [])
+    with pytest.raises(ValueError, match="span"):
+        pairs.validate()
+
+
 def reference_validate(pairs):
     """The set-based PairSet.validate; returns its message or None."""
     for name, rows in (("positives", pairs.positives), ("negatives", pairs.negatives)):
@@ -497,6 +567,8 @@ def pair_set(positives, negatives):
         # The checks keep their order: a duplicate is named before an overlap.
         ([[0, 1], [0, 1]], [[0, 1]], "positives contain duplicates"),
         ([[0, 1]], [[0, 1], [0, 1]], "negatives contain duplicates"),
+        # Indices as wide as the int64 keys allow.
+        ([[0, 2**31 - 1]], [[1, 2**31 - 2], [0, 2**31 - 1]], "a pair appears in both polarities"),
     ],
 )
 def test_validate_names_the_broken_invariant(positives, negatives, message):

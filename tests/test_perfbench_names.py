@@ -10,7 +10,10 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rpspectral.rptree import TreeConfig, build_tree, leaf_size_stats
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -47,3 +50,13 @@ def test_harness_stage_takes_name_and_durations():
     stage = getattr(harness, "_stage", None)
     assert callable(stage)
     assert list(inspect.signature(stage).parameters) == ["name", "durations"]
+
+
+def test_leaf_size_stats_has_the_fields_the_benchmark_reads():
+    # bench.py reads these from leaf_size_stats of each traced build_tree result.
+    bench = (SPANS.parent / "bench.py").read_text()
+    X = np.random.default_rng(0).normal(size=(50, 2))
+    stats = leaf_size_stats(build_tree(X, TreeConfig(leaf_size=5), np.random.default_rng(1)))
+    for field in ("count", "max_size", "degenerate_count"):
+        assert f"s.{field} for s in trees" in bench, field
+        assert isinstance(getattr(stats, field, None), int), field
