@@ -7,9 +7,15 @@ sizes for tree leaves.
 Memory is bounded by the output plus one int64 key per raw pair. Each pair is
 written straight into its key ``min * width + max``; an in-place sort of the
 keys deduplicates them and the kept keys decode into the result, so no
-(rows, 2) intermediate is built. The k-nn distances are computed in blocks of
-``_KNN_BLOCK`` entries whatever n, and the tree route's other temporaries are
-one group of raw pairs (one leaf size, or one partner-leaf size) at a time.
+(rows, 2) intermediate is built. The tree route's other temporaries are one
+group of raw pairs (one leaf size, or one partner-leaf size) at a time.
+
+The k-nn search is exact without scanning all n^2 distances: kd leaves with
+bounding boxes prune the points that cannot be a neighbor (Friedman, Bentley
+and Finkel, ACM TOMS 1977), and leaves the boxes cannot prune fall back to
+BLAS Gram rows. Every distance it ranks is computed in one direct form, so
+its neighbor lists do not depend on block sizes, and its temporaries hold
+about ``_KNN_BLOCK`` entries whatever n.
 """
 
 from __future__ import annotations
@@ -18,15 +24,27 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KTooLarge, NonFiniteInput
 from .rptree import check_finite
 
-_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
-# Squared distances per block in _knn_indices: 2 MiB of float64, so the two
-# reused block buffers, np.partition's copy and the <= mask stay a few MiB at
-# any n. A fixed row count would grow with n: 512 rows at n=5k are 39 MiB.
+_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int32)
+# Widest index range whose pairs come back as int32. A caller that keeps many
+# pair sets (the benchmark keeps every operation's) holds half the bytes of
+# int64: 5.9 instead of 11.8 MiB per n=40k rptree pair set.
+_INT32_WIDTH = 1 << 31
+# Entries per temporary in _knn_indices: 2 MiB of float64, so the Gram
+# fallback's two reused block buffers, np.partition's copy and the <= mask,
+# and each group of candidate pairs, stay a few MiB at any n.
 _KNN_BLOCK = 1 << 18
+# Points per kd leaf at most; leaves hold between half this and this many.
+_KNN_LEAF = 32
+# Neighbors on either side in leaf order that give each point's upper bound.
+_KNN_WINDOW = 8
+# A leaf whose boxes keep more than this share of its n-wide rows is answered
+# from Gram rows: there a BLAS product beats direct-form differences.
+_PRUNE_SHARE = 0.5
 # Rows per writerows call in save_pairs_csv; a block's Python lists are ~1 MiB.
 _CSV_BLOCK = 8192
 # Widest index range PairSet.validate keys: 2 * width**2 must fit in an int64.
@@ -35,7 +53,10 @@ _VALIDATE_WIDTH = 1 << 31
 
 @dataclass
 class PairSet:
-    """Positive and negative index pairs, each row (i, j) with i < j."""
+    """Positive and negative index pairs, each row (i, j) with i < j.
+
+    Mined pair sets hold int32 indices (int64 from 2^31 points on).
+    """
 
     positives: np.ndarray
     negatives: np.ndarray
@@ -87,8 +108,9 @@ class PairSet:
 def knn_pairs(X, k, rng) -> PairSet:
     """Pairs from the exact k-nearest-neighbor graph.
 
-    Each point contributes its k nearest Euclidean neighbors (brute force,
-    distance ties broken toward the lower index) as positive pairs, and k
+    Each point contributes its k nearest Euclidean neighbors (an exact
+    search pruned by kd boxes; squared distances summed coordinate by
+    coordinate, ties broken toward the lower index) as positive pairs, and k
     uniform draws (without replacement) from the points it shares no positive
     pair with as negatives. The closure keeps the polarities disjoint even
     when neighborhoods are not mutual. A NaN or an infinity in ``X`` raises
@@ -156,52 +178,266 @@ def _distinct_ranks(available, takes, rng):
     return ranks
 
 
-def _knn_indices(X, k, chunk=None):
-    """Row-chunked brute-force k-nn; returns an n x k neighbor index matrix.
+def _knn_indices(X, k):
+    """Exact k-nn by kd-box pruning; returns an n x k neighbor index matrix.
 
-    Each row lists its neighbors by squared distance, exact ties broken
-    toward the lower index, i.e. the first k columns of a stable argsort.
-    Only the entries at or below the row's k-th smallest distance (found by
-    ``np.partition``) are ordered, by (distance, index). Blocks hold
-    ``chunk`` rows, by default as many as fit in ``_KNN_BLOCK`` entries.
-    Ties are ties of the computed distances: where ``X``'s products are
-    inexact, the last bit of ``block @ X.T`` can depend on the BLAS kernel
-    that the block's height selects.
-    Points that are non-finite, or large enough for a squared distance to
-    overflow, raise NonFiniteInput.
+    Distances are squared coordinate differences summed in coordinate order
+    (the direct form) on every path, so the result is the first k columns of
+    a stable argsort of those distances: ties go to the lower index, and no
+    block size or BLAS kernel enters the bits.
+
+    The points are cut level by level into kd leaves of at most
+    ``_KNN_LEAF`` points, each cut a median split on the widest coordinate
+    of its node, and each leaf keeps its bounding box. A point's k-th
+    smallest distance to its ``_KNN_WINDOW`` neighbors on either side in
+    leaf order bounds its k-th neighbor's distance from above. Exact
+    distances are computed only to the points of leaves whose box lies
+    within that bound, tested box to box, then point to box. A box bound
+    sums rounded terms that are each no larger than the distance's, so it
+    never exceeds a computed distance and the pruning drops nothing that
+    could be a neighbor.
+
+    Where the boxes keep more than ``_PRUNE_SHARE`` of a leaf's n-wide rows
+    (high intrinsic dimension, or k near n), that leaf's points are answered
+    from Gram rows instead; see ``_gram_rows``. Every temporary stays within
+    about ``_KNN_BLOCK`` entries. Points that are non-finite, or large
+    enough for a squared distance to overflow, raise NonFiniteInput.
+    """
+    n, dim = X.shape
+    with np.errstate(over="ignore"):  # reported below
+        # Coordinates of X and of X minus its mean are within 2 * top, so no
+        # norm, product or distance below exceeds 16 * dim * top**2.
+        top = np.abs(X).max(initial=0.0)
+        if not np.isfinite(16.0 * dim * top * top):
+            raise NonFiniteInput("squared distances are not all finite")
+    order, sizes = _kd_leaves(X)
+    coords = np.ascontiguousarray(X[order].T)
+    starts = np.cumsum(sizes) - sizes
+    lo = np.minimum.reduceat(coords, starts, axis=1)
+    hi = np.maximum.reduceat(coords, starts, axis=1)
+    bound = _window_bounds(coords, k)
+    leaf_bound = np.maximum.reduceat(bound, starts)
+
+    out = np.empty((n, k), dtype=np.int64)
+    gram_leaves = []
+    step = max(1, _KNN_BLOCK // len(sizes))
+    for first in range(0, len(sizes), step):
+        leaves = np.arange(first, min(first + step, len(sizes)))
+        near = _box_gaps(lo[:, leaves, None], hi[:, leaves, None], lo, hi)
+        near = near <= leaf_bound[leaves, None]
+        pairs = sizes[leaves] * (near @ sizes)
+        # A leaf past a group's budget on its own goes to Gram rows too.
+        pruned = pairs <= np.minimum(_PRUNE_SHARE * n * sizes[leaves], _KNN_BLOCK)
+        gram_leaves.append(leaves[~pruned])
+        # Pruned leaves in groups of about _KNN_BLOCK candidate pairs.
+        group = (np.cumsum(pairs[pruned]) - pairs[pruned]) // _KNN_BLOCK
+        for rows in np.split(np.flatnonzero(pruned), np.flatnonzero(np.diff(group)) + 1):
+            if len(rows):
+                i, j = _pruned_candidates(
+                    coords, starts, sizes, lo, hi, bound, leaves[rows], near[rows]
+                )
+                _write_nearest(coords, order, i, j, bound, k, out)
+    gram_leaves = np.concatenate(gram_leaves)
+    if len(gram_leaves):
+        rows = _members(starts[gram_leaves], sizes[gram_leaves])
+        _gram_rows(coords, order, rows, k, out)
+    return out
+
+
+def _kd_leaves(X):
+    """Median kd leaves of at most ``_KNN_LEAF`` points: (order, sizes).
+
+    Every node of a depth is cut in one pass, as ``build_tree`` cuts: each
+    node's points are stably sorted on the node's widest coordinate and its
+    first half becomes the left child. Sizes within a depth differ by at
+    most one, so all nodes stop at the same depth, and the sort runs on one
+    (nodes, widest node) grid padded with inf. ``order`` lists the points
+    leaf after leaf and ``sizes`` gives each leaf's count.
     """
     n = len(X)
-    chunk = chunk or max(1, _KNN_BLOCK // n)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sq_norms = (X**2).sum(axis=1)
-        # Below this bound sq_i + sq_j and 2 * g_ij are finite, so no
-        # squared distance can be inf - inf = NaN.
-        if not np.isfinite(4.0 * sq_norms.max()):
-            raise NonFiniteInput("squared distances are not all finite")
-    out = np.empty((n, k), dtype=np.int64)
-    # Two block buffers, reused: doubling is exact and d -= g equals
-    # d + (-g), so d2 has the bits of sq_i + sq_j - 2.0 * (block @ X.T).
-    gram = np.empty((min(chunk, n), n))
-    dist = np.empty_like(gram)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        g = gram[: stop - start]
-        d2 = dist[: stop - start]
-        np.matmul(X[start:stop], X.T, out=g)
-        g *= 2.0
-        np.add(sq_norms[start:stop, None], sq_norms, out=d2)
-        d2 -= g
-        np.maximum(d2, 0.0, out=d2)
-        local = np.arange(stop - start)
-        d2[local, start + local] = np.inf
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        # Row-major like np.nonzero, which is ~10x slower on a 2-D mask.
-        row, col = np.divmod(np.flatnonzero(d2 <= kth[:, None]), n)
-        counts = np.bincount(row, minlength=stop - start)
-        order = np.lexsort((col, d2[row, col], row))
-        first = np.cumsum(counts) - counts
-        out[start:stop] = col[order][first[:, None] + np.arange(k)]
+    order = np.arange(n)
+    sizes = np.array([n])
+    while sizes.max() > _KNN_LEAF:
+        points = X[order]
+        starts = np.cumsum(sizes) - sizes
+        widths = np.maximum.reduceat(points, starts) - np.minimum.reduceat(points, starts)
+        axis = widths.argmax(axis=1)
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        grid = np.full((len(sizes), sizes.max()), np.inf)
+        grid[node, np.arange(n) - starts[node]] = points[np.arange(n), axis[node]]
+        ranked = np.argsort(grid, axis=1, kind="stable")
+        order = order[(starts[:, None] + ranked)[ranked < sizes[:, None]]]
+        half = sizes // 2
+        sizes = np.stack([half, sizes - half], axis=1).reshape(-1)
+    return order, sizes
+
+
+def _members(starts, sizes):
+    """Positions ``starts[t] + arange(sizes[t])`` for every t, concatenated."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.repeat(starts - offsets, sizes) + np.arange(int(sizes.sum()))
+
+
+def _sq_sum(diffs):
+    """Sum of the squares of per-coordinate differences, in coordinate order.
+
+    The one summation every distance and box bound uses; each difference
+    array is squared in place.
+    """
+    out = None
+    for diff in diffs:
+        diff *= diff
+        if out is None:
+            out = diff
+        else:
+            out += diff
     return out
+
+
+def _sq_dist(coords, i, j):
+    """Direct-form squared distances between points ``i`` and ``j``.
+
+    ``coords`` holds one row per coordinate.
+    """
+    return _sq_sum(x[i] - x[j] for x in coords)
+
+
+def _box_gaps(lo_a, hi_a, lo_b, hi_b):
+    """Squared gaps between boxes (a point is a box with lo = hi).
+
+    For points x in box a and y in box b, each rounded gap is at most the
+    rounded ``|x_c - y_c|``, and the sum runs in the same order, so it is
+    at most their computed distance.
+    """
+
+    def gaps():
+        for c in range(len(lo_b)):
+            gap = np.maximum(lo_b[c] - hi_a[c], lo_a[c] - hi_b[c])
+            yield np.maximum(gap, 0.0, out=gap)
+
+    return _sq_sum(gaps())
+
+
+def _window_bounds(coords, k):
+    """Each point's k-th smallest distance to a window of points in leaf order.
+
+    The window holds the ``_KNN_WINDOW`` (at least k) positions on either
+    side; positions past either end read as inf, and at least k others
+    remain. The window rows are strided views of the coordinates padded
+    with inf, ``_KNN_BLOCK`` entries at a time, so nothing is gathered.
+    """
+    n = coords.shape[1]
+    reach = max(_KNN_WINDOW, k)
+    padded = np.full((len(coords), n + 2 * reach), np.inf)
+    padded[:, reach : reach + n] = coords
+    bound = np.empty(n)
+    step = max(1, _KNN_BLOCK // (2 * reach + 1))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        # Row r of a view holds the points r - reach positions on.
+        dist = _sq_sum(
+            x[start + reach : start + reach + rows]
+            - sliding_window_view(x[start : start + rows + 2 * reach], rows)
+            for x in padded
+        )
+        dist[reach] = np.inf
+        bound[start : start + rows] = np.partition(dist, k - 1, axis=0)[k - 1]
+    return bound
+
+
+def _pruned_candidates(coords, starts, sizes, lo, hi, bound, leaves, near):
+    """Candidate pairs (i, j) of positions for the points of ``leaves``.
+
+    ``near[a, b]`` says leaf b's box lies within the bound of leaf
+    ``leaves[a]``. Each member i of a query leaf is tested against those
+    boxes on its own, and pairs with every point of the boxes it keeps.
+    """
+    a, b = np.nonzero(near)
+    i = _members(starts[leaves[a]], sizes[leaves[a]])
+    b = np.repeat(b, sizes[leaves[a]])
+    x = coords[:, i]
+    keep = _box_gaps(x, x, lo[:, b], hi[:, b]) <= bound[i]
+    i, b = i[keep], b[keep]
+    return np.repeat(i, sizes[b]), _members(starts[b], sizes[b])
+
+
+def _gram_rows(coords, order, rows, k, out):
+    """The k-nn of positions ``rows`` from full Gram rows, refined in direct form.
+
+    A Gram block ``|y_i|^2 + |y_j|^2 - 2 y_i.y_j`` on the centred points y
+    runs at BLAS speed but rounds differently from the direct form. The two
+    differ by at most ``margin_i``, a multiple of the unit roundoff times
+    ``|y_i|^2 + max_j |y_j|^2``, so every point whose direct-form distance
+    ties or beats the k-th one is within the row's k-th Gram distance plus
+    twice that margin. Only those candidates are refined in direct form,
+    about ``_KNN_BLOCK`` at a time.
+    """
+    dim, n = coords.shape
+    centred = coords - coords.mean(axis=1, keepdims=True)
+    sq_norms = np.einsum("ij,ij->j", centred, centred)
+    # (8 * dim + 32) unit roundoffs: about twice the Gram form's, the
+    # centring's and the direct form's error bounds together.
+    margin = (4 * dim + 16) * np.finfo(np.float64).eps * (sq_norms + sq_norms.max())
+    step = max(1, _KNN_BLOCK // n)
+    gram = np.empty((min(step, len(rows)), n))
+    dist = np.empty_like(gram)
+    found, held = [], 0
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        g = gram[: len(block)]
+        d2 = dist[: len(block)]
+        np.matmul(centred[:, block].T, centred, out=g)
+        g *= 2.0
+        np.add(sq_norms[block, None], sq_norms, out=d2)
+        d2 -= g
+        d2[np.arange(len(block)), block] = np.inf
+        limit = np.partition(d2, k - 1, axis=1)[:, k - 1] + 2.0 * margin[block]
+        # Row-major like np.nonzero, which is ~10x slower on a 2-D mask.
+        r, j = np.divmod(np.flatnonzero(d2 <= limit[:, None]), n)
+        found.append((block[r], j))
+        held += len(j)
+        if held >= _KNN_BLOCK or start + step >= len(rows):
+            i, j = (np.concatenate(part) for part in zip(*found))
+            _write_nearest(coords, order, i, j, None, k, out)
+            found, held = [], 0
+
+
+def _write_nearest(coords, order, i, j, bound, k, out):
+    """Write each query's k candidates of least (distance, index) into ``out``.
+
+    ``i`` and ``j`` are positions in leaf order, and each query needs k
+    candidates other than itself. Given ``bound``, the query itself and
+    candidates beyond ``bound[i]`` are dropped before the sort, since k
+    others lie within it.
+    """
+    dist = _sq_dist(coords, i, j)
+    if bound is not None:
+        keep = (dist <= bound[i]) & (i != j)
+        i, j, dist = i[keep], j[keep], dist[keep]
+    labels = order[j]
+    ranked = _ranked(i, dist, labels)
+    i = i[ranked]
+    first = np.flatnonzero(np.concatenate(([True], i[1:] != i[:-1])))
+    out[order[i[first]]] = labels[ranked][first[:, None] + np.arange(k)]
+
+
+def _ranked(rows, dist, labels):
+    """The order of entries by (row, distance, label), all nonnegative.
+
+    With no (row, label) repeated, the same order as
+    ``np.lexsort((labels, dist, rows))``, from three sorts
+    of unique keys, which run several times faster here: equal distances
+    share a tier, (tier, label) ranks the entries, and (row, rank) orders
+    them.
+    """
+    count = len(dist)
+    by_dist = np.argsort(dist)
+    tier = np.empty(count, dtype=np.int64)
+    sorted_dist = dist[by_dist]
+    tier[by_dist] = np.cumsum(np.concatenate(([0], sorted_dist[1:] != sorted_dist[:-1])))
+    rank = np.empty(count, dtype=np.int64)
+    rank[np.argsort(tier * (int(labels.max(initial=0)) + 1) + labels)] = np.arange(count)
+    return np.argsort(rows * count + rank)
 
 
 def rptree_pairs(tree, rng) -> PairSet:
@@ -254,9 +490,13 @@ def rptree_pairs(tree, rng) -> PairSet:
             _write_keys(own, theirs, width, keys[filled : filled + len(own)])
             filled += len(own)
         negatives = _unique_pairs(keys, width)
+        del keys
+    # Both outputs are copied once the keys are freed, so that the heap holes
+    # the keys leave do not sit between the blocks of callers that keep many
+    # pair sets: 7.1 -> 6.1 MiB resident per kept n=40k set.
     return PairSet(
-        positives=positives,
-        negatives=negatives,
+        positives=positives.copy(),
+        negatives=negatives.copy(),
         source="rptree",
         raw_positive_count=raw_count,
         warning=warning,
@@ -284,7 +524,7 @@ def _unique_pairs(keys, width):
     ``hi``) key order is lexicographic row order, so the result equals
     ``np.unique`` with ``axis=0`` on the (lo, hi) rows. ``keys`` is sorted in
     place; adjacent repeats are dropped and ``divmod`` decodes the rest
-    straight into the result's columns.
+    straight into the result's columns, int32 up to ``_INT32_WIDTH``.
     """
     if not len(keys):
         return _EMPTY_PAIRS
@@ -294,7 +534,7 @@ def _unique_pairs(keys, width):
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
     kept = keys[keep]
     del keep
-    out = np.empty((len(kept), 2), dtype=np.int64)
+    out = np.empty((len(kept), 2), dtype=np.int32 if width <= _INT32_WIDTH else np.int64)
     np.divmod(kept, width, out=(out[:, 0], out[:, 1]))
     return out
 

@@ -19,6 +19,7 @@ the twin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -99,14 +100,20 @@ def _whitening_map(gram, m, jitter):
             raise SingularGram(
                 "batch Gram matrix is singular even after jitter"
             ) from None
-    identity = np.eye(gram.shape[0])
-    return np.sqrt(m) * np.linalg.solve(L, identity).T
+    return np.sqrt(m) * np.linalg.inv(L).T
 
 
 def ortho_residual(Y, m):
-    """Frobenius distance of Y^T Y from m I."""
+    """Frobenius distance of Y^T Y from m I.
+
+    Computed in place on the g x g Gram matrix, with no identity built: its
+    diagonal minus m, then the root of the flat entries' dot product, as
+    ``np.linalg.norm`` computes it.
+    """
     G = Y.T @ Y
-    return float(np.linalg.norm(G - m * np.eye(G.shape[0])))
+    flat = G.reshape(-1)
+    flat[:: G.shape[0] + 1] -= m
+    return math.sqrt(flat.dot(flat))
 
 
 def orthogonalize(Y_raw, jitter=1e-6):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpspectral import pairing
+from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import KTooLarge, NonFiniteInput
 from rpspectral.pairing import (
     PairSet,
@@ -81,7 +83,7 @@ def test_knn_pair_rows_are_canonical():
     X = np.random.default_rng(4).normal(size=(30, 2))
     pairs = knn_pairs(X, 3, np.random.default_rng(0))
     for arr in (pairs.positives, pairs.negatives):
-        assert arr.dtype == np.int64
+        assert arr.dtype == np.int32
         assert (arr[:, 0] < arr[:, 1]).all()
         # no duplicate rows
         assert len(as_set(arr)) == len(arr)
@@ -211,20 +213,14 @@ def reference_unique_unordered(pairs):
     return np.unique(np.stack([lo, hi], axis=1), axis=0)
 
 
-def reference_knn_indices(X, k, chunk=512):
-    """Full stable argsort of every distance row, first k columns kept."""
-    n = len(X)
-    sq_norms = (X**2).sum(axis=1)
-    out = np.empty((n, k), dtype=np.int64)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = X[start:stop]
-        d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        for r in range(stop - start):
-            d2[r, start + r] = np.inf
-        out[start:stop] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return out
+def reference_knn_indices(X, k):
+    """Full stable argsort of every direct-form distance row, first k columns
+    kept: squared coordinate differences summed in coordinate order."""
+    d2 = np.zeros((len(X), len(X)))
+    for c in range(X.shape[1]):
+        d2 += (X[:, None, c] - X[None, :, c]) ** 2
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
 
 
 def reference_distinct_ranks(available, takes, rng):
@@ -301,7 +297,7 @@ def reference_rptree_pairs(tree, rng):
 def assert_same_pairs(got, want, got_rng, want_rng):
     for name in ("positives", "negatives"):
         a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype == np.int64
+        assert a.dtype == np.int32
         assert a.shape == b.shape
         assert np.array_equal(a, b), name
     assert got.raw_positive_count == want.raw_positive_count
@@ -328,7 +324,7 @@ def test_unique_unordered_matches_np_unique(pairs):
     _write_keys(pairs[:, 0].copy(), pairs[:, 1], width, keys)
     got = _unique_pairs(keys, width)
     want = reference_unique_unordered(pairs)
-    assert got.dtype == want.dtype
+    assert got.dtype == np.int32
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -443,24 +439,66 @@ def test_knn_pairs_match_reference_argsort(name, k):
     )
 
 
-# Tie-heavy points on a dyadic lattice: every product and sum in a squared
-# distance is exact, so tied distances tie exactly whichever BLAS kernel (one
-# per block height) computes them.
+# Tie-heavy points on a dyadic lattice: every difference, square and sum in a
+# squared distance is exact, so many distances tie exactly.
 TIE_HEAVY = {
     "grid": integer_grid(26).astype(np.float64),
     "quarter-gaussian": np.round(np.random.default_rng(11).normal(size=(700, 2)) * 4) / 4,
     "integer-gaussian": np.round(np.random.default_rng(12).normal(size=(600, 3))),
 }
 
+# Inputs for each search path of _knn_indices, with the paths each takes at
+# k=4: "pruned" answers rows from the leaves whose boxes lie within a point's
+# bound, "gram" from full Gram rows refined in direct form. On the lattices
+# with many ties, one call sends some leaves down each path.
+KNN_PATH_INPUTS = {
+    "one-leaf": (np.random.default_rng(16).normal(size=(20, 2)), {"gram"}),
+    "many-leaves": (np.random.default_rng(17).uniform(size=(2000, 2)), {"pruned"}),
+    "gaussian-d10": (np.random.default_rng(18).normal(size=(600, 10)), {"gram"}),
+    "gaussian-d32": (np.random.default_rng(19).normal(size=(600, 32)), {"gram"}),
+    "duplicated-points": (
+        np.repeat(np.random.default_rng(20).uniform(size=(300, 2)), 3, axis=0),
+        {"pruned"},
+    ),
+    "tie-heavy-grid": (TIE_HEAVY["grid"], {"pruned"}),
+    "tie-heavy-quarter-gaussian": (TIE_HEAVY["quarter-gaussian"], {"pruned", "gram"}),
+    "tie-heavy-integer-gaussian": (TIE_HEAVY["integer-gaussian"], {"pruned", "gram"}),
+}
 
-def test_knn_indices_match_reference_across_chunks():
-    # The default block height is only safe to shrink while every height
-    # breaks ties the same: 1 row, 7 rows, 16 rows, all rows and the default.
-    for name, X in TIE_HEAVY.items():
-        for k in (1, 4, 9):
-            want = reference_knn_indices(X, k, chunk=len(X))
-            for chunk in (1, 7, 16, len(X), None):
-                assert np.array_equal(_knn_indices(X, k, chunk=chunk), want), (name, k, chunk)
+
+@pytest.mark.parametrize("name", sorted(KNN_PATH_INPUTS))
+@pytest.mark.parametrize("k", [1, 4, 9])
+def test_knn_indices_match_reference_on_each_path(name, k):
+    X, _ = KNN_PATH_INPUTS[name]
+    assert np.array_equal(_knn_indices(X, k), reference_knn_indices(X, k))
+
+
+@pytest.mark.parametrize("name", sorted(KNN_PATH_INPUTS))
+def test_knn_path_inputs_take_their_paths(name, monkeypatch):
+    X, paths = KNN_PATH_INPUTS[name]
+    taken = set()
+    for path, function in (("pruned", "_pruned_candidates"), ("gram", "_gram_rows")):
+
+        def spy(*args, path=path, original=getattr(pairing, function)):
+            taken.add(path)
+            return original(*args)
+
+        monkeypatch.setattr(pairing, function, spy)
+    _knn_indices(X, 4)
+    assert taken == paths
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_indices_break_ties_by_direct_form_distances(seed):
+    # Coordinates rounded to 0.1 are inexact in binary, so the Gram form
+    # |x|^2 + |y|^2 - 2 x.y rounds apart from the direct form and its last
+    # bits depend on the BLAS kernel that a block's shape selects. Near-ties
+    # must fall as the direct form orders them, whatever path answers a row.
+    rng = np.random.default_rng(seed)
+    for n, dim in ((1500, 2), (700, 3), (600, 10)):
+        X = np.round(rng.normal(size=(n, dim)), 1)
+        for k in (1, 2, 5):
+            assert np.array_equal(_knn_indices(X, k), reference_knn_indices(X, k)), (n, dim, k)
 
 
 def test_knn_indices_reject_non_finite_points():
@@ -504,6 +542,16 @@ def test_knn_pairs_peak_memory_is_independent_of_block_height(peak_traced_bytes)
     # of a fixed row count grow with n: 512 rows of 5k distances are 20 MiB.
     X = np.random.default_rng(15).normal(size=(5_000, 2))
     assert peak_traced_bytes(lambda: knn_pairs(X, 2, np.random.default_rng(1))) < 16 * 2**20
+
+
+def test_knn_pairs_peak_memory_on_blobs_stays_under_a_gram_block_set(peak_traced_bytes):
+    # The pruned search keeps its candidate pairs in groups of the block
+    # budget; it must not cost more than the Gram blocks it replaces did
+    # (8.3 MiB traced on these inputs).
+    spec = SyntheticSpec(kind="blobs", n=5_000, noise=0.05, centers=5, seed=1301)
+    X = generate_synthetic(spec)[0]
+    peak = peak_traced_bytes(lambda: knn_pairs(X, 2, np.random.default_rng(1)))
+    assert peak <= 8.5 * 2**20
 
 
 # --- PairSet.validate ---
