@@ -15,14 +15,13 @@ unusable input.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .datasets import SYNTHETIC_KINDS, SyntheticSpec, generate_synthetic, load_csv, standardize
-from .errors import BadGrid, RpSpectralError, StageError
+from .errors import BadGrid, ConfigError, RpSpectralError, StageError
 from .harness import (
     MethodConfig,
     _split_timings,
@@ -36,7 +35,7 @@ from .harness import (
 )
 from .siamese import save_twin_checkpoint
 from .pairing import save_pairs_csv
-from .serialize import read_json, write_json
+from .serialize import read_json, write_csv, write_json
 from .spectralnet import save_spectral_checkpoint
 
 
@@ -50,14 +49,12 @@ def _cmd_generate(args):
     )
     spec.validate()
     X, y = generate_synthetic(spec)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(X.shape[1])] + ["label"])
-        for row, label in zip(X, y):
-            writer.writerow([str(float(v)) for v in row] + [int(label)])
-    print(f"wrote {len(X)} points ({args.kind}) to {out}")
+    write_csv(
+        args.out,
+        [f"f{i}" for i in range(X.shape[1])] + ["label"],
+        ([*row, label] for row, label in zip(X.tolist(), y.tolist())),
+    )
+    print(f"wrote {len(X)} points ({args.kind}) to {args.out}")
     return 0
 
 
@@ -78,7 +75,6 @@ def _cmd_pairs(args):
     pairs = mine_pairs(X, method, np.random.default_rng(args.seed))
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     save_pairs_csv(pairs, outdir / "positives.csv", outdir / "negatives.csv")
     write_json(
         outdir / "pairs.json",
@@ -103,7 +99,6 @@ def _cmd_run(args):
     config = config_from_dict(read_json(args.config))
     X, y = load_dataset(config.dataset)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
         result = run_pipeline(X, y, config, run_index=args.run_index)
     except StageError as exc:
@@ -114,10 +109,11 @@ def _cmd_run(args):
     results, timings = _split_timings({"runs": [result.record]})
     write_json(outdir / "run.json", results["runs"][0])
     write_json(outdir / "timings.json", timings)
-    with open(outdir / "labels.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("index", "label"))
-        writer.writerows(enumerate(int(v) for v in result.labels))
+    write_csv(
+        outdir / "labels.csv",
+        ("index", "label"),
+        np.column_stack((np.arange(len(result.labels)), result.labels)),
+    )
     if args.save_models:
         save_twin_checkpoint(
             result.twin,
@@ -134,6 +130,8 @@ def _cmd_run(args):
 
 def _cmd_experiment(args):
     data = read_json(args.config)
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     if args.runs is not None:
         data["runs"] = args.runs
     if args.base_seed is not None:

@@ -14,7 +14,6 @@ stream, and runs are reproducible bit for bit.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import time
@@ -31,14 +30,13 @@ from .errors import (
     BadSpec,
     ConfigError,
     EmptyRequest,
-    IoError,
     RpSpectralError,
     StageError,
 )
 from .mlp import Mlp
 from .pairing import knn_pairs, rptree_pairs
 from .rptree import DirectionStrategy, TreeConfig, build_tree
-from .serialize import section_from_dict, write_json
+from .serialize import section_from_dict, write_csv, write_json
 from .siamese import (
     SiameseConfig,
     select_bandwidth,
@@ -300,6 +298,7 @@ def run_experiment(config: ExperimentConfig, data=None) -> dict:
 
 
 def _summarize(runs):
+    """Summary of a run list; its keys, in order, are ``_SUMMARY_FIELDS``."""
     scored = [
         r["ari"] for r in runs if "error" not in r and r["ari"] is not None
     ]
@@ -320,11 +319,18 @@ def _summarize(runs):
     }
 
 
+# The summary.csv columns. Records read back from results.json have sorted
+# keys, so the column order comes from here rather than from the record.
+_SUMMARY_FIELDS = tuple(_summarize([]))
+
+
 def sweep(base: ExperimentConfig, grid: dict) -> dict:
     """Run the base experiment once per point of a parameter grid.
 
     Grid keys name either a top-level field ("n_clusters", "runs",
-    "base_seed") or a section field like "method.leaf_size" or "dataset.n".
+    "base_seed") or a section field like "method.leaf_size" or "dataset.n";
+    spectral.n_clusters and kmeans.k follow n_clusters. Every cell's config
+    is built and checked before the first cell runs.
     Cells share the base seed so runs pair up across cells.
     """
     if not grid:
@@ -333,65 +339,57 @@ def sweep(base: ExperimentConfig, grid: dict) -> dict:
         if not isinstance(values, (list, tuple)) or len(values) == 0:
             raise BadGrid(f"grid key {key!r} has no values")
     keys = sorted(grid)
-    cells = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        cfg = base
-        for key, value in zip(keys, combo):
-            cfg = _override(cfg, key, value)
-        cells.append(
-            {
-                "values": dict(zip(keys, combo)),
-                "experiment": run_experiment(cfg),
-            }
-        )
+    combos = [
+        dict(zip(keys, combo))
+        for combo in itertools.product(*(grid[k] for k in keys))
+    ]
+    configs = [_cell_config(base, values) for values in combos]
     return {
         "base_config": config_to_dict(base),
         "grid": {k: list(grid[k]) for k in keys},
-        "cells": cells,
+        "cells": [
+            {"values": values, "experiment": run_experiment(cfg)}
+            for values, cfg in zip(combos, configs)
+        ],
     }
 
 
-_SECTIONS = ("dataset", "method", "siamese", "spectral", "kmeans")
-
-
-def _override(config: ExperimentConfig, key, value) -> ExperimentConfig:
-    if "." not in key:
-        if key not in ("n_clusters", "runs", "base_seed"):
+def _cell_config(base: ExperimentConfig, values) -> ExperimentConfig:
+    """The config of one grid cell: ``base`` with ``values`` set in its JSON."""
+    doc = config_to_dict(base)
+    # Both follow the top-level n_clusters, which a grid may change.
+    del doc["spectral"]["n_clusters"], doc["kmeans"]["k"]
+    for key, value in values.items():
+        section, _, name = key.rpartition(".")
+        target = doc.get(section) if section else doc
+        if not isinstance(target, dict) or name not in target:
             raise BadGrid(f"unknown grid key {key!r}")
-        return replace(config, **{key: value})
-    section, field_name = key.split(".", 1)
-    if section not in _SECTIONS:
-        raise BadGrid(f"unknown grid key {key!r}")
-    target = getattr(config, section)
-    if target is None:  # unset spectral/kmeans: resolve defaults, then edit
-        target = getattr(config, f"{section}_config")
-    if field_name not in {f.name for f in dataclasses.fields(target)}:
-        raise BadGrid(f"{section!r} has no field {field_name!r}")
+        target[name] = value
     try:
-        target = replace(target, **{field_name: value})
-    except ValueError as exc:
-        raise BadGrid(f"{key}={value!r}: {exc}") from exc
-    return replace(config, **{section: target})
+        return config_from_dict(doc)
+    except ConfigError as exc:
+        raise BadGrid(f"grid cell {values}: {exc}") from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
+    """The config as JSON, spectral and kmeans resolved to their defaults."""
+    doc = dataclasses.asdict(
+        replace(config, spectral=config.spectral_config, kmeans=config.kmeans_config)
+    )
     synthetic = isinstance(config.dataset, SyntheticSpec)
-    doc = {
-        "dataset": {
-            "type": "synthetic" if synthetic else "csv",
-            **dataclasses.asdict(config.dataset),
-        },
-        "method": dataclasses.asdict(config.method),
-        "n_clusters": config.n_clusters,
-        "runs": config.runs,
-        "base_seed": config.base_seed,
-        "siamese": dataclasses.asdict(config.siamese),
-        "spectral": dataclasses.asdict(config.spectral_config),
-        "kmeans": dataclasses.asdict(config.kmeans_config),
-    }
+    doc["dataset"] = {"type": "synthetic" if synthetic else "csv", **doc["dataset"]}
     for section in ("siamese", "spectral"):  # JSON arrays read back as lists
         doc[section]["hidden_sizes"] = list(doc[section]["hidden_sizes"])
     return doc
+
+
+# The config sections besides dataset, each with the dataclass it is read into.
+_SECTIONS = {
+    "method": MethodConfig,
+    "siamese": SiameseConfig,
+    "spectral": SpectralConfig,
+    "kmeans": KmeansConfig,
+}
 
 
 def _dataset_from_dict(data) -> SyntheticSpec | CsvSource:
@@ -411,46 +409,25 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from parsed JSON."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    data = dict(data)
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     if "dataset" not in data:
         raise ConfigError("config needs a 'dataset' section")
-    try:
-        n_clusters = int(data.get("n_clusters", 2))
-        runs = int(data.get("runs", 10))
-        base_seed = int(data.get("base_seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scalar config value: {exc}") from exc
-
-    config = ExperimentConfig(
+    config = section_from_dict(
+        ExperimentConfig,
+        "",
+        {k: v for k, v in data.items() if k != "dataset" and k not in _SECTIONS},
         dataset=_dataset_from_dict(data["dataset"]),
-        method=section_from_dict(MethodConfig, "method", data.get("method", {})),
-        n_clusters=n_clusters,
-        runs=runs,
-        base_seed=base_seed,
-        siamese=section_from_dict(
-            SiameseConfig, "siamese", data.get("siamese", {})
-        ),
-        spectral=(
-            section_from_dict(
-                SpectralConfig,
-                "spectral",
-                data["spectral"],
-                n_clusters=n_clusters,
-            )
-            if "spectral" in data
-            else None
-        ),
-        kmeans=(
-            section_from_dict(
-                KmeansConfig, "kmeans", data["kmeans"], k=n_clusters
-            )
-            if "kmeans" in data
-            else None
-        ),
+    )
+    fixed = {
+        "spectral": {"n_clusters": config.n_clusters},
+        "kmeans": {"k": config.n_clusters},
+    }
+    config = replace(
+        config,
+        **{
+            name: section_from_dict(cls, name, data[name], **fixed.get(name, {}))
+            for name, cls in _SECTIONS.items()
+            if name in data
+        },
     )
     config.validate()
     return config
@@ -462,27 +439,6 @@ def _dataset_label(config_dict) -> str:
         return Path(ds["path"]).name
     return f"{ds['kind']}:n={ds['n']}"
 
-
-def _write_csv(path, header, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise IoError(str(exc), path=str(path)) from exc
-
-
-_SUMMARY_FIELDS = (
-    "runs_total",
-    "runs_failed",
-    "runs_undefined_score",
-    "mean_ari",
-    "std_ari",
-    "min_ari",
-    "max_ari",
-    "mean_positive_pairs",
-)
 
 _RUN_METRICS = (
     "ari",
@@ -554,11 +510,6 @@ def report(record: dict, outdir) -> dict:
     results.json. Returns the paths written.
     """
     outdir = Path(outdir)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(str(exc), path=str(outdir)) from exc
-
     results_path = outdir / "results.json"
     timings_path = outdir / "timings.json"
     summary_path = outdir / "summary.csv"
@@ -572,7 +523,7 @@ def report(record: dict, outdir) -> dict:
             ",".join(f"{k}={v}" for k, v in cell["values"].items())
             for cell in record["cells"]
         ]
-        _write_csv(
+        write_csv(
             summary_path,
             ("cell", "dataset", "method", *_SUMMARY_FIELDS),
             [
@@ -585,16 +536,16 @@ def report(record: dict, outdir) -> dict:
             plot_rows.extend(
                 (name, *row) for row in _run_metric_rows(cell["experiment"])
             )
-        _write_csv(
+        write_csv(
             plot_path, ("cell", "run_index", "metric", "value"), plot_rows
         )
     else:
-        _write_csv(
+        write_csv(
             summary_path,
             ("dataset", "method", *_SUMMARY_FIELDS),
             [_summary_row(record)],
         )
-        _write_csv(
+        write_csv(
             plot_path,
             ("run_index", "metric", "value"),
             _run_metric_rows(record),

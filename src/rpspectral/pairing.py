@@ -20,7 +20,6 @@ about ``_KNN_BLOCK`` entries whatever n.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KTooLarge, NonFiniteInput
 from .rptree import check_finite
+from .serialize import write_csv
 
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int32)
 # Widest index range whose pairs come back as int32. A caller that keeps many
@@ -45,8 +45,6 @@ _KNN_WINDOW = 8
 # A leaf whose boxes keep more than this share of its n-wide rows is answered
 # from Gram rows: there a BLAS product beats direct-form differences.
 _PRUNE_SHARE = 0.5
-# Rows per writerows call in save_pairs_csv; a block's Python lists are ~1 MiB.
-_CSV_BLOCK = 8192
 # Widest index range PairSet.validate keys: 2 * width**2 must fit in an int64.
 _VALIDATE_WIDTH = 1 << 31
 
@@ -540,14 +538,6 @@ def _unique_pairs(keys, width):
 
 
 def save_pairs_csv(pairs: PairSet, positives_path, negatives_path):
-    """Write each polarity as a two-column CSV with an i,j header.
-
-    Rows go out ``_CSV_BLOCK`` at a time, so only one block is ever held as
-    Python lists.
-    """
-    for path, rows in ((positives_path, pairs.positives), (negatives_path, pairs.negatives)):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "j"])
-            for start in range(0, len(rows), _CSV_BLOCK):
-                writer.writerows(rows[start : start + _CSV_BLOCK].tolist())
+    """Write each polarity as a two-column CSV with an i,j header."""
+    write_csv(positives_path, ("i", "j"), pairs.positives)
+    write_csv(negatives_path, ("i", "j"), pairs.negatives)

@@ -26,7 +26,7 @@ from .errors import (
     MissingPolarity,
     ShapeMismatch,
 )
-from .mlp import Adam, Mlp, finite_float32
+from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
 from .serialize import read_json, write_json
 
 _NORM_FLOOR = 1e-12  # guards the distance gradient at coincident embeddings
@@ -48,7 +48,7 @@ class SiameseConfig:
     def validate(self):
         if self.margin <= 0:
             raise ValueError("margin must be positive")
-        if self.activation not in ("relu", "tanh", "identity"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatch,
     SingularGram,
 )
-from .mlp import Adam, Mlp, finite_float32
+from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
 from .serialize import read_json, section_from_dict, write_json
 from .siamese import heat_kernel, pairwise_distances
 
@@ -54,7 +54,7 @@ class SpectralConfig:
     def validate(self):
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be at least 1")
-        if self.activation not in ("relu", "tanh", "identity"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.batch_size < self.n_clusters:
             raise ValueError(

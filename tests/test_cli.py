@@ -1,9 +1,14 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from rpspectral.cli import main
+from rpspectral.datasets import SyntheticSpec, generate_synthetic
+from rpspectral.errors import ConfigError
+from rpspectral.harness import config_from_dict
 from rpspectral.serialize import read_json
 from rpspectral.siamese import load_twin_checkpoint
 from rpspectral.spectralnet import load_spectral_checkpoint
@@ -42,6 +47,19 @@ def test_generate_writes_labeled_csv(tmp_path, capsys):
     assert lines[0] == "f0,f1,label"
     assert len(lines) == 41
     assert "wrote 40 points" in capsys.readouterr().out
+
+
+def test_generate_writes_the_bytes_of_a_per_row_writer(tmp_path):
+    out = tmp_path / "moons.csv"
+    argv = ["--kind", "moons", "--n", "50", "--noise", "0.07", "--seed", "3"]
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    X, y = generate_synthetic(SyntheticSpec(kind="moons", n=50, noise=0.07, seed=3))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["f0", "f1", "label"])
+    for row, label in zip(X, y):
+        writer.writerow([str(float(v)) for v in row] + [int(label)])
+    assert out.read_bytes() == want.getvalue().encode()
 
 
 def test_generate_rejects_bad_spec(tmp_path, capsys):
@@ -250,3 +268,63 @@ def test_malformed_config_json_exits_2(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--outdir", str(tmp_path / "o")])
     assert code == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+WRONG_TYPES = [
+    ("method", {"leaf_size": "20"}, "method.leaf_size"),
+    ("dataset", {"noise": "0.1"}, "dataset.noise"),
+    ("dataset", {"n": True}, "dataset.n"),
+    ("dataset", {"path": "points.csv", "header": 1}, "dataset.header"),
+    ("siamese", {"hidden_sizes": [8.5]}, "siamese.hidden_sizes"),
+    ("spectral", {"learning_rate": "0.01"}, "spectral.learning_rate"),
+    ("kmeans", {"restarts": 2.5}, "kmeans.restarts"),
+    (None, {"runs": 2.7}, "runs"),
+]
+
+
+@pytest.mark.parametrize("section, values, field", WRONG_TYPES)
+def test_wrong_json_type_is_refused_naming_the_field(
+    tmp_path, capsys, section, values, field
+):
+    doc = quick_config_doc()
+    if section is None:
+        doc.update(values)
+    elif section == "dataset" and "path" in values:
+        doc["dataset"] = values
+    else:
+        doc.setdefault(section, {}).update(values)
+    with pytest.raises(ConfigError, match=f"{field} must be"):
+        config_from_dict(doc)
+    code = main(
+        ["experiment", "--config", write_config(tmp_path, doc),
+         "--outdir", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_experiment_overrides_on_non_object_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    code = main(
+        ["experiment", "--config", str(path), "--runs", "2",
+         "--outdir", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_exit_2(tmp_path, capsys):
+    # A path under a regular file can be neither created nor written.
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    data = tmp_path / "blobs.csv"
+    assert main(["generate", "--n", "40", "--out", str(data)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["generate", "--n", "40", "--out", str(blocker / "blobs.csv")],
+        ["pairs", "--data", str(data), "--outdir", str(blocker / "pairs")],
+    ):
+        assert main(argv) == 2
+        assert str(blocker) in capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rpspectral import harness
 from rpspectral.clustering import KmeansConfig
 from rpspectral.datasets import SyntheticSpec
 from rpspectral.errors import BadGrid, ConfigError, NonFiniteInput, StageError
@@ -327,6 +328,36 @@ def test_sweep_bad_grids():
         sweep(config, {"method.nonsense": [1]})
     with pytest.raises(BadGrid):
         sweep(config, {"turbo.mode": [1]})
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"method.leaf_size": [8, "20"]},
+        {"siamese.epochs": [2, 1.5]},
+        {"runs": [1, 2.5]},
+    ],
+)
+def test_sweep_refuses_a_wrong_typed_value_before_any_cell_runs(monkeypatch, grid):
+    def no_run(config):
+        raise AssertionError("a cell ran before the grid was checked")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    (key,) = grid
+    with pytest.raises(BadGrid, match=f"{key} must be"):
+        sweep(quick_config(runs=1), grid)
+
+
+def test_sweep_over_n_clusters_carries_spectral_and_kmeans():
+    # The base sets its spectral section explicitly, for n_clusters=2.
+    record = sweep(quick_config(runs=1), {"n_clusters": [2, 3]})
+    for cell, n in zip(record["cells"], (2, 3)):
+        config = cell["experiment"]["config"]
+        assert config["n_clusters"] == n
+        assert config["spectral"]["n_clusters"] == n
+        assert config["kmeans"]["k"] == n
+        assert config["spectral"]["total_steps"] == 20
+    assert record["base_config"] == config_to_dict(quick_config(runs=1))
 
 
 # --- report ---

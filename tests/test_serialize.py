@@ -1,7 +1,7 @@
 import pytest
 
 from rpspectral.errors import IoError
-from rpspectral.serialize import canonical_dumps, read_json, write_json
+from rpspectral.serialize import canonical_dumps, read_json, write_csv, write_json
 
 
 def test_canonical_form_is_sorted_and_newline_terminated():
@@ -35,3 +35,11 @@ def test_read_errors_are_wrapped(tmp_path):
     with pytest.raises(IoError) as err:
         read_json(bad)
     assert "JSON" in str(err.value)
+
+
+def test_write_csv_errors_are_wrapped(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    with pytest.raises(IoError) as err:
+        write_csv(blocker / "out.csv", ("a",), [[1]])
+    assert err.value.path == str(blocker / "out.csv")

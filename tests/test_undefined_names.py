@@ -5,16 +5,19 @@ up only as a NameError once the code path that uses it runs. This walks each
 module's symbol tables (stdlib ``symtable``) and lists the global names that
 some scope reads but that the module never binds, imports or finds among the
 builtins. The README's ```python blocks get the same check, and each
-``rp.<name>`` they use must be exported in ``rpspectral.__all__``.
+``rp.<name>`` they use must be exported in ``rpspectral.__all__``; its
+```json config examples must load through ``config_from_dict``.
 """
 
 import ast
 import builtins
+import json
 import re
 import symtable
 from pathlib import Path
 
 import rpspectral
+from rpspectral.harness import config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = sorted([*ROOT.glob("src/rpspectral/*.py"), *ROOT.glob("tests/*.py")])
@@ -92,3 +95,11 @@ def test_readme_examples_use_only_exported_names():
             and node.value.id == "rp"
         }
         assert sorted(used - set(rpspectral.__all__)) == []
+
+
+def test_readme_config_examples_load():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```json\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) >= 2, "README lost its config examples"
+    for block in blocks:
+        config_from_dict(json.loads(block))
