@@ -9,7 +9,6 @@ reads the clusters off the embedding.
 """
 
 from .clustering import (
-    KmeansConfig,
     KmeansResult,
     PairConfusion,
     ari,
@@ -76,7 +75,6 @@ __all__ = [
     "CsvSource",
     "DirectionStrategy",
     "ExperimentConfig",
-    "KmeansConfig",
     "KmeansResult",
     "MethodConfig",
     "Mlp",

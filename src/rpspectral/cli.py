@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Verbs:
-  generate    write a synthetic dataset to a labeled CSV
-  pairs       mine training pairs from a labeled CSV
+  generate    write a config's synthetic dataset to a labeled CSV
+  pairs       mine the training pairs of one run of a config
   run         train and score a single pipeline run
   experiment  repeated runs on one dataset, with report files
   sweep       a grid of experiments, with a combined report
@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import SYNTHETIC_KINDS, SyntheticSpec, generate_synthetic, load_csv, standardize
+from .datasets import SyntheticSpec, generate_synthetic
 from .errors import BadGrid, ConfigError, RpSpectralError, StageError
 from .harness import (
-    MethodConfig,
     _split_timings,
     config_from_dict,
     load_dataset,
-    mine_pairs,
+    mine_run_pairs,
     report,
     run_experiment,
     run_pipeline,
@@ -40,39 +39,27 @@ from .spectralnet import save_spectral_checkpoint
 
 
 def _cmd_generate(args):
-    spec = SyntheticSpec(
-        kind=args.kind,
-        n=args.n,
-        noise=args.noise,
-        centers=args.centers,
-        seed=args.seed,
-    )
-    spec.validate()
+    config = config_from_dict(read_json(args.config))
+    spec = config.dataset
+    if not isinstance(spec, SyntheticSpec):
+        raise ConfigError(
+            f"{args.config}: generate needs a synthetic dataset, not the CSV "
+            f"file {spec.path}"
+        )
     X, y = generate_synthetic(spec)
     write_csv(
         args.out,
         [f"f{i}" for i in range(X.shape[1])] + ["label"],
         ([*row, label] for row, label in zip(X.tolist(), y.tolist())),
     )
-    print(f"wrote {len(X)} points ({args.kind}) to {args.out}")
+    print(f"wrote {len(X)} points ({spec.kind}) to {args.out}")
     return 0
 
 
-def _label_column(args):
-    return args.label_index if args.label_index is not None else args.label_column
-
-
 def _cmd_pairs(args):
-    X, _ = load_csv(args.data, _label_column(args))
-    X = standardize(X)
-    method = MethodConfig(
-        kind=args.method,
-        k=args.k,
-        leaf_size=args.leaf_size,
-        strategy=args.strategy,
-    )
-    method.validate()
-    pairs = mine_pairs(X, method, np.random.default_rng(args.seed))
+    config = config_from_dict(read_json(args.config))
+    X, _ = load_dataset(config.dataset)
+    pairs = mine_run_pairs(X, config, args.run_index)
 
     outdir = Path(args.outdir)
     save_pairs_csv(pairs, outdir / "positives.csv", outdir / "negatives.csv")
@@ -179,24 +166,14 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic dataset CSV")
-    p.add_argument("--kind", choices=SYNTHETIC_KINDS, default="blobs")
-    p.add_argument("--n", type=int, default=300)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--centers", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("generate", help="write a config's synthetic dataset CSV")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("pairs", help="mine training pairs from a CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--label-column", default="label")
-    p.add_argument("--label-index", type=int, default=None)
-    p.add_argument("--method", choices=("knn", "rptree"), default="rptree")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--leaf-size", type=int, default=20)
-    p.add_argument("--strategy", default="random")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("pairs", help="mine the training pairs of one run")
+    p.add_argument("--config", required=True)
+    p.add_argument("--run-index", type=int, default=0)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_pairs)
 

@@ -16,24 +16,11 @@ from .errors import KTooLarge, LengthMismatch, TooFewPoints, TooLarge
 from .siamese import heat_kernel, pairwise_distances, select_bandwidth
 
 _ORACLE_LIMIT = 2000  # dense eigendecomposition guard
-
-
-@dataclass(frozen=True)
-class KmeansConfig:
-    k: int
-    max_iterations: int = 300
-    tolerance: float = 1e-6
-    restarts: int = 10
-
-    def validate(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+# Lloyd runs per kmeans call (the lowest scatter wins), the iteration cap of
+# one run, and the center movement at which a run stops early.
+_RESTARTS = 10
+_MAX_ITERATIONS = 300
+_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -75,7 +62,7 @@ def _seed_centers(points, k, rng):
     return points[chosen].copy()
 
 
-def _lloyd(points, k, centers, max_iterations, tolerance):
+def _lloyd(points, k, centers, max_iterations=_MAX_ITERATIONS, tolerance=_TOLERANCE):
     n = len(points)
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(max_iterations):
@@ -108,20 +95,19 @@ def _lloyd(points, k, centers, max_iterations, tolerance):
     return labels, centers, inertia
 
 
-def kmeans(points, config: KmeansConfig, rng):
-    """Best of several Lloyd runs seeded from ``rng``, judged by scatter."""
-    config.validate()
+def kmeans(points, n_clusters, rng):
+    """Best of ``_RESTARTS`` Lloyd runs seeded from ``rng``, judged by scatter."""
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be at least 1")
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
-    if config.k > n:
-        raise KTooLarge(f"k={config.k} exceeds the {n} available points")
+    if n_clusters > n:
+        raise KTooLarge(f"k={n_clusters} exceeds the {n} available points")
 
     best = None
-    for _ in range(config.restarts):
-        centers = _seed_centers(points, config.k, rng)
-        labels, centers, inertia = _lloyd(
-            points, config.k, centers, config.max_iterations, config.tolerance
-        )
+    for _ in range(_RESTARTS):
+        centers = _seed_centers(points, n_clusters, rng)
+        labels, centers, inertia = _lloyd(points, n_clusters, centers)
         if best is None or inertia < best.inertia:
             best = KmeansResult(labels=labels, centers=centers, inertia=inertia)
     return best
@@ -232,7 +218,4 @@ def spectral_oracle(X, n_clusters, bandwidth=None, seed=0):
     laplacian = np.diag(affinity.sum(axis=1)) - affinity
     _, vectors = np.linalg.eigh(laplacian)
     embedding = vectors[:, :n_clusters]
-    result = kmeans(
-        embedding, KmeansConfig(k=n_clusters), np.random.default_rng(seed)
-    )
-    return result.labels
+    return kmeans(embedding, n_clusters, np.random.default_rng(seed)).labels

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clustering import KmeansConfig, ari, kmeans
+from .clustering import ari, kmeans
 from .datasets import SyntheticSpec, generate_synthetic, load_csv, standardize
 from .errors import (
     BadGrid,
@@ -76,7 +76,6 @@ class MethodConfig:
     k: int = 2
     leaf_size: int = 20
     strategy: str = "random"
-    max_split_retries: int = 3
 
     def validate(self):
         if self.kind not in ("knn", "rptree"):
@@ -107,7 +106,6 @@ class ExperimentConfig:
     base_seed: int = 0
     siamese: SiameseConfig = field(default_factory=SiameseConfig)
     spectral: SpectralConfig | None = None  # defaults derived from n_clusters
-    kmeans: KmeansConfig | None = None
 
     @property
     def spectral_config(self) -> SpectralConfig:
@@ -115,14 +113,6 @@ class ExperimentConfig:
             self.spectral
             if self.spectral is not None
             else SpectralConfig(n_clusters=self.n_clusters)
-        )
-
-    @property
-    def kmeans_config(self) -> KmeansConfig:
-        return (
-            self.kmeans
-            if self.kmeans is not None
-            else KmeansConfig(k=self.n_clusters)
         )
 
     def validate(self):
@@ -140,12 +130,9 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset: {exc}") from exc
         if self.spectral_config.n_clusters != self.n_clusters:
             raise ConfigError("spectral config disagrees on n_clusters")
-        if self.kmeans_config.k != self.n_clusters:
-            raise ConfigError("kmeans config disagrees on n_clusters")
         try:
             self.siamese.validate()
             self.spectral_config.validate()
-            self.kmeans_config.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -191,7 +178,6 @@ def mine_pairs(X, method: MethodConfig, rng):
         tree_config = TreeConfig(
             leaf_size=method.leaf_size,
             strategy=DirectionStrategy.parse(method.strategy),
-            max_split_retries=method.max_split_retries,
         )
         pairs = rptree_pairs(build_tree(X, tree_config, rng), rng)
     pairs.source = method.label
@@ -209,14 +195,34 @@ class PipelineRun:
     model: SpectralModel
 
 
+def _run_seed(config: ExperimentConfig, run_index):
+    """The seed of run ``run_index``, ``base_seed + run_index``.
+
+    A negative seed is refused with ConfigError before any stage runs.
+    """
+    run_seed = config.base_seed + run_index
+    if run_seed < 0:
+        raise ConfigError(
+            f"run seed base_seed + run_index = {config.base_seed} + "
+            f"{run_index} is negative"
+        )
+    return run_seed
+
+
+def mine_run_pairs(X, config: ExperimentConfig, run_index=0):
+    """The pair set that run ``run_index`` of ``config`` trains on."""
+    run_seed = _run_seed(config, run_index)
+    return mine_pairs(X, config.method, _stage_rng(run_seed, _STAGE_PAIRS))
+
+
 def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
     """Train and score one pipeline run; domain failures become StageError."""
-    run_seed = config.base_seed + run_index
+    run_seed = _run_seed(config, run_index)
     durations = {}
     t_start = time.perf_counter()
 
     with _stage("pairs", durations):
-        pairs = mine_pairs(X, config.method, _stage_rng(run_seed, _STAGE_PAIRS))
+        pairs = mine_run_pairs(X, config, run_index)
     with _stage("siamese", durations):
         twin, twin_history = train_siamese(
             X, pairs, config.siamese, rng=_stage_rng(run_seed, _STAGE_SIAMESE)
@@ -236,7 +242,7 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
         Y = embed(model, X)
     with _stage("kmeans", durations):
         clusters = kmeans(
-            Y, config.kmeans_config, rng=_stage_rng(run_seed, _STAGE_KMEANS)
+            Y, config.n_clusters, rng=_stage_rng(run_seed, _STAGE_KMEANS)
         )
     with _stage("score", durations):
         score = ari(y, clusters.labels) if y is not None else None
@@ -329,7 +335,7 @@ def sweep(base: ExperimentConfig, grid: dict) -> dict:
 
     Grid keys name either a top-level field ("n_clusters", "runs",
     "base_seed") or a section field like "method.leaf_size" or "dataset.n";
-    spectral.n_clusters and kmeans.k follow n_clusters. Every cell's config
+    spectral.n_clusters follows n_clusters. Every cell's config
     is built and checked before the first cell runs.
     Cells share the base seed so runs pair up across cells.
     """
@@ -357,8 +363,8 @@ def sweep(base: ExperimentConfig, grid: dict) -> dict:
 def _cell_config(base: ExperimentConfig, values) -> ExperimentConfig:
     """The config of one grid cell: ``base`` with ``values`` set in its JSON."""
     doc = config_to_dict(base)
-    # Both follow the top-level n_clusters, which a grid may change.
-    del doc["spectral"]["n_clusters"], doc["kmeans"]["k"]
+    # It follows the top-level n_clusters, which a grid may change.
+    del doc["spectral"]["n_clusters"]
     for key, value in values.items():
         section, _, name = key.rpartition(".")
         target = doc.get(section) if section else doc
@@ -372,10 +378,8 @@ def _cell_config(base: ExperimentConfig, values) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """The config as JSON, spectral and kmeans resolved to their defaults."""
-    doc = dataclasses.asdict(
-        replace(config, spectral=config.spectral_config, kmeans=config.kmeans_config)
-    )
+    """The config as JSON, spectral resolved to its defaults."""
+    doc = dataclasses.asdict(replace(config, spectral=config.spectral_config))
     synthetic = isinstance(config.dataset, SyntheticSpec)
     doc["dataset"] = {"type": "synthetic" if synthetic else "csv", **doc["dataset"]}
     for section in ("siamese", "spectral"):  # JSON arrays read back as lists
@@ -388,7 +392,6 @@ _SECTIONS = {
     "method": MethodConfig,
     "siamese": SiameseConfig,
     "spectral": SpectralConfig,
-    "kmeans": KmeansConfig,
 }
 
 
@@ -417,10 +420,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         {k: v for k, v in data.items() if k != "dataset" and k not in _SECTIONS},
         dataset=_dataset_from_dict(data["dataset"]),
     )
-    fixed = {
-        "spectral": {"n_clusters": config.n_clusters},
-        "kmeans": {"k": config.n_clusters},
-    }
+    fixed = {"spectral": {"n_clusters": config.n_clusters}}
     config = replace(
         config,
         **{
@@ -502,57 +502,61 @@ def _split_timings(record):
     return {**record, "runs": runs}, {"runs": timed}
 
 
+def _report_tables(record):
+    """(results, timings, summary table, plot table) of a results record.
+
+    A table is (header, rows). Only reads the record; a record of the wrong
+    shape raises KeyError, TypeError or AttributeError here.
+    """
+    results, timings = _split_timings(record)
+    if "cells" not in record:
+        return (
+            results,
+            timings,
+            (("dataset", "method", *_SUMMARY_FIELDS), [_summary_row(record)]),
+            (("run_index", "metric", "value"), _run_metric_rows(record)),
+        )
+    names = [
+        ",".join(f"{k}={v}" for k, v in cell["values"].items())
+        for cell in record["cells"]
+    ]
+    summary_rows, plot_rows = [], []
+    for name, cell in zip(names, record["cells"]):
+        summary_rows.append([name, *_summary_row(cell["experiment"])])
+        plot_rows.extend((name, *row) for row in _run_metric_rows(cell["experiment"]))
+    return (
+        results,
+        timings,
+        (("cell", "dataset", "method", *_SUMMARY_FIELDS), summary_rows),
+        (("cell", "run_index", "metric", "value"), plot_rows),
+    )
+
+
 def report(record: dict, outdir) -> dict:
     """Write results.json, timings.json, summary.csv and plotdata.csv.
 
     Accepts either a single experiment record or a sweep record (detected by
     its "cells" key). Run durations go to timings.json, everything else to
-    results.json. Returns the paths written.
+    results.json. The record is read in full before any file is written; one
+    of the wrong shape raises ConfigError. Returns the paths written.
     """
+    if not isinstance(record, dict):
+        raise ConfigError("a results record must be a JSON object")
+    try:
+        results, timings, summary, plot = _report_tables(record)
+    except KeyError as exc:
+        raise ConfigError(f"results record lacks the entry {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigError(f"results record has the wrong shape: {exc}") from exc
     outdir = Path(outdir)
-    results_path = outdir / "results.json"
-    timings_path = outdir / "timings.json"
-    summary_path = outdir / "summary.csv"
-    plot_path = outdir / "plotdata.csv"
-    results, timings = _split_timings(record)
-    write_json(results_path, results)
-    write_json(timings_path, timings)
-
-    if "cells" in record:
-        cell_names = [
-            ",".join(f"{k}={v}" for k, v in cell["values"].items())
-            for cell in record["cells"]
-        ]
-        write_csv(
-            summary_path,
-            ("cell", "dataset", "method", *_SUMMARY_FIELDS),
-            [
-                [name, *_summary_row(cell["experiment"])]
-                for name, cell in zip(cell_names, record["cells"])
-            ],
-        )
-        plot_rows = []
-        for name, cell in zip(cell_names, record["cells"]):
-            plot_rows.extend(
-                (name, *row) for row in _run_metric_rows(cell["experiment"])
-            )
-        write_csv(
-            plot_path, ("cell", "run_index", "metric", "value"), plot_rows
-        )
-    else:
-        write_csv(
-            summary_path,
-            ("dataset", "method", *_SUMMARY_FIELDS),
-            [_summary_row(record)],
-        )
-        write_csv(
-            plot_path,
-            ("run_index", "metric", "value"),
-            _run_metric_rows(record),
-        )
-    return {
-        "results": str(results_path),
-        "timings": str(timings_path),
-        "summary": str(summary_path),
-        "plotdata": str(plot_path),
+    paths = {
+        "results": str(outdir / "results.json"),
+        "timings": str(outdir / "timings.json"),
+        "summary": str(outdir / "summary.csv"),
+        "plotdata": str(outdir / "plotdata.csv"),
     }
+    write_json(paths["results"], results)
+    write_json(paths["timings"], timings)
+    write_csv(paths["summary"], *summary)
+    write_csv(paths["plotdata"], *plot)
+    return paths

@@ -165,9 +165,10 @@ class Mlp:
     def backward(self, cache, output_grad):
         """Backpropagate a loss gradient through a cached forward pass.
 
-        The gradient is cast to the weights' dtype. Returns (param_grads,
-        input_grad) where param_grads is a list of (dW, db) congruent with
-        the layers.
+        The gradient is cast to the weights' dtype. Returns the parameter
+        gradients, a list of (dW, db) congruent with the layers. The
+        gradient in the batch itself is not computed: no caller trains the
+        input.
         """
         output_grad = np.asarray(output_grad, dtype=self.dtype)
         if output_grad.shape != cache[-1][2].shape:
@@ -180,8 +181,9 @@ class Mlp:
             a_in, z, a_out = cache[i]
             dz = _through_activation(self.layers[i].activation, upstream, z, a_out)
             grads[i] = (a_in.T @ dz, dz.sum(axis=0))
-            upstream = dz @ self.layers[i].weights.T
-        return grads, upstream
+            if i:
+                upstream = dz @ self.layers[i].weights.T
+        return grads
 
     def to_dict(self):
         return {
@@ -313,7 +315,7 @@ def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):
     batch = np.asarray(batch, dtype=np.float64)
     output, cache = net.forward(batch)
     _, output_grad = loss_fn(output)
-    grads, _ = net.backward(cache, output_grad)
+    grads = net.backward(cache, output_grad)
 
     flat = []
     for i, layer in enumerate(net.layers):

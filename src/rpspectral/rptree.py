@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DegenerateSplit, NonFiniteInput
 
 _SPLIT_BAND = (0.25, 0.75)  # cut fraction drawn uniformly inside this band
+# Fresh random directions a node tries after a cut that leaves a side empty,
+# before it freezes into a degenerate leaf.
+_MAX_SPLIT_RETRIES = 3
 # Covariance entries per block of nodes in the pca strategy: 8 MiB of
 # float64, so a level of many high-dimensional nodes is done a block at a time.
 _COV_BLOCK = 1 << 20
@@ -80,13 +83,10 @@ class DirectionStrategy:
 class TreeConfig:
     leaf_size: int
     strategy: DirectionStrategy = DirectionStrategy.random()
-    max_split_retries: int = 3
 
     def __post_init__(self):
         if self.leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
-        if self.max_split_retries < 1:
-            raise ValueError("max_split_retries must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +237,7 @@ def _cut_segments(points, sizes, directions, rng, max_retries):
     return left, thresholds, directions, split
 
 
-def split_node(indices, X, direction, rng, max_retries=3):
+def split_node(indices, X, direction, rng, max_retries=_MAX_SPLIT_RETRIES):
     """Partition ``indices`` by a thresholded projection.
 
     The one-segment case of the level-wise build's cut: the threshold sits
@@ -306,7 +306,7 @@ def build_tree(X, config, rng):
         local = X[ids]
         directions, _ = choose_directions(local, size, config.strategy, rng)
         left, thresholds, directions, ok = _cut_segments(
-            local, size, directions, rng, config.max_split_retries
+            local, size, directions, rng, _MAX_SPLIT_RETRIES
         )
         leaf_parts.append((start[~ok], size[~ok], np.ones((~ok).sum(), bool), slot[~ok]))
         split_parts.append((slot[ok], directions[ok], thresholds[ok]))

@@ -125,7 +125,7 @@ def _twin_gradients(net, X, ends, positive_mask, margin, slot):
     G = G_ends[first]
     repeat = ~first
     np.add.at(G, local[repeat], G_ends[repeat])
-    grads, _ = net.backward(cache, G)
+    grads = net.backward(cache, G)
     return loss, grads
 
 

@@ -36,6 +36,9 @@ from .serialize import read_json, section_from_dict, write_json
 from .siamese import heat_kernel, pairwise_distances
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
+# Diagonal bump, relative to the mean Gram eigenvalue, tried once when a
+# batch Gram matrix has no Cholesky factor.
+_JITTER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,6 @@ class SpectralConfig:
     learning_rate_schedule: str = "constant"  # or "cosine" (decay to zero)
     restarts: int = 1  # train this many nets, keep the lowest-loss one
     features: str = "raw"  # or "twin": body consumes the twin embedding
-    jitter: float = 1e-6
 
     def validate(self):
         if self.n_clusters < 1:
@@ -73,8 +75,6 @@ class SpectralConfig:
             raise ValueError("restarts must be at least 1")
         if self.features not in ("raw", "twin"):
             raise ValueError(f"unknown features mode {self.features!r}")
-        if self.jitter < 0:
-            raise ValueError("jitter must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def ortho_residual(Y, m):
     return math.sqrt(flat.dot(flat))
 
 
-def orthogonalize(Y_raw, jitter=1e-6):
+def orthogonalize(Y_raw, jitter=_JITTER):
     """Whiten a batch of raw outputs so the result satisfies Y^T Y = m I.
 
     Returns (Y_ortho, OrthoMap). A single whitening pass is refined with a
@@ -128,7 +128,7 @@ def orthogonalize(Y_raw, jitter=1e-6):
     return Y, ortho_map
 
 
-def _orthogonalize(Y_raw, jitter):
+def _orthogonalize(Y_raw, jitter=_JITTER):
     """``orthogonalize``, also returning ``ortho_residual`` of its output."""
     Y_raw = np.asarray(Y_raw, dtype=np.float64)
     m, g = Y_raw.shape
@@ -193,7 +193,7 @@ class SpectralModel:
     selected_restart: int = 0
 
 
-def _whitened_loss(out, affinity, jitter, degrees=None):
+def _whitened_loss(out, affinity, jitter=_JITTER, degrees=None):
     """Loss of the whitened batch output and its exact gradient in ``out``.
 
     With Y = out @ T whitened so that Y^T Y = m I, the loss equals
@@ -312,9 +312,9 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
                 batch, affinity = narrow[idx], batch_affinity(idx)
             out, cache = net.forward(batch)
             loss, grad_out, residual = _whitened_loss(
-                out.astype(np.float64), affinity, config.jitter, degrees_full
+                out.astype(np.float64), affinity, degrees=degrees_full
             )
-            grads, _ = net.backward(cache, grad_out)
+            grads = net.backward(cache, grad_out)
             optimizer.step(net, grads)
             loss_history.append(loss)
             ortho_residuals.append(residual)
@@ -327,7 +327,7 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         else:
             final_idx = run_rng.choice(n, size=m, replace=False)
         Y_raw = net.predict(features[final_idx])
-        _, ortho_map, residual = _orthogonalize(Y_raw, config.jitter)
+        _, ortho_map, residual = _orthogonalize(Y_raw)
         ortho_residuals.append(residual)
         return net, ortho_map, final_idx, loss_history, ortho_residuals
 

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from rpspectral import harness
 from rpspectral.cli import main
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import ConfigError
-from rpspectral.harness import config_from_dict
+from rpspectral.harness import config_from_dict, load_dataset, mine_pairs, run_pipeline
 from rpspectral.serialize import read_json
 from rpspectral.siamese import load_twin_checkpoint
 from rpspectral.spectralnet import load_spectral_checkpoint
@@ -36,12 +37,17 @@ def write_config(tmp_path, doc=None):
     return str(path)
 
 
+def dataset_config(tmp_path, dataset, **sections):
+    """A config file holding ``dataset`` and the given top-level entries."""
+    return write_config(tmp_path, {"dataset": dataset, **sections})
+
+
 def test_generate_writes_labeled_csv(tmp_path, capsys):
     out = tmp_path / "data" / "blobs.csv"
-    code = main(
-        ["generate", "--kind", "blobs", "--n", "40", "--noise", "0.05",
-         "--seed", "1", "--out", str(out)]
+    config = dataset_config(
+        tmp_path, {"kind": "blobs", "n": 40, "noise": 0.05, "seed": 1}
     )
+    code = main(["generate", "--config", config, "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "f0,f1,label"
@@ -51,9 +57,10 @@ def test_generate_writes_labeled_csv(tmp_path, capsys):
 
 def test_generate_writes_the_bytes_of_a_per_row_writer(tmp_path):
     out = tmp_path / "moons.csv"
-    argv = ["--kind", "moons", "--n", "50", "--noise", "0.07", "--seed", "3"]
-    assert main(["generate", *argv, "--out", str(out)]) == 0
-    X, y = generate_synthetic(SyntheticSpec(kind="moons", n=50, noise=0.07, seed=3))
+    spec = {"kind": "moons", "n": 50, "noise": 0.07, "seed": 3}
+    config = dataset_config(tmp_path, spec)
+    assert main(["generate", "--config", config, "--out", str(out)]) == 0
+    X, y = generate_synthetic(SyntheticSpec(**spec))
     want = io.StringIO(newline="")
     writer = csv.writer(want)
     writer.writerow(["f0", "f1", "label"])
@@ -63,22 +70,29 @@ def test_generate_writes_the_bytes_of_a_per_row_writer(tmp_path):
 
 
 def test_generate_rejects_bad_spec(tmp_path, capsys):
-    code = main(
-        ["generate", "--kind", "blobs", "--n", "0", "--out", str(tmp_path / "x.csv")]
-    )
+    config = dataset_config(tmp_path, {"kind": "blobs", "n": 0})
+    code = main(["generate", "--config", config, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_refuses_a_csv_dataset_config(tmp_path, capsys):
+    config = dataset_config(tmp_path, {"path": "points.csv"})
+    out = tmp_path / "x.csv"
+    assert main(["generate", "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "synthetic dataset" in err and "points.csv" in err
+    assert not out.exists()
+
+
 def test_pairs_verb(tmp_path, capsys):
-    data = tmp_path / "moons.csv"
-    main(["generate", "--kind", "moons", "--n", "80", "--noise", "0.05",
-          "--out", str(data)])
-    outdir = tmp_path / "pairs"
-    code = main(
-        ["pairs", "--data", str(data), "--method", "rptree",
-         "--leaf-size", "10", "--outdir", str(outdir)]
+    config = dataset_config(
+        tmp_path,
+        {"kind": "moons", "n": 80, "noise": 0.05},
+        method={"kind": "rptree", "leaf_size": 10},
     )
+    outdir = tmp_path / "pairs"
+    code = main(["pairs", "--config", config, "--outdir", str(outdir)])
     assert code == 0
     meta = read_json(outdir / "pairs.json")
     assert meta["source"] == "rptree:leaf=10:random"
@@ -91,23 +105,65 @@ def test_pairs_verb(tmp_path, capsys):
 
 
 def test_pairs_knn_route(tmp_path):
-    data = tmp_path / "blobs.csv"
-    main(["generate", "--n", "50", "--noise", "0.05", "--out", str(data)])
-    outdir = tmp_path / "knn"
-    code = main(
-        ["pairs", "--data", str(data), "--method", "knn", "--k", "3",
-         "--outdir", str(outdir)]
+    config = dataset_config(
+        tmp_path,
+        {"kind": "blobs", "n": 50, "noise": 0.05},
+        method={"kind": "knn", "k": 3},
     )
+    outdir = tmp_path / "knn"
+    code = main(["pairs", "--config", config, "--outdir", str(outdir)])
     assert code == 0
     assert read_json(outdir / "pairs.json")["raw_positive"] == 150
 
 
+@pytest.mark.parametrize("kind", ["rptree", "knn"])
+def test_pairs_writes_the_pair_set_of_the_run(tmp_path, monkeypatch, kind):
+    doc = quick_config_doc()
+    if kind == "knn":
+        doc["method"] = {"kind": "knn", "k": 3}
+    config = write_config(tmp_path, doc)
+    outdir = tmp_path / "pairs"
+    assert main(["pairs", "--config", config, "--run-index", "3",
+                 "--outdir", str(outdir)]) == 0
+
+    caught = []
+
+    def catching(*args):
+        caught.append(mine_pairs(*args))
+        return caught[-1]
+
+    monkeypatch.setattr(harness, "mine_pairs", catching)
+    parsed = config_from_dict(doc)
+    X, y = load_dataset(parsed.dataset)
+    record = run_pipeline(X, y, parsed, run_index=3).record
+    (pairs,) = caught
+    for name, want in (("positives", pairs.positives), ("negatives", pairs.negatives)):
+        got = np.loadtxt(
+            outdir / f"{name}.csv", delimiter=",", skiprows=1, dtype=np.int64, ndmin=2
+        )
+        assert np.array_equal(got, want)
+    meta = read_json(outdir / "pairs.json")
+    assert [meta[k] for k in ("positive", "negative", "raw_positive")] == [
+        record["pair_counts"][k] for k in ("positive", "negative", "raw_positive")
+    ]
+
+
 def test_pairs_missing_file_is_config_error(tmp_path, capsys):
-    code = main(
-        ["pairs", "--data", str(tmp_path / "nope.csv"), "--outdir", str(tmp_path)]
-    )
+    config = dataset_config(tmp_path, {"path": str(tmp_path / "nope.csv")})
+    code = main(["pairs", "--config", config, "--outdir", str(tmp_path / "p")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert "nope.csv" in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "pairs"])
+def test_negative_run_seed_exits_2(tmp_path, capsys, verb):
+    outdir = tmp_path / "out"
+    code = main([verb, "--config", write_config(tmp_path), "--run-index", "-1",
+                 "--outdir", str(outdir)])
+    assert code == 2
+    assert "base_seed + run_index = 0 + -1 is negative" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_run_verb_happy_path(tmp_path, capsys):
@@ -277,7 +333,7 @@ WRONG_TYPES = [
     ("dataset", {"path": "points.csv", "header": 1}, "dataset.header"),
     ("siamese", {"hidden_sizes": [8.5]}, "siamese.hidden_sizes"),
     ("spectral", {"learning_rate": "0.01"}, "spectral.learning_rate"),
-    ("kmeans", {"restarts": 2.5}, "kmeans.restarts"),
+    ("method", {"k": 2.5}, "method.k"),
     (None, {"runs": 2.7}, "runs"),
 ]
 
@@ -319,12 +375,52 @@ def test_unwritable_output_paths_exit_2(tmp_path, capsys):
     # A path under a regular file can be neither created nor written.
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-    data = tmp_path / "blobs.csv"
-    assert main(["generate", "--n", "40", "--out", str(data)]) == 0
-    capsys.readouterr()
+    config = write_config(tmp_path)
     for argv in (
-        ["generate", "--n", "40", "--out", str(blocker / "blobs.csv")],
-        ["pairs", "--data", str(data), "--outdir", str(blocker / "pairs")],
+        ["generate", "--config", config, "--out", str(blocker / "blobs.csv")],
+        ["pairs", "--config", config, "--outdir", str(blocker / "pairs")],
     ):
         assert main(argv) == 2
         assert str(blocker) in capsys.readouterr().err
+
+
+REMOVED_SETTINGS = [
+    ("kmeans", {"restarts": 10}, "unknown top-level option(s): kmeans"),
+    ("method", {"max_split_retries": 0}, "unknown method option(s): max_split_retries"),
+    ("spectral", {"jitter": 1e-6}, "unknown spectral option(s): jitter"),
+]
+
+
+@pytest.mark.parametrize("section, values, message", REMOVED_SETTINGS)
+def test_removed_settings_are_refused_naming_the_key(
+    tmp_path, capsys, section, values, message
+):
+    doc = quick_config_doc()
+    doc.setdefault(section, {}).update(values)
+    code = main(
+        ["experiment", "--config", write_config(tmp_path, doc),
+         "--outdir", str(tmp_path / "out")]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"runs": [{"run_index": 0}]}', "lacks the entry 'config'"),
+        ("[1]", "must be a JSON object"),
+        ('{"runs": [1]}', "wrong shape"),
+    ],
+)
+def test_report_on_a_malformed_record_exits_2_writing_nothing(
+    tmp_path, capsys, text, message
+):
+    path = tmp_path / "results.json"
+    path.write_text(text, encoding="utf-8")
+    outdir = tmp_path / "out"
+    code = main(["report", "--results", str(path), "--outdir", str(outdir)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()

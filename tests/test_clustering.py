@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpspectral.clustering import (
-    KmeansConfig,
+    _lloyd,
+    _seed_centers,
     ari,
     kmeans,
     pair_confusion,
@@ -123,14 +124,14 @@ def test_labels_accept_strings():
 
 def test_kmeans_recovers_separated_blobs():
     X, y = generate_synthetic(SyntheticSpec(kind="blobs", n=150, noise=0.05, seed=0))
-    result = kmeans(X, KmeansConfig(k=3), rng=np.random.default_rng(0))
+    result = kmeans(X, 3, rng=np.random.default_rng(0))
     assert ari(y, result.labels) == 1.0
     assert result.centers.shape == (3, 2)
     assert result.inertia >= 0.0
 
 
 def test_kmeans_two_points():
-    result = kmeans(np.array([[0.0], [1.0]]), KmeansConfig(k=2), rng=np.random.default_rng(0))
+    result = kmeans(np.array([[0.0], [1.0]]), 2, rng=np.random.default_rng(0))
     assert set(result.labels.tolist()) == {0, 1}
     assert result.inertia == 0.0
 
@@ -138,7 +139,7 @@ def test_kmeans_two_points():
 def test_kmeans_k_one_center_is_mean():
     rng = np.random.default_rng(1)
     X = rng.normal(size=(30, 2))
-    result = kmeans(X, KmeansConfig(k=1), rng=np.random.default_rng(0))
+    result = kmeans(X, 1, rng=np.random.default_rng(0))
     assert not result.labels.any()
     assert np.allclose(result.centers[0], X.mean(axis=0))
 
@@ -146,25 +147,28 @@ def test_kmeans_k_one_center_is_mean():
 def test_kmeans_is_deterministic():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(60, 2))
-    a = kmeans(X, KmeansConfig(k=4), rng=np.random.default_rng(7))
-    b = kmeans(X, KmeansConfig(k=4), rng=np.random.default_rng(7))
+    a = kmeans(X, 4, rng=np.random.default_rng(7))
+    b = kmeans(X, 4, rng=np.random.default_rng(7))
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centers, b.centers)
     assert a.inertia == b.inertia
 
 
 def test_kmeans_restarts_never_hurt():
+    # kmeans's first restart is one seeding and one Lloyd pass on the same
+    # generator; the best of all restarts can only lower its scatter.
     rng = np.random.default_rng(3)
     X = rng.normal(size=(80, 2))
-    single = kmeans(X, KmeansConfig(k=5, restarts=1), rng=np.random.default_rng(0))
-    many = kmeans(X, KmeansConfig(k=5, restarts=10), rng=np.random.default_rng(0))
-    assert many.inertia <= single.inertia + 1e-12
+    first = np.random.default_rng(0)
+    _, _, single = _lloyd(X, 5, _seed_centers(X, 5, first))
+    many = kmeans(X, 5, rng=np.random.default_rng(0))
+    assert many.inertia <= single + 1e-12
 
 
 def test_kmeans_inertia_is_true_scatter():
     rng = np.random.default_rng(4)
     X = rng.normal(size=(40, 3))
-    result = kmeans(X, KmeansConfig(k=3), rng=np.random.default_rng(1))
+    result = kmeans(X, 3, rng=np.random.default_rng(1))
     scatter = sum(
         np.sum((X[i] - result.centers[result.labels[i]]) ** 2) for i in range(40)
     )
@@ -174,11 +178,9 @@ def test_kmeans_inertia_is_true_scatter():
 def test_kmeans_errors():
     X = np.zeros((3, 2))
     with pytest.raises(KTooLarge):
-        kmeans(X, KmeansConfig(k=4), rng=np.random.default_rng(0))
+        kmeans(X, 4, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        KmeansConfig(k=0).validate()
-    with pytest.raises(ValueError):
-        KmeansConfig(k=2, restarts=0).validate()
+        kmeans(X, 0, rng=np.random.default_rng(0))
 
 
 # --- dense spectral reference ---

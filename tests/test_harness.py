@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rpspectral import harness
-from rpspectral.clustering import KmeansConfig
+from rpspectral.clustering import kmeans
 from rpspectral.datasets import SyntheticSpec
 from rpspectral.errors import BadGrid, ConfigError, NonFiniteInput, StageError
 from rpspectral.harness import (
@@ -18,6 +18,7 @@ from rpspectral.harness import (
     config_to_dict,
     load_dataset,
     mine_pairs,
+    mine_run_pairs,
     report,
     run_experiment,
     run_pipeline,
@@ -69,7 +70,6 @@ def test_config_from_dict_minimal():
     assert config.runs == 10
     assert config.spectral is None
     assert config.spectral_config.n_clusters == 2
-    assert config.kmeans_config.k == 2
 
 
 def test_config_from_dict_csv_detection():
@@ -91,7 +91,7 @@ def test_config_from_dict_rejects_unknown_keys():
         )
 
 
-@pytest.mark.parametrize("section", ["siamese", "spectral", "kmeans"])
+@pytest.mark.parametrize("section", ["method", "siamese", "spectral"])
 def test_config_from_dict_rejects_section_seed(section):
     # Each stage draws from the run's per-stage generator; a section seed
     # would be a setting that changes nothing.
@@ -229,6 +229,22 @@ def test_run_pipeline_is_deterministic_apart_from_durations():
     assert first == second
 
 
+def test_negative_run_seed_is_refused_before_any_stage(monkeypatch):
+    def no_stage(name, durations):
+        raise AssertionError(f"stage {name} ran")
+
+    monkeypatch.setattr(harness, "_stage", no_stage)
+    config = quick_config()
+    X, y = load_dataset(config.dataset)
+    with pytest.raises(ConfigError, match=r"0 \+ -1 is negative"):
+        run_pipeline(X, y, config, run_index=-1)
+    with pytest.raises(ConfigError, match=r"0 \+ -1 is negative"):
+        mine_run_pairs(X, config, run_index=-1)
+    # A base seed that covers the negative index is a valid run.
+    shifted = replace(config, base_seed=1)
+    assert mine_run_pairs(X, shifted, -1).source == "rptree:leaf=10:random"
+
+
 def test_run_index_changes_results():
     config = quick_config()
     X, y = load_dataset(config.dataset)
@@ -328,6 +344,10 @@ def test_sweep_bad_grids():
         sweep(config, {"method.nonsense": [1]})
     with pytest.raises(BadGrid):
         sweep(config, {"turbo.mode": [1]})
+    # Settings of earlier versions, now constants.
+    for key in ("kmeans.restarts", "method.max_split_retries", "spectral.jitter"):
+        with pytest.raises(BadGrid, match=f"unknown grid key '{key}'"):
+            sweep(config, {key: [1]})
 
 
 @pytest.mark.parametrize(
@@ -348,15 +368,22 @@ def test_sweep_refuses_a_wrong_typed_value_before_any_cell_runs(monkeypatch, gri
         sweep(quick_config(runs=1), grid)
 
 
-def test_sweep_over_n_clusters_carries_spectral_and_kmeans():
+def test_sweep_over_n_clusters_carries_spectral_and_kmeans(monkeypatch):
     # The base sets its spectral section explicitly, for n_clusters=2.
+    clusters = []
+
+    def counting_kmeans(points, n_clusters, rng):
+        clusters.append(n_clusters)
+        return kmeans(points, n_clusters, rng)
+
+    monkeypatch.setattr(harness, "kmeans", counting_kmeans)
     record = sweep(quick_config(runs=1), {"n_clusters": [2, 3]})
     for cell, n in zip(record["cells"], (2, 3)):
         config = cell["experiment"]["config"]
         assert config["n_clusters"] == n
         assert config["spectral"]["n_clusters"] == n
-        assert config["kmeans"]["k"] == n
         assert config["spectral"]["total_steps"] == 20
+    assert clusters == [2, 3]
     assert record["base_config"] == config_to_dict(quick_config(runs=1))
 
 

@@ -300,6 +300,4 @@ def test_tree_config_validation():
     with pytest.raises(ValueError):
         TreeConfig(leaf_size=0)
     with pytest.raises(ValueError):
-        TreeConfig(leaf_size=5, max_split_retries=0)
-    with pytest.raises(ValueError):
         build_tree(np.zeros((0, 2)), TreeConfig(leaf_size=5), rng=np.random.default_rng(0))

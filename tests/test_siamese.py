@@ -148,8 +148,8 @@ def reference_twin_gradients(net, X, left, right, mask, margin):
     Z1, cache1 = net.forward(X[left])
     Z2, cache2 = net.forward(X[right])
     loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, margin)
-    grads1, _ = net.backward(cache1, G1)
-    grads2, _ = net.backward(cache2, G2)
+    grads1 = net.backward(cache1, G1)
+    grads2 = net.backward(cache2, G2)
     total = [
         (gw1 + gw2, gb1 + gb2) for (gw1, gb1), (gw2, gb2) in zip(grads1, grads2)
     ]

@@ -1,3 +1,4 @@
+import json
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -7,11 +8,13 @@ from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import (
     BadArchitecture,
     BatchTooSmall,
+    ConfigError,
     NonFiniteInput,
     ShapeMismatch,
     SingularGram,
 )
 from rpspectral.mlp import Adam, Mlp
+from rpspectral.serialize import read_json
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
     OrthoMap,
@@ -375,6 +378,19 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(loaded.final_batch, model.final_batch)
 
 
+def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path):
+    X, _ = blobs_case()
+    config = SpectralConfig(n_clusters=3, batch_size=32, total_steps=4, hidden_sizes=(8,))
+    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(5))
+    path = tmp_path / "spectral.json"
+    save_spectral_checkpoint(model, path)
+    payload = read_json(path)
+    payload["config"]["jitter"] = 1e-6  # written by versions that had the setting
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown spectral option.*jitter"):
+        load_spectral_checkpoint(path)
+
+
 # --- restarts, schedules, twin features ---
 
 
@@ -499,7 +515,6 @@ def test_checkpoint_round_trip_every_config_field(tmp_path):
         learning_rate_schedule="cosine",
         restarts=2,
         features="twin",
-        jitter=1e-7,
     )
     for f in fields(SpectralConfig):
         if f.default is not MISSING:
@@ -579,12 +594,12 @@ def test_float32_step_tracks_the_float64_step(seed):
     X32 = X.astype(np.float32)
     out, cache = narrow.forward(X32)
     loss, grad_out, _ = _whitened_loss(out.astype(np.float64), A, jitter=1e-6)
-    grads, _ = narrow.backward(cache, grad_out)
+    grads = narrow.backward(cache, grad_out)
 
     wide = narrow.astype(np.float64)
     out64, cache64 = wide.forward(X32.astype(np.float64))
     wide_loss, grad_out64, _ = _whitened_loss(out64, A, jitter=1e-6)
-    wide_grads, _ = wide.backward(cache64, grad_out64)
+    wide_grads = wide.backward(cache64, grad_out64)
     assert loss == pytest.approx(wide_loss, rel=1e-4)
     got = np.concatenate([g.ravel() for pair in grads for g in pair])
     want = np.concatenate([w.ravel() for pair in wide_grads for w in pair])
@@ -619,10 +634,9 @@ def test_training_steps_run_in_float32(case, monkeypatch):
         seen["backward"] += 1
         assert net.dtype == np.float32
         assert all(a.dtype == np.float32 for entry in cache for a in entry)
-        grads, input_grad = backward(net, cache, output_grad)
+        grads = backward(net, cache, output_grad)
         assert all(g.dtype == np.float32 for pair in grads for g in pair)
-        assert input_grad.dtype == np.float32
-        return grads, input_grad
+        return grads
 
     def spy_step(optimizer, net, grads):
         seen["adam"] += 1

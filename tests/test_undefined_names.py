@@ -6,17 +6,20 @@ module's symbol tables (stdlib ``symtable``) and lists the global names that
 some scope reads but that the module never binds, imports or finds among the
 builtins. The README's ```python blocks get the same check, and each
 ``rp.<name>`` they use must be exported in ``rpspectral.__all__``; its
-```json config examples must load through ``config_from_dict``.
+```json config examples must load through ``config_from_dict``, and each
+``rpspectral`` command in its ```sh blocks must parse with the CLI's parser.
 """
 
 import ast
 import builtins
 import json
 import re
+import shlex
 import symtable
 from pathlib import Path
 
 import rpspectral
+from rpspectral.cli import _build_parser
 from rpspectral.harness import config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +106,21 @@ def test_readme_config_examples_load():
     assert len(blocks) >= 2, "README lost its config examples"
     for block in blocks:
         config_from_dict(json.loads(block))
+
+
+def test_readme_cli_lines_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("rpspectral ")
+    ]
+    assert len(commands) >= 6, "README lost its CLI examples"
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"README command does not parse: {shlex.join(argv)}")
