@@ -51,9 +51,7 @@ from .siamese import (
     SiameseConfig,
     contrastive_loss,
     heat_kernel,
-    load_twin_checkpoint,
     pairwise_distances,
-    save_twin_checkpoint,
     select_bandwidth,
     siamese_distances,
     train_siamese,
@@ -104,7 +102,6 @@ __all__ = [
     "leaves",
     "load_csv",
     "load_dataset",
-    "load_twin_checkpoint",
     "mine_pairs",
     "orthogonalize",
     "pair_confusion",
@@ -113,7 +110,6 @@ __all__ = [
     "rptree_pairs",
     "run_experiment",
     "run_pipeline",
-    "save_twin_checkpoint",
     "select_bandwidth",
     "siamese_distances",
     "spectral_loss",

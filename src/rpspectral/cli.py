@@ -32,10 +32,8 @@ from .harness import (
     run_pipeline,
     sweep,
 )
-from .siamese import save_twin_checkpoint
 from .pairing import save_pairs_csv
 from .serialize import read_json, write_csv, write_json
-from .spectralnet import save_spectral_checkpoint
 
 
 def _cmd_generate(args):
@@ -101,14 +99,6 @@ def _cmd_run(args):
         ("index", "label"),
         np.column_stack((np.arange(len(result.labels)), result.labels)),
     )
-    if args.save_models:
-        save_twin_checkpoint(
-            result.twin,
-            result.record["bandwidth"],
-            result.record["pair_source"],
-            outdir / "twin.json",
-        )
-        save_spectral_checkpoint(result.model, outdir / "spectral.json")
     score = result.record["ari"]
     shown = "undefined" if score is None else f"{score:.4f}"
     print(f"run {args.run_index}: ari={shown} -> {outdir}")
@@ -180,7 +170,6 @@ def _build_parser():
     p = sub.add_parser("run", help="train and score one pipeline run")
     p.add_argument("--config", required=True)
     p.add_argument("--run-index", type=int, default=0)
-    p.add_argument("--save-models", action="store_true")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_run)
 

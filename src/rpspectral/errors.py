@@ -75,7 +75,7 @@ class MissingPolarity(RpSpectralError):
 
 
 class NonFiniteInput(RpSpectralError):
-    """Training data holds NaN, infinite or float32-overflowing values."""
+    """Data or distances hold NaN, infinite or float32-overflowing values."""
 
 
 class IndexOutOfRange(RpSpectralError):

@@ -33,7 +33,6 @@ from .errors import (
     RpSpectralError,
     StageError,
 )
-from .mlp import Mlp
 from .pairing import knn_pairs, rptree_pairs
 from .rptree import DirectionStrategy, TreeConfig, build_tree
 from .serialize import section_from_dict, write_csv, write_json
@@ -130,11 +129,14 @@ class ExperimentConfig:
                 raise ConfigError(f"dataset: {exc}") from exc
         if self.spectral_config.n_clusters != self.n_clusters:
             raise ConfigError("spectral config disagrees on n_clusters")
-        try:
-            self.siamese.validate()
-            self.spectral_config.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for section, part in (
+            ("siamese", self.siamese),
+            ("spectral", self.spectral_config),
+        ):
+            try:
+                part.validate()
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _stage_rng(run_seed, stage):
@@ -191,7 +193,6 @@ class PipelineRun:
     record: dict
     labels: np.ndarray
     embedding: np.ndarray
-    twin: Mlp
     model: SpectralModel
 
 
@@ -270,7 +271,6 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
         record=record,
         labels=clusters.labels,
         embedding=Y,
-        twin=twin,
         model=model,
     )
 

@@ -185,31 +185,6 @@ class Mlp:
                 upstream = dz @ self.layers[i].weights.T
         return grads
 
-    def to_dict(self):
-        return {
-            "layers": [
-                {
-                    "weights": l.weights.tolist(),
-                    "biases": l.biases.tolist(),
-                    "activation": l.activation,
-                }
-                for l in self.layers
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(
-            [
-                Layer(
-                    np.array(l["weights"], dtype=np.float64),
-                    np.array(l["biases"], dtype=np.float64),
-                    l["activation"],
-                )
-                for l in doc["layers"]
-            ]
-        )
-
 
 class Adam:
     """Adaptive-moment optimizer with bias correction.

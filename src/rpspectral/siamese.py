@@ -6,8 +6,8 @@ are pulled together (squared distance), negative pairs pushed past a margin
 whose bandwidth is the median positive-pair distance.
 
 The twin trains in float32 and is handed back widened to float64, exactly;
-everything after training (distances, bandwidth, kernel, checkpoints)
-computes in float64. Float32 keeps about seven significant digits, so inputs
+everything after training (distances, bandwidth, kernel) computes in
+float64. Float32 keeps about seven significant digits, so inputs
 are expected at standardized scale: a large constant offset in a feature
 costs the float32 copy its precision. The harness standardizes CSV input.
 """
@@ -24,10 +24,10 @@ from .errors import (
     EmptyPairSet,
     IndexOutOfRange,
     MissingPolarity,
+    NonFiniteInput,
     ShapeMismatch,
 )
 from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
-from .serialize import read_json, write_json
 
 _NORM_FLOOR = 1e-12  # guards the distance gradient at coincident embeddings
 # Pairs per block in siamese_distances; with the default 32-wide embedding a
@@ -49,11 +49,21 @@ class SiameseConfig:
         if self.margin <= 0:
             raise ValueError("margin must be positive")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+            )
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes must be at least 1, got {self.hidden_sizes}"
+            )
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be at least 1")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
 
 
 def contrastive_loss(z1, z2, is_positive, margin=1.0):
@@ -236,11 +246,18 @@ def select_bandwidth(distances):
     """Median heat-kernel bandwidth from a distance sample.
 
     Falls back to the smallest nonzero distance when the median is zero;
-    raises AllZeroDistances when nothing nonzero exists to set a scale.
+    raises AllZeroDistances when nothing nonzero exists to set a scale, and
+    NonFiniteInput when the sample holds NaN or infinite distances (a
+    diverged twin), which would otherwise poison the median.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.size == 0:
         raise AllZeroDistances("empty distance sample")
+    bad = distances.size - int(np.count_nonzero(np.isfinite(distances)))
+    if bad:
+        raise NonFiniteInput(
+            f"{bad} of {distances.size} distance(s) are NaN or infinite"
+        )
     median = float(np.median(distances))
     if median > 0:
         return median
@@ -276,21 +293,3 @@ def heat_kernel(distances, bandwidth):
     A = np.exp(-(distances**2) / (2.0 * bandwidth**2))
     np.fill_diagonal(A, 0.0)
     return A
-
-
-def save_twin_checkpoint(net, bandwidth, pair_source, path):
-    """Network weights plus the frozen bandwidth and pair provenance tag."""
-    write_json(
-        path,
-        {
-            "network": net.to_dict(),
-            "bandwidth": float(bandwidth),
-            "pair_source": pair_source,
-        },
-    )
-
-
-def load_twin_checkpoint(path):
-    """Inverse of save_twin_checkpoint; returns (net, bandwidth, pair_source)."""
-    doc = read_json(path)
-    return Mlp.from_dict(doc["network"]), doc["bandwidth"], doc["pair_source"]

@@ -20,7 +20,7 @@ the twin.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     SingularGram,
 )
 from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
-from .serialize import read_json, section_from_dict, write_json
 from .siamese import heat_kernel, pairwise_distances
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
@@ -45,6 +44,8 @@ _JITTER = 1e-6
 class SpectralConfig:
     n_clusters: int
     batch_size: int = 64
+    # One whitening plus one gradient update counts as two steps, so a net
+    # makes total_steps // 2 updates.
     total_steps: int = 1024
     hidden_sizes: tuple = (128, 128)
     activation: str = "relu"
@@ -57,7 +58,13 @@ class SpectralConfig:
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be at least 1")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(
+                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
+            )
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(
+                f"hidden_sizes must be at least 1, got {self.hidden_sizes}"
+            )
         if self.batch_size < self.n_clusters:
             raise ValueError(
                 "batch_size must be at least n_clusters "
@@ -69,12 +76,13 @@ class SpectralConfig:
             raise ValueError("learning_rate must be positive")
         if self.learning_rate_schedule not in ("constant", "cosine"):
             raise ValueError(
-                f"unknown learning_rate_schedule {self.learning_rate_schedule!r}"
+                "learning_rate_schedule must be 'constant' or 'cosine', got "
+                f"{self.learning_rate_schedule!r}"
             )
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.features not in ("raw", "twin"):
-            raise ValueError(f"unknown features mode {self.features!r}")
+            raise ValueError(f"features must be 'raw' or 'twin', got {self.features!r}")
 
 
 @dataclass(frozen=True)
@@ -370,38 +378,3 @@ def embed(model: SpectralModel, X):
         X = model.twin.predict(X)
     out = model.net.predict(X)
     return out @ model.ortho.transform
-
-
-def save_spectral_checkpoint(model: SpectralModel, path):
-    payload = {
-        "network": model.net.to_dict(),
-        "transform": model.ortho.transform.tolist(),
-        "batch_size": model.ortho.batch_size,
-        "final_batch": model.final_batch.tolist(),
-        "loss_history": model.loss_history,
-        "ortho_residuals": model.ortho_residuals,
-        "selected_restart": model.selected_restart,
-        "config": asdict(model.config),
-    }
-    if model.config.features == "twin":
-        # Twin-feature models cannot embed without the feature net; keep the
-        # checkpoint self-contained by carrying it along.
-        payload["twin"] = model.twin.to_dict()
-    write_json(path, payload)
-
-
-def load_spectral_checkpoint(path):
-    payload = read_json(path)
-    return SpectralModel(
-        net=Mlp.from_dict(payload["network"]),
-        ortho=OrthoMap(
-            transform=np.asarray(payload["transform"], dtype=np.float64),
-            batch_size=payload["batch_size"],
-        ),
-        final_batch=np.asarray(payload["final_batch"], dtype=np.int64),
-        loss_history=list(payload["loss_history"]),
-        ortho_residuals=list(payload["ortho_residuals"]),
-        config=section_from_dict(SpectralConfig, "spectral", payload["config"]),
-        twin=Mlp.from_dict(payload["twin"]) if "twin" in payload else None,
-        selected_restart=payload.get("selected_restart", 0),
-    )

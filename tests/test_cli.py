@@ -11,8 +11,6 @@ from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import ConfigError
 from rpspectral.harness import config_from_dict, load_dataset, mine_pairs, run_pipeline
 from rpspectral.serialize import read_json
-from rpspectral.siamese import load_twin_checkpoint
-from rpspectral.spectralnet import load_spectral_checkpoint
 
 
 def quick_config_doc():
@@ -168,10 +166,12 @@ def test_negative_run_seed_exits_2(tmp_path, capsys, verb):
 
 def test_run_verb_happy_path(tmp_path, capsys):
     outdir = tmp_path / "run0"
-    code = main(
-        ["run", "--config", write_config(tmp_path), "--outdir", str(outdir)]
-    )
+    config = write_config(tmp_path)
+    code = main(["run", "--config", config, "--outdir", str(outdir)])
     assert code == 0
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "labels.csv", "run.json", "timings.json"
+    ]
     record = read_json(outdir / "run.json")
     assert record["run_index"] == 0
     assert -0.5 <= record["ari"] <= 1.0
@@ -179,6 +179,10 @@ def test_run_verb_happy_path(tmp_path, capsys):
     assert labels[0] == "index,label"
     assert len(labels) == 61
     assert "ari=" in capsys.readouterr().out
+    # models are not saved; the flag that saved them is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", config, "--save-models", "--outdir", str(outdir)])
+    assert exc.value.code == 2
 
 
 def test_run_results_are_byte_stable(tmp_path):
@@ -191,22 +195,6 @@ def test_run_results_are_byte_stable(tmp_path):
     timings = read_json(first / "timings.json")
     assert [run["run_index"] for run in timings["runs"]] == [0]
     assert timings["runs"][0]["durations"]["total"] > 0
-
-
-def test_run_verb_save_models(tmp_path):
-    outdir = tmp_path / "run_saved"
-    code = main(
-        ["run", "--config", write_config(tmp_path), "--save-models",
-         "--outdir", str(outdir)]
-    )
-    assert code == 0
-    record = read_json(outdir / "run.json")
-    twin, bandwidth, source = load_twin_checkpoint(outdir / "twin.json")
-    assert bandwidth == record["bandwidth"]
-    assert source == record["pair_source"]
-    assert twin.output_dim == 4
-    model = load_spectral_checkpoint(outdir / "spectral.json")
-    assert model.config.total_steps == 20
 
 
 def test_run_verb_bad_config_exits_2(tmp_path, capsys):
@@ -337,8 +325,18 @@ WRONG_TYPES = [
     (None, {"runs": 2.7}, "runs"),
 ]
 
+# Well-typed values that validate() refuses before any run starts.
+OUT_OF_RANGE = [
+    ("siamese", {"learning_rate": -1e-3}, "siamese.learning_rate"),
+    ("siamese", {"learning_rate": 0}, "siamese.learning_rate"),
+    ("siamese", {"embedding_dim": 0}, "siamese.embedding_dim"),
+    ("siamese", {"hidden_sizes": [8, 0]}, "siamese.hidden_sizes"),
+    ("spectral", {"hidden_sizes": [0]}, "spectral.hidden_sizes"),
+    ("spectral", {"learning_rate": 0}, "spectral.learning_rate"),
+]
 
-@pytest.mark.parametrize("section, values, field", WRONG_TYPES)
+
+@pytest.mark.parametrize("section, values, field", WRONG_TYPES + OUT_OF_RANGE)
 def test_wrong_json_type_is_refused_naming_the_field(
     tmp_path, capsys, section, values, field
 ):

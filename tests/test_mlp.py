@@ -5,7 +5,6 @@ import pytest
 
 from rpspectral.errors import BadArchitecture, ShapeMismatch
 from rpspectral.mlp import Adam, Layer, Mlp, gradient_check
-from rpspectral.serialize import read_json, write_json
 
 
 def quadratic_loss(output):
@@ -359,17 +358,3 @@ def test_adam_takes_strided_gradients():
         for la, lb in zip(net.layers, twin.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.biases, lb.biases)
-
-
-def test_checkpoint_round_trip(tmp_path):
-    net = Mlp.init([4, 9, 3], activation="tanh", seed=11)
-    path = tmp_path / "net.json"
-    write_json(path, net.to_dict())
-    loaded = Mlp.from_dict(read_json(path))
-    assert [l.activation for l in loaded.layers] == [l.activation for l in net.layers]
-    for la, lb in zip(net.layers, loaded.layers):
-        assert np.array_equal(la.weights, lb.weights)  # bit-exact via repr
-        assert np.array_equal(la.biases, lb.biases)
-    rng = np.random.default_rng(0)
-    batch = rng.normal(size=(8, 4))
-    assert np.array_equal(net.forward(batch)[0], loaded.forward(batch)[0])

@@ -1,31 +1,45 @@
-"""Every name the benchmark's tracer wraps still exists in the package.
+"""Every name the benchmark uses still exists in the package.
 
 ``perfbench/spans.py`` patches package functions, ``Mlp``/``Adam`` methods
-and ``harness._stage`` by name, so renaming one breaks only the traced
-benchmark pass. The module is compiled from its source and only read here.
+and ``harness._stage`` by name, and ``perfbench/workloads.py`` builds its
+configs from the public API, so renaming or removing one breaks only the
+benchmark, which tier-1 does not run. The benchmark's modules are compiled
+from their source and only read here.
 """
 
+import ast
 import importlib
 import inspect
+import sys
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpspectral
 from rpspectral.rptree import TreeConfig, build_tree, leaf_size_stats
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+# Set by the import system on every module, so absent from ``__all__``.
+MODULE_ATTRIBUTES = {"__file__", "__cached__", "__builtins__"}
 
 
-def _load_spans():
-    # Compiled from its text, so no bytecode is written next to it.
-    module = types.ModuleType("perfbench_spans")
-    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+def _load(path):
+    # Compiled from its text, so no bytecode is written next to it. The
+    # module is registered while it runs because @dataclass looks it up.
+    module = types.ModuleType(f"perfbench_{path.stem}")
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 
-spans = _load_spans()
+spans = _load(SPANS)
+workloads = _load(PERFBENCH / "workloads.py")
 
 
 @pytest.mark.parametrize(
@@ -60,3 +74,53 @@ def test_leaf_size_stats_has_the_fields_the_benchmark_reads():
     for field in ("count", "max_size", "degenerate_count"):
         assert f"s.{field} for s in trees" in bench, field
         assert isinstance(getattr(stats, field, None), int), field
+
+
+def _package_names_used(path):
+    """``rp.<name>`` attributes and ``from rpspectral... import`` names."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "rp"
+            and node.attr not in MODULE_ATTRIBUTES
+        ):
+            used.add(("rpspectral", node.attr))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+            "rpspectral"
+        ):
+            used.update((node.module, alias.name) for alias in node.names)
+    return used
+
+
+BENCH_SOURCES = sorted(PERFBENCH.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda p: p.name)
+def test_benchmark_uses_only_names_the_package_has(path):
+    missing = []
+    for module_name, name in sorted(_package_names_used(path)):
+        if module_name == "rpspectral":
+            if name not in rpspectral.__all__:
+                missing.append(f"rp.{name}")
+        elif not hasattr(importlib.import_module(module_name), name):
+            missing.append(f"{module_name}.{name}")
+    assert missing == []
+
+
+def test_the_scan_sees_the_workloads_api():
+    # An AST walk that matched nothing would pass the test above.
+    used = _package_names_used(PERFBENCH / "workloads.py")
+    assert {("rpspectral", "SpectralConfig"), ("rpspectral", "run_pipeline")} <= used
+
+
+PIPELINE_WORKLOADS = [
+    w for w in workloads.WORKLOADS.values() if isinstance(w, workloads.PipelineWorkload)
+]
+
+
+@pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)
+def test_pipeline_workload_configs_validate(workload):
+    workload.config(0).validate()
+    workload.shrunk().config(0).validate()  # the smoke test's size

@@ -18,9 +18,7 @@ from rpspectral.siamese import (
     _twin_gradients,
     contrastive_loss,
     heat_kernel,
-    load_twin_checkpoint,
     pairwise_distances,
-    save_twin_checkpoint,
     select_bandwidth,
     siamese_distances,
     train_siamese,
@@ -243,6 +241,20 @@ def test_bandwidth_all_zero_raises():
         select_bandwidth(np.array([]))
 
 
+@pytest.mark.parametrize(
+    "distances, bad",
+    [
+        ([np.nan, 1.0, 2.0], 1),  # the median would be NaN
+        ([np.nan, np.nan], 2),  # every entry NaN, not all zero
+        ([0.0, 0.0, np.inf, 0.5], 1),
+        ([1.0, -np.inf, np.nan, 3.0], 2),
+    ],
+)
+def test_bandwidth_refuses_non_finite_distances(distances, bad):
+    with pytest.raises(NonFiniteInput, match=f"^{bad} of {len(distances)} distance"):
+        select_bandwidth(np.array(distances))
+
+
 # --- distance matrix and kernel ---
 
 
@@ -393,6 +405,13 @@ def test_config_validation():
         SiameseConfig(batch_size=1).validate()
     with pytest.raises(ValueError):
         SiameseConfig(activation="gelu").validate()
+    for rate in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SiameseConfig(learning_rate=rate).validate()
+    with pytest.raises(ValueError, match="embedding_dim"):
+        SiameseConfig(embedding_dim=0).validate()
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        SiameseConfig(hidden_sizes=(8, 0)).validate()
     SiameseConfig().validate()  # defaults are fine
 
 
@@ -468,18 +487,3 @@ def test_siamese_distances_keep_no_activation_cache(peak_traced_bytes):
     net = Mlp.init([2, 128, 128, 32], seed=6)
     pairs = rng.integers(0, n, size=(65_286, 2))
     assert peak_traced_bytes(lambda: siamese_distances(net, X, pairs)) < 3 * n * 128 * 8
-
-
-def test_twin_checkpoint_round_trip(tmp_path):
-    X, pairs = two_cluster_data()
-    config = SiameseConfig(epochs=2, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
-    net, _ = train_siamese(X, pairs, config, rng=np.random.default_rng(1))
-    path = tmp_path / "twin.json"
-    save_twin_checkpoint(net, 0.42, "rptree:leaf_size=20", path)
-    loaded, bandwidth, source = load_twin_checkpoint(path)
-    assert bandwidth == 0.42
-    assert source == "rptree:leaf_size=20"
-    for la, lb in zip(net.layers, loaded.layers):
-        assert la.weights.tobytes() == lb.weights.tobytes()
-        assert la.biases.tobytes() == lb.biases.tobytes()
-    assert np.array_equal(loaded.forward(X)[0], net.forward(X)[0])

@@ -1,5 +1,4 @@
-import json
-from dataclasses import MISSING, fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +7,11 @@ from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import (
     BadArchitecture,
     BatchTooSmall,
-    ConfigError,
     NonFiniteInput,
     ShapeMismatch,
     SingularGram,
 )
 from rpspectral.mlp import Adam, Mlp
-from rpspectral.serialize import read_json
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
     OrthoMap,
@@ -22,10 +19,8 @@ from rpspectral.spectralnet import (
     SpectralModel,
     _whitened_loss,
     embed,
-    load_spectral_checkpoint,
     ortho_residual,
     orthogonalize,
-    save_spectral_checkpoint,
     spectral_loss,
     train_spectralnet,
 )
@@ -356,39 +351,9 @@ def test_config_validation():
         SpectralConfig(n_clusters=2, restarts=0).validate()
     with pytest.raises(ValueError):
         SpectralConfig(n_clusters=2, features="pca").validate()
+    with pytest.raises(ValueError, match="hidden_sizes"):
+        SpectralConfig(n_clusters=2, hidden_sizes=(0,)).validate()
     SpectralConfig(n_clusters=2).validate()
-
-
-def test_checkpoint_round_trip(tmp_path):
-    X, _ = blobs_case()
-    config = SpectralConfig(
-        n_clusters=3,
-        batch_size=32,
-        total_steps=20,
-        hidden_sizes=(8,),
-        activation="tanh",
-    )
-    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(5))
-    path = tmp_path / "spectral.json"
-    save_spectral_checkpoint(model, path)
-    loaded = load_spectral_checkpoint(path)
-    assert np.array_equal(embed(loaded, X), embed(model, X))
-    assert loaded.config == model.config
-    assert loaded.loss_history == model.loss_history
-    assert np.array_equal(loaded.final_batch, model.final_batch)
-
-
-def test_checkpoint_with_a_removed_config_key_is_refused(tmp_path):
-    X, _ = blobs_case()
-    config = SpectralConfig(n_clusters=3, batch_size=32, total_steps=4, hidden_sizes=(8,))
-    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(5))
-    path = tmp_path / "spectral.json"
-    save_spectral_checkpoint(model, path)
-    payload = read_json(path)
-    payload["config"]["jitter"] = 1e-6  # written by versions that had the setting
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ConfigError, match="unknown spectral option.*jitter"):
-        load_spectral_checkpoint(path)
 
 
 # --- restarts, schedules, twin features ---
@@ -500,53 +465,6 @@ def test_twin_feature_model_requires_its_twin():
     model.twin = None
     with pytest.raises(BadArchitecture):
         embed(model, X)
-
-
-def test_checkpoint_round_trip_every_config_field(tmp_path):
-    X, _ = blobs_case()
-    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
-    config = SpectralConfig(
-        n_clusters=3,
-        batch_size=32,
-        total_steps=20,
-        hidden_sizes=(8, 4),
-        activation="tanh",
-        learning_rate=5e-4,
-        learning_rate_schedule="cosine",
-        restarts=2,
-        features="twin",
-    )
-    for f in fields(SpectralConfig):
-        if f.default is not MISSING:
-            assert getattr(config, f.name) != f.default, f.name
-    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(5))
-    path = tmp_path / "spectral.json"
-    save_spectral_checkpoint(model, path)
-    loaded = load_spectral_checkpoint(path)
-    assert loaded.config == model.config
-    assert np.array_equal(embed(loaded, X), embed(model, X))
-
-
-def test_checkpoint_round_trip_twin_features(tmp_path):
-    X, _ = blobs_case()
-    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
-    config = SpectralConfig(
-        n_clusters=3,
-        batch_size=32,
-        total_steps=20,
-        hidden_sizes=(8,),
-        features="twin",
-        restarts=2,
-        learning_rate_schedule="cosine",
-    )
-    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(5))
-    path = tmp_path / "spectral_twin.json"
-    save_spectral_checkpoint(model, path)
-    loaded = load_spectral_checkpoint(path)
-    assert loaded.config == model.config
-    assert loaded.selected_restart == model.selected_restart
-    # the twin rides along, so the loaded model embeds on its own
-    assert np.array_equal(embed(loaded, X), embed(model, X))
 
 
 # --- float32 body ---
@@ -695,21 +613,6 @@ def test_float32_training_is_reproducible(case):
         assert la.biases.tobytes() == lb.biases.tobytes()
     assert a.ortho.transform.tobytes() == b.ortho.transform.tobytes()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-
-@pytest.mark.parametrize("case", list(float32_cases()))
-def test_float32_trained_checkpoint_round_trips_bit_for_bit(case, tmp_path):
-    config = float32_cases()[case]
-    X, _, model = float32_train(config)
-    path = tmp_path / "spectral.json"
-    save_spectral_checkpoint(model, path)
-    loaded = load_spectral_checkpoint(path)
-    for la, lb in zip(loaded.net.layers, model.net.layers):
-        assert la.weights.dtype == np.float64
-        assert la.weights.tobytes() == lb.weights.tobytes()
-        assert la.biases.tobytes() == lb.biases.tobytes()
-    assert loaded.ortho.transform.tobytes() == model.ortho.transform.tobytes()
-    assert embed(loaded, X).tobytes() == embed(model, X).tobytes()
 
 
 @pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])

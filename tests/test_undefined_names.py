@@ -23,7 +23,13 @@ from rpspectral.cli import _build_parser
 from rpspectral.harness import config_from_dict
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted([*ROOT.glob("src/rpspectral/*.py"), *ROOT.glob("tests/*.py")])
+CHECKED = sorted(
+    [
+        *ROOT.glob("src/rpspectral/*.py"),
+        *ROOT.glob("tests/*.py"),
+        *ROOT.glob("perfbench/*.py"),
+    ]
+)
 # Set by the import system on every module, with no binding in its source.
 MODULE_ATTRIBUTES = {"__file__", "__cached__", "__builtins__"}
 KNOWN = set(dir(builtins)) | MODULE_ATTRIBUTES
