@@ -57,7 +57,6 @@ from .siamese import (
     train_siamese,
 )
 from .spectralnet import (
-    OrthoMap,
     SpectralConfig,
     SpectralModel,
     embed,
@@ -76,7 +75,6 @@ __all__ = [
     "KmeansResult",
     "MethodConfig",
     "Mlp",
-    "OrthoMap",
     "PairConfusion",
     "PairSet",
     "PipelineRun",

@@ -24,6 +24,7 @@ from .datasets import SyntheticSpec, generate_synthetic
 from .errors import BadGrid, ConfigError, RpSpectralError, StageError
 from .harness import (
     _split_timings,
+    _write_results,
     config_from_dict,
     load_dataset,
     mine_run_pairs,
@@ -106,15 +107,7 @@ def _cmd_run(args):
 
 
 def _cmd_experiment(args):
-    data = read_json(args.config)
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
-    if args.runs is not None:
-        data["runs"] = args.runs
-    if args.base_seed is not None:
-        data["base_seed"] = args.base_seed
-    config = config_from_dict(data)
-    record = run_experiment(config)
+    record = run_experiment(config_from_dict(read_json(args.config)))
     report(record, args.outdir)
     summary = record["summary"]
     mean = summary["mean_ari"]
@@ -144,7 +137,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_report(args):
-    paths = report(read_json(args.results), args.outdir)
+    # A record read back from results.json holds no durations; the
+    # outdir's timings.json, if any, is left as it was.
+    paths, _ = _write_results(read_json(args.results), args.outdir)
     print(f"wrote {paths['summary']} and {paths['plotdata']}")
     return 0
 
@@ -175,8 +170,6 @@ def _build_parser():
 
     p = sub.add_parser("experiment", help="repeated runs with a report")
     p.add_argument("--config", required=True)
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--base-seed", type=int, default=None)
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_experiment)
 

@@ -62,10 +62,10 @@ def _seed_centers(points, k, rng):
     return points[chosen].copy()
 
 
-def _lloyd(points, k, centers, max_iterations=_MAX_ITERATIONS, tolerance=_TOLERANCE):
+def _lloyd(points, k, centers):
     n = len(points)
     labels = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         d2 = _squared_distances(points, centers)
         labels = d2.argmin(axis=1)  # argmin ties go to the lower center
 
@@ -86,7 +86,7 @@ def _lloyd(points, k, centers, max_iterations=_MAX_ITERATIONS, tolerance=_TOLERA
 
         movement = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
-        if movement <= tolerance:
+        if movement <= _TOLERANCE:
             break
 
     d2 = _squared_distances(points, centers)

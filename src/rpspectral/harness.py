@@ -532,13 +532,12 @@ def _report_tables(record):
     )
 
 
-def report(record: dict, outdir) -> dict:
-    """Write results.json, timings.json, summary.csv and plotdata.csv.
+def _write_results(record, outdir):
+    """Write results.json, summary.csv and plotdata.csv of a record.
 
-    Accepts either a single experiment record or a sweep record (detected by
-    its "cells" key). Run durations go to timings.json, everything else to
-    results.json. The record is read in full before any file is written; one
-    of the wrong shape raises ConfigError. Returns the paths written.
+    Returns the paths written and the record's run durations, which are
+    left out of results.json. The record is read in full before any file is
+    written; one of the wrong shape raises ConfigError.
     """
     if not isinstance(record, dict):
         raise ConfigError("a results record must be a JSON object")
@@ -551,12 +550,24 @@ def report(record: dict, outdir) -> dict:
     outdir = Path(outdir)
     paths = {
         "results": str(outdir / "results.json"),
-        "timings": str(outdir / "timings.json"),
         "summary": str(outdir / "summary.csv"),
         "plotdata": str(outdir / "plotdata.csv"),
     }
     write_json(paths["results"], results)
-    write_json(paths["timings"], timings)
     write_csv(paths["summary"], *summary)
     write_csv(paths["plotdata"], *plot)
+    return paths, timings
+
+
+def report(record: dict, outdir) -> dict:
+    """Write results.json, timings.json, summary.csv and plotdata.csv.
+
+    Accepts either a single experiment record or a sweep record (detected by
+    its "cells" key). Run durations go to timings.json, everything else to
+    results.json. The record is read in full before any file is written; one
+    of the wrong shape raises ConfigError. Returns the paths written.
+    """
+    paths, timings = _write_results(record, outdir)
+    paths["timings"] = str(Path(outdir) / "timings.json")
+    write_json(paths["timings"], timings)
     return paths

@@ -20,6 +20,10 @@ import numpy as np
 from .errors import BadArchitecture, NonFiniteInput, ShapeMismatch
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+# Adam's moment decay rates and the denominator's guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 def _activate(name, z, out=None):
@@ -194,14 +198,13 @@ class Adam:
     parameter j of layer i into it. A step runs each stage of the update as
     one ufunc call over the whole vector, so its cost does not grow with
     the number of parameter arrays. The buffers take the parameters' dtype,
-    so a float32 net is updated in float32.
+    so a float32 net is updated in float32. The moments decay at
+    ``_BETA1`` = 0.9 and ``_BETA2`` = 0.999, and ``_EPS`` = 1e-8 guards the
+    update's denominator.
     """
 
-    def __init__(self, net, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, learning_rate=1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._shapes = [p.shape for l in net.layers for p in (l.weights, l.biases)]
         bounds = np.cumsum([0] + [int(np.prod(s)) for s in self._shapes])
@@ -232,7 +235,7 @@ class Adam:
 
         Every gradient shape is checked before anything changes, so a
         rejected step leaves the parameters, the moments and the counter as
-        they were. The update is lr * (m / c1) / (sqrt(v / c2) + eps), with
+        they were. The update is lr * (m / c1) / (sqrt(v / c2) + _EPS), with
         c1, c2 the bias corrections, and m is flushed to zero where it falls
         below the dtype's smallest normal number. The gradients are copied
         into one flat buffer first, so they may be any strided arrays.
@@ -250,29 +253,29 @@ class Adam:
             view[...] = grad
         self.step_count += 1
         t = self.step_count
-        correction1 = 1.0 - self.beta1**t
-        correction2 = 1.0 - self.beta2**t
+        correction1 = 1.0 - _BETA1**t
+        correction2 = 1.0 - _BETA2**t
         g, m, v, a, b = self._grad, self._m, self._v, self._a, self._b
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= _BETA1
+        np.multiply(1.0 - _BETA1, g, out=a)
         m += a
-        # Where the gradient stays zero (a dead ReLU unit), m decays by beta1
-        # into the subnormal range and sticks there, since beta1 * x rounds
+        # Where the gradient stays zero (a dead ReLU unit), m decays by _BETA1
+        # into the subnormal range and sticks there, since _BETA1 * x rounds
         # back to x for the smallest subnormals; every later step would take
         # the processor's slow subnormal path on it. In float32 this starts
         # ~800 steps after the unit dies. Flushing to 0 changes no normal value.
         np.abs(m, out=a)
         np.greater_equal(a, self._tiny, out=self._normal)
         m *= self._normal
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=b)
+        v *= _BETA2
+        np.multiply(1.0 - _BETA2, g, out=b)
         b *= g
         v += b
         np.divide(m, correction1, out=a)
         a *= self.learning_rate
         np.divide(v, correction2, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += _EPS
         a /= b
         for param, update in zip(params, self._update_views):
             param -= update

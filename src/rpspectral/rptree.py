@@ -50,39 +50,20 @@ class DirectionStrategy:
             raise ValueError("n_try must be >= 1")
 
     @classmethod
-    def random(cls):
-        return cls("random")
-
-    @classmethod
-    def best_of(cls, n_try):
-        return cls("bestof", n_try)
-
-    @classmethod
-    def pca(cls):
-        return cls("pca")
-
-    @classmethod
     def parse(cls, text):
+        """A strategy from its config spelling: "random", "pca" or "bestof:N"."""
         text = text.strip().lower()
-        if text == "random":
-            return cls.random()
-        if text == "pca":
-            return cls.pca()
+        if text in ("random", "pca"):
+            return cls(text)
         if text.startswith("bestof:"):
-            return cls.best_of(int(text.split(":", 1)[1]))
+            return cls("bestof", int(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse strategy {text!r}")
-
-    @property
-    def label(self):
-        if self.kind == "bestof":
-            return f"bestof:{self.n_try}"
-        return self.kind
 
 
 @dataclass(frozen=True)
 class TreeConfig:
     leaf_size: int
-    strategy: DirectionStrategy = DirectionStrategy.random()
+    strategy: DirectionStrategy = DirectionStrategy()
 
     def __post_init__(self):
         if self.leaf_size < 1:
@@ -192,14 +173,14 @@ def choose_directions(points, sizes, strategy, rng):
     return candidates[np.arange(m), scores.argmax(axis=1)], scores
 
 
-def _cut_segments(points, sizes, directions, rng, max_retries):
+def _cut_segments(points, sizes, directions, rng):
     """Cut every segment of ``points`` by a thresholded projection at once.
 
     Segment i's threshold sits at a Uniform[0.25, 0.75] fraction of its
     projected range along ``directions[i]``, and its points at or below it
     go left. Segments that come up with an empty side (all projections
     equal, or the cut rounded onto an extreme) are retried together, each
-    with a fresh random direction, up to ``max_retries`` times. A retry
+    with a fresh random direction, up to ``_MAX_SPLIT_RETRIES`` times. A retry
     draws its directions first; every attempt then draws one cut fraction
     per segment it tries.
 
@@ -214,7 +195,7 @@ def _cut_segments(points, sizes, directions, rng, max_retries):
     split = np.zeros(m, dtype=bool)
     todo = np.arange(m)  # segments still to cut
     rows = np.arange(len(points))  # their points
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_SPLIT_RETRIES + 1):
         if attempt:
             directions[todo] = random_directions((len(todo), points.shape[1]), rng)
         todo_sizes = sizes[todo]
@@ -237,13 +218,13 @@ def _cut_segments(points, sizes, directions, rng, max_retries):
     return left, thresholds, directions, split
 
 
-def split_node(indices, X, direction, rng, max_retries=_MAX_SPLIT_RETRIES):
+def split_node(indices, X, direction, rng):
     """Partition ``indices`` by a thresholded projection.
 
     The one-segment case of the level-wise build's cut: the threshold sits
     at a Uniform[0.25, 0.75] fraction of the projected range, points at or
     below it go left, and a cut with an empty side is retried with a fresh
-    random direction up to ``max_retries`` times before raising
+    random direction up to ``_MAX_SPLIT_RETRIES`` (3) times before raising
     DegenerateSplit.
 
     Returns (left, right, threshold, direction_used).
@@ -254,12 +235,11 @@ def split_node(indices, X, direction, rng, max_retries=_MAX_SPLIT_RETRIES):
         np.array([len(indices)]),
         np.asarray(direction, dtype=np.float64)[None],
         rng,
-        max_retries,
     )
     if not split[0]:
         raise DegenerateSplit(
             f"no separating direction found for {len(indices)} points "
-            f"after {max_retries} retries"
+            f"after {_MAX_SPLIT_RETRIES} retries"
         )
     return indices[left], indices[~left], thresholds[0], used[0]
 
@@ -305,9 +285,7 @@ def build_tree(X, config, rng):
     while len(ids):
         local = X[ids]
         directions, _ = choose_directions(local, size, config.strategy, rng)
-        left, thresholds, directions, ok = _cut_segments(
-            local, size, directions, rng, _MAX_SPLIT_RETRIES
-        )
+        left, thresholds, directions, ok = _cut_segments(local, size, directions, rng)
         leaf_parts.append((start[~ok], size[~ok], np.ones((~ok).sum(), bool), slot[~ok]))
         split_parts.append((slot[ok], directions[ok], thresholds[ok]))
 

@@ -159,7 +159,9 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     standardized scale (see the module docstring). Before training starts,
     a value of ``X`` that is NaN, infinite or beyond float32's range (about
     3.4e38) raises NonFiniteInput, and pair indices outside
-    ``0..len(X) - 1`` raise IndexOutOfRange.
+    ``0..len(X) - 1`` raise IndexOutOfRange. A diverged twin raises
+    NonFiniteInput too: at the first epoch whose mean loss is NaN or
+    infinite, or after the last one if a weight is.
     """
     config.validate()
     X = finite_float32(X)
@@ -183,7 +185,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     major = max(n_pos, n_neg)
     slot = np.empty(len(X), dtype=np.intp)
     history = []
-    for _ in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         pos_order = (
             rng.permutation(n_pos)
             if n_pos == major
@@ -207,7 +209,16 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
             optimizer.step(net, grads)
             batch_losses.append(loss)
         history.append(float(np.mean(batch_losses)))
-    return net.astype(np.float64), history
+        if not np.isfinite(history[-1]):
+            raise NonFiniteInput(
+                f"twin loss is {history[-1]} in epoch {epoch} of {config.epochs}"
+            )
+    net = net.astype(np.float64)
+    if not all(np.isfinite(p).all() for l in net.layers for p in (l.weights, l.biases)):
+        raise NonFiniteInput(
+            f"twin weights are NaN or infinite after epoch {config.epochs}"
+        )
+    return net, history
 
 
 def siamese_distances(net, X, index_pairs):

@@ -85,23 +85,17 @@ class SpectralConfig:
             raise ValueError(f"features must be 'raw' or 'twin', got {self.features!r}")
 
 
-@dataclass(frozen=True)
-class OrthoMap:
-    """Linear map that whitens the batch it was fitted on: Y^T Y = m I."""
+def _whitening_map(gram, m):
+    """sqrt(m) * L^-T from a Cholesky factor, jittering once if needed.
 
-    transform: np.ndarray  # (g, g)
-    batch_size: int
-
-
-def _whitening_map(gram, m, jitter):
-    """sqrt(m) * L^-T from a Cholesky factor, jittering once if needed."""
+    When ``gram`` has no Cholesky factor, its diagonal is bumped once by
+    ``_JITTER`` times its mean eigenvalue before SingularGram is raised.
+    """
     try:
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        if jitter <= 0:
-            raise SingularGram("batch Gram matrix is not positive definite")
         g = gram.shape[0]
-        bump = jitter * np.trace(gram) / g
+        bump = _JITTER * np.trace(gram) / g
         try:
             L = np.linalg.cholesky(gram + bump * np.eye(g))
         except np.linalg.LinAlgError:
@@ -124,19 +118,21 @@ def ortho_residual(Y, m):
     return math.sqrt(flat.dot(flat))
 
 
-def orthogonalize(Y_raw, jitter=_JITTER):
+def orthogonalize(Y_raw):
     """Whiten a batch of raw outputs so the result satisfies Y^T Y = m I.
 
-    Returns (Y_ortho, OrthoMap). A single whitening pass is refined with a
-    second one when rounding (or the jitter itself) leaves the Gram residual
-    above tolerance; batches whose outputs are genuinely rank-deficient
-    cannot be whitened and raise SingularGram.
+    Returns (Y_ortho, transform), where ``Y_raw @ transform`` is Y_ortho. A
+    Gram matrix without a Cholesky factor is jittered once by ``_JITTER``
+    (relative to its mean eigenvalue). A single whitening pass is refined
+    with a second one when rounding (or the jitter itself) leaves the Gram
+    residual above ``_ORTHO_TOL * m``; batches whose outputs are genuinely
+    rank-deficient cannot be whitened and raise SingularGram.
     """
-    Y, ortho_map, _ = _orthogonalize(Y_raw, jitter)
-    return Y, ortho_map
+    Y, transform, _ = _orthogonalize(Y_raw)
+    return Y, transform
 
 
-def _orthogonalize(Y_raw, jitter=_JITTER):
+def _orthogonalize(Y_raw):
     """``orthogonalize``, also returning ``ortho_residual`` of its output."""
     Y_raw = np.asarray(Y_raw, dtype=np.float64)
     m, g = Y_raw.shape
@@ -144,12 +140,12 @@ def _orthogonalize(Y_raw, jitter=_JITTER):
         raise BatchTooSmall(
             f"need at least {g} points to orthogonalize {g} outputs, got {m}"
         )
-    transform = _whitening_map(Y_raw.T @ Y_raw, m, jitter)
+    transform = _whitening_map(Y_raw.T @ Y_raw, m)
     Y = Y_raw @ transform
     residual = ortho_residual(Y, m)
     # Written so that a NaN residual (a NaN or infinite output) fails too.
     if not residual <= _ORTHO_TOL * m:
-        second = _whitening_map(Y.T @ Y, m, jitter)
+        second = _whitening_map(Y.T @ Y, m)
         transform = transform @ second
         Y = Y_raw @ transform
         residual = ortho_residual(Y, m)
@@ -158,7 +154,7 @@ def _orthogonalize(Y_raw, jitter=_JITTER):
                 "batch outputs are rank-deficient or non-finite; whitening "
                 f"residual {residual:.3e} exceeds {_ORTHO_TOL * m:.3e}"
             )
-    return Y, OrthoMap(transform=transform, batch_size=m), residual
+    return Y, transform, residual
 
 
 def spectral_loss(affinity, Y, degrees=None):
@@ -192,7 +188,7 @@ def spectral_loss(affinity, Y, degrees=None):
 @dataclass
 class SpectralModel:
     net: Mlp
-    ortho: OrthoMap
+    transform: np.ndarray  # (g, g) whitening map fitted on final_batch
     final_batch: np.ndarray
     loss_history: list = field(default_factory=list)
     ortho_residuals: list = field(default_factory=list)
@@ -201,7 +197,7 @@ class SpectralModel:
     selected_restart: int = 0
 
 
-def _whitened_loss(out, affinity, jitter=_JITTER, degrees=None):
+def _whitened_loss(out, affinity, degrees=None):
     """Loss of the whitened batch output and its exact gradient in ``out``.
 
     With Y = out @ T whitened so that Y^T Y = m I, the loss equals
@@ -211,9 +207,9 @@ def _whitened_loss(out, affinity, jitter=_JITTER, degrees=None):
     (4/m)(M out G^-1 - out G^-1 P G^-1) because T T^T = m G^-1.
     Returns (loss, grad_out, whitening residual).
     """
-    Y, ortho_map, residual = _orthogonalize(out, jitter)
+    Y, transform, residual = _orthogonalize(out)
     loss, grad_Y = spectral_loss(affinity, Y, degrees)
-    grad_out = (grad_Y - Y @ (Y.T @ grad_Y) / Y.shape[0]) @ ortho_map.transform.T
+    grad_out = (grad_Y - Y @ (Y.T @ grad_Y) / Y.shape[0]) @ transform.T
     return loss, grad_out, residual
 
 
@@ -335,9 +331,9 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         else:
             final_idx = run_rng.choice(n, size=m, replace=False)
         Y_raw = net.predict(features[final_idx])
-        _, ortho_map, residual = _orthogonalize(Y_raw)
+        _, transform, residual = _orthogonalize(Y_raw)
         ortho_residuals.append(residual)
-        return net, ortho_map, final_idx, loss_history, ortho_residuals
+        return net, transform, final_idx, loss_history, ortho_residuals
 
     if config.restarts == 1:
         candidates = [train_once(rng)]
@@ -352,12 +348,12 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         ]
         selected = int(np.argmin(tails))
 
-    net, ortho_map, final_idx, loss_history, ortho_residuals = candidates[
+    net, transform, final_idx, loss_history, ortho_residuals = candidates[
         selected
     ]
     return SpectralModel(
         net=net,
-        ortho=ortho_map,
+        transform=transform,
         final_batch=np.asarray(final_idx, dtype=np.int64),
         loss_history=loss_history,
         ortho_residuals=ortho_residuals,
@@ -377,4 +373,4 @@ def embed(model: SpectralModel, X):
             )
         X = model.twin.predict(X)
     out = model.net.predict(X)
-    return out @ model.ortho.transform
+    return out @ model.transform

@@ -243,26 +243,30 @@ def test_experiment_results_are_byte_stable(tmp_path):
     assert all(run["durations"]["total"] > 0 for run in timings["runs"])
 
 
-def test_experiment_runs_override(tmp_path):
+@pytest.mark.parametrize("flag", ["--runs", "--base-seed"])
+def test_experiment_flags_that_copied_config_keys_exit_2(tmp_path, flag):
+    # runs and base_seed are set in the config only.
     outdir = tmp_path / "exp1"
-    code = main(
-        ["experiment", "--config", write_config(tmp_path), "--runs", "1",
-         "--base-seed", "5", "--outdir", str(outdir)]
-    )
-    assert code == 0
-    record = read_json(outdir / "results.json")
-    assert record["summary"]["runs_total"] == 1
-    assert record["runs"][0]["seed"] == 5
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--config", write_config(tmp_path), flag, "2",
+              "--outdir", str(outdir)])
+    assert exc.value.code == 2
+    assert not outdir.exists()
 
 
 def test_experiment_partial_failure_exits_1(tmp_path):
     doc = quick_config_doc()
     doc["method"] = {"kind": "knn", "k": 60}
+    outdir = tmp_path / "expfail"
     code = main(
         ["experiment", "--config", write_config(tmp_path, doc),
-         "--outdir", str(tmp_path / "expfail")]
+         "--outdir", str(outdir)]
     )
     assert code == 1
+    # Every run failed, and the report is still complete.
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "plotdata.csv", "results.json", "summary.csv", "timings.json"
+    ]
 
 
 def test_sweep_verb(tmp_path, capsys):
@@ -304,6 +308,21 @@ def test_report_verb_round_trip(tmp_path):
     assert (re_dir / "summary.csv").read_bytes() == (
         exp_dir / "summary.csv"
     ).read_bytes()
+
+
+def test_report_verb_keeps_the_experiment_timings(tmp_path):
+    exp_dir = tmp_path / "exp"
+    assert main(["experiment", "--config", write_config(tmp_path),
+                 "--outdir", str(exp_dir)]) == 0
+    timings = (exp_dir / "timings.json").read_bytes()
+    assert len(read_json(exp_dir / "timings.json")["runs"]) == 2
+    for outdir in (exp_dir, tmp_path / "re"):
+        assert main(["report", "--results", str(exp_dir / "results.json"),
+                     "--outdir", str(outdir)]) == 0
+    assert (exp_dir / "timings.json").read_bytes() == timings
+    assert sorted(p.name for p in (tmp_path / "re").iterdir()) == [
+        "plotdata.csv", "results.json", "summary.csv"
+    ]
 
 
 def test_malformed_config_json_exits_2(tmp_path, capsys):
@@ -362,11 +381,11 @@ def test_experiment_overrides_on_non_object_config_exit_2(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]", encoding="utf-8")
     code = main(
-        ["experiment", "--config", str(path), "--runs", "2",
-         "--outdir", str(tmp_path / "out")]
+        ["experiment", "--config", str(path), "--outdir", str(tmp_path / "out")]
     )
     assert code == 2
     assert "config must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unwritable_output_paths_exit_2(tmp_path, capsys):

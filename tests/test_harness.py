@@ -298,6 +298,19 @@ def test_run_pipeline_names_non_finite_input_in_the_pairs_stage(route):
     assert isinstance(caught.value.cause, NonFiniteInput)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_pipeline_names_a_diverged_twin_in_the_siamese_stage():
+    # At this rate the default twin's loss and weights overflow to NaN in
+    # its first epoch; the run must not fail later, at the bandwidth.
+    config = quick_config(siamese=SiameseConfig(epochs=3, learning_rate=1e6))
+    X, y = load_dataset(config.dataset)
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == "siamese"
+    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert "epoch 1 of 3" in str(caught.value.cause)
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route):
     X, y = load_dataset(quick_config().dataset)

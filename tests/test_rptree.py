@@ -227,7 +227,7 @@ def test_best_of_picks_max_variance_candidate():
     rng = np.random.default_rng(11)
     parts = [rng.normal(size=(80, 2)) @ np.diag([5.0, 0.5]), rng.normal(size=(30, 2))]
     points, sizes = segments(*parts)
-    directions, scores = choose_directions(points, sizes, DirectionStrategy.best_of(8), rng)
+    directions, scores = choose_directions(points, sizes, DirectionStrategy("bestof", 8), rng)
     assert directions.shape == (2, 2)
     assert scores.shape == (2, 8)
     for d, part, row in zip(directions, parts, scores):
@@ -236,8 +236,8 @@ def test_best_of_picks_max_variance_candidate():
 
 def test_best_of_one_is_random_draw_for_draw():
     points, sizes = segments(*(np.random.default_rng(12).normal(size=(s, 3)) for s in (4, 9)))
-    a, _ = choose_directions(points, sizes, DirectionStrategy.random(), np.random.default_rng(3))
-    b, scores = choose_directions(points, sizes, DirectionStrategy.best_of(1), np.random.default_rng(3))
+    a, _ = choose_directions(points, sizes, DirectionStrategy(), np.random.default_rng(3))
+    b, scores = choose_directions(points, sizes, DirectionStrategy("bestof", 1), np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert scores.shape == (2, 1)
 
@@ -247,16 +247,20 @@ def test_best_of_beats_single_draw_on_average():
     X = rng.normal(size=(100, 2)) @ np.diag([10.0, 0.1])
     points, sizes = segments(*([X] * 20))
     variances = {}
-    for strategy in (DirectionStrategy.best_of(10), DirectionStrategy.random()):
+    for strategy in (DirectionStrategy("bestof", 10), DirectionStrategy()):
         directions, _ = choose_directions(points, sizes, strategy, rng)
         variances[strategy.kind] = np.var(X @ directions.T, axis=0)
     assert np.mean(variances["bestof"]) > np.mean(variances["random"])
 
 
 def test_strategy_parse_round_trip():
-    for text in ("random", "pca", "bestof:5"):
-        assert DirectionStrategy.parse(text).label == text
-    assert DirectionStrategy.parse(" PCA ").label == "pca"
+    for text, strategy in (
+        ("random", DirectionStrategy()),
+        ("pca", DirectionStrategy("pca")),
+        ("bestof:5", DirectionStrategy("bestof", 5)),
+    ):
+        assert DirectionStrategy.parse(text) == strategy
+    assert DirectionStrategy.parse(" PCA ") == DirectionStrategy("pca")
     with pytest.raises(ValueError):
         DirectionStrategy.parse("kd")
     with pytest.raises(ValueError):
@@ -283,7 +287,7 @@ def test_split_retries_recover_from_orthogonal_direction():
     X = np.column_stack([np.linspace(0, 1, 20), np.zeros(20)])
     rng = np.random.default_rng(2)
     left, right, _, used = split_node(
-        np.arange(20), X, np.array([0.0, 1.0]), rng, max_retries=5
+        np.arange(20), X, np.array([0.0, 1.0]), rng
     )
     assert len(left) + len(right) == 20
     assert abs(used[0]) > 0  # the replacement direction sees the spread
@@ -293,7 +297,7 @@ def test_split_duplicates_raises():
     X = np.zeros((6, 2))
     rng = np.random.default_rng(0)
     with pytest.raises(DegenerateSplit):
-        split_node(np.arange(6), X, np.array([1.0, 0.0]), rng, max_retries=2)
+        split_node(np.arange(6), X, np.array([1.0, 0.0]), rng)
 
 
 def test_tree_config_validation():

@@ -14,7 +14,6 @@ from rpspectral.errors import (
 from rpspectral.mlp import Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
-    OrthoMap,
     SpectralConfig,
     SpectralModel,
     _whitened_loss,
@@ -40,20 +39,19 @@ def identity_twin(dim):
 def test_orthogonalize_random_batch():
     rng = np.random.default_rng(0)
     Y_raw = rng.normal(size=(32, 4))
-    Y, ortho = orthogonalize(Y_raw)
+    Y, transform = orthogonalize(Y_raw)
     assert ortho_residual(Y, 32) <= 1e-6 * 32
     # the map is what whitened the batch
-    assert np.allclose(Y_raw @ ortho.transform, Y)
-    assert ortho.batch_size == 32
+    assert np.allclose(Y_raw @ transform, Y)
 
 
 def test_orthogonalize_fixed_point():
     # A batch that is already white should come back essentially unchanged.
     rng = np.random.default_rng(1)
     Y, _ = orthogonalize(rng.normal(size=(40, 3)))
-    again, ortho = orthogonalize(Y)
+    again, transform = orthogonalize(Y)
     assert np.abs(again - Y).max() < 1e-8 * 40
-    assert np.abs(ortho.transform - np.eye(3)).max() < 1e-8
+    assert np.abs(transform - np.eye(3)).max() < 1e-8
 
 
 def test_orthogonalize_needs_enough_rows():
@@ -61,21 +59,17 @@ def test_orthogonalize_needs_enough_rows():
         orthogonalize(np.zeros((2, 4)))
 
 
-def test_orthogonalize_rank_deficient_without_jitter():
-    rng = np.random.default_rng(2)
-    col = rng.normal(size=(20, 1))
-    Y_raw = np.hstack([col, 2.0 * col, -col])  # rank 1
-    with pytest.raises(SingularGram):
-        orthogonalize(Y_raw, jitter=0.0)
-
-
 def test_orthogonalize_rank_deficient_with_jitter_still_fails_residual():
     # Jitter makes the Cholesky succeed but cannot restore a lost rank; the
     # residual check must reject the result rather than return a bad map.
     col = np.random.default_rng(3).normal(size=(20, 1))
-    Y_raw = np.hstack([col, col])
-    with pytest.raises(SingularGram):
-        orthogonalize(Y_raw, jitter=1e-6)
+    other = np.random.default_rng(2).normal(size=(20, 1))
+    for Y_raw in (
+        np.hstack([col, col]),
+        np.hstack([other, 2.0 * other, -other]),  # rank 1 of 3
+    ):
+        with pytest.raises(SingularGram):
+            orthogonalize(Y_raw)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -85,16 +79,15 @@ def test_orthogonalize_rejects_a_non_finite_batch(bad):
     # the guard must treat it as a failure, not a pass.
     Y_raw = np.random.default_rng(0).normal(size=(20, 3))
     Y_raw[4, 1] = bad
-    for jitter in (0.0, 1e-6):
-        with pytest.raises(SingularGram):
-            orthogonalize(Y_raw, jitter=jitter)
+    with pytest.raises(SingularGram):
+        orthogonalize(Y_raw)
 
 
 def test_orthogonalize_near_singular_recovers_via_jitter():
     rng = np.random.default_rng(4)
     base = rng.normal(size=(50, 2))
     Y_raw = np.hstack([base, base[:, :1] + 1e-9 * rng.normal(size=(50, 1))])
-    Y, _ = orthogonalize(Y_raw, jitter=1e-6)
+    Y, _ = orthogonalize(Y_raw)
     assert ortho_residual(Y, 50) <= 1e-6 * 50
 
 
@@ -183,9 +176,9 @@ def test_loss_and_whitening_ignore_row_order():
     loss_p, grad_p = spectral_loss(A[np.ix_(p, p)], Y[p])
     assert abs(loss_p - loss) <= 1e-12 * max(1.0, abs(loss))
     assert np.abs(grad_p - grad[p]).max() <= 1e-12
-    _, ortho = orthogonalize(Y)
-    _, ortho_p = orthogonalize(Y[p])
-    assert np.abs(ortho_p.transform - ortho.transform).max() <= 1e-12
+    _, transform = orthogonalize(Y)
+    _, transform_p = orthogonalize(Y[p])
+    assert np.abs(transform_p - transform).max() <= 1e-12
 
 
 def test_whitened_gradient_matches_finite_differences():
@@ -199,9 +192,9 @@ def test_whitened_gradient_matches_finite_differences():
     O = rng.normal(size=(m, g)) + rng.normal(size=g)
 
     def whitened(raw):
-        return spectral_loss(A, orthogonalize(raw, jitter=0.0)[0])[0]
+        return spectral_loss(A, orthogonalize(raw)[0])[0]
 
-    loss, grad, residual = _whitened_loss(O, A, jitter=0.0)
+    loss, grad, residual = _whitened_loss(O, A)
     assert loss == whitened(O)
     assert residual <= 1e-6 * m
     eps = 1e-5
@@ -446,7 +439,7 @@ def test_twin_feature_training_and_embedding():
     # the embedding really is body(twin(x)) through the stored map
     Z, _ = twin.forward(X)
     out, _ = model.net.forward(Z)
-    assert np.array_equal(Y, out @ model.ortho.transform)
+    assert np.array_equal(Y, out @ model.transform)
     Y_final = embed(model, X[model.final_batch])
     assert ortho_residual(Y_final, 32) <= 1e-6 * 32
 
@@ -511,12 +504,12 @@ def test_float32_step_tracks_the_float64_step(seed):
     narrow = Mlp.init([2, 8, 8, 3], activation="tanh", seed=seed).astype(np.float32)
     X32 = X.astype(np.float32)
     out, cache = narrow.forward(X32)
-    loss, grad_out, _ = _whitened_loss(out.astype(np.float64), A, jitter=1e-6)
+    loss, grad_out, _ = _whitened_loss(out.astype(np.float64), A)
     grads = narrow.backward(cache, grad_out)
 
     wide = narrow.astype(np.float64)
     out64, cache64 = wide.forward(X32.astype(np.float64))
-    wide_loss, grad_out64, _ = _whitened_loss(out64, A, jitter=1e-6)
+    wide_loss, grad_out64, _ = _whitened_loss(out64, A)
     wide_grads = wide.backward(cache64, grad_out64)
     assert loss == pytest.approx(wide_loss, rel=1e-4)
     got = np.concatenate([g.ravel() for pair in grads for g in pair])
@@ -611,7 +604,7 @@ def test_float32_training_is_reproducible(case):
     for la, lb in zip(a.net.layers, b.net.layers):
         assert la.weights.tobytes() == lb.weights.tobytes()
         assert la.biases.tobytes() == lb.biases.tobytes()
-    assert a.ortho.transform.tobytes() == b.ortho.transform.tobytes()
+    assert a.transform.tobytes() == b.transform.tobytes()
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -659,7 +652,7 @@ def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
     width = 32 if features == "twin" else 2
     model = SpectralModel(
         net=Mlp.init([width, 128, 128, 3], seed=9),
-        ortho=OrthoMap(transform=np.eye(3), batch_size=n),
+        transform=np.eye(3),
         final_batch=np.arange(n),
         config=SpectralConfig(n_clusters=3, features=features),
         twin=twin,

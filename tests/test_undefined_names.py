@@ -4,7 +4,9 @@ The project configures no linter, so a missing import would otherwise show
 up only as a NameError once the code path that uses it runs. This walks each
 module's symbol tables (stdlib ``symtable``) and lists the global names that
 some scope reads but that the module never binds, imports or finds among the
-builtins. The README's ```python blocks get the same check, and each
+builtins. Each import of a package module (``__init__`` aside, whose
+imports are re-exports) must also be read somewhere in that module.
+The README's ```python blocks get the same check as the modules, and each
 ``rp.<name>`` they use must be exported in ``rpspectral.__all__``; its
 ```json config examples must load through ``config_from_dict``, and each
 ``rpspectral`` command in its ```sh blocks must parse with the CLI's parser.
@@ -87,6 +89,48 @@ def test_every_module_binds_the_globals_it_reads():
         names = undefined_globals(path.read_text(encoding="utf-8"), str(path))
         if names:
             found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def unused_imports(source, filename="<source>"):
+    """Sorted names a module imports and never reads.
+
+    A read is any ``ast.Name`` load, so a name used only in an annotation
+    counts as read; ``__future__`` imports bind nothing to read.
+    """
+    tree = ast.parse(source, filename)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_checker_flags_only_unread_imports():
+    source = """
+from __future__ import annotations
+import os.path
+import sys
+from typing import Any as A, List
+from .errors import BadArchitecture
+
+def f(a: A) -> None:
+    return os.path.sep
+"""
+    assert unused_imports(source) == ["BadArchitecture", "List", "sys"]
+
+
+def test_every_package_module_reads_its_imports():
+    paths = [p for p in ROOT.glob("src/rpspectral/*.py") if p.name != "__init__.py"]
+    assert paths, "no package modules found to check"
+    found = {}
+    for path in paths:
+        names = unused_imports(path.read_text(encoding="utf-8"), str(path))
+        if names:
+            found[path.name] = names
     assert found == {}
 
 
