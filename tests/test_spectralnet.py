@@ -59,17 +59,23 @@ def test_orthogonalize_needs_enough_rows():
         orthogonalize(np.zeros((2, 4)))
 
 
+def test_orthogonalize_rank_deficient_without_jitter():
+    # A rank-1 batch of three columns: the jitter is far too small to whiten
+    # the two lost directions, so the batch must be rejected.
+    rng = np.random.default_rng(2)
+    col = rng.normal(size=(20, 1))
+    Y_raw = np.hstack([col, 2.0 * col, -col])  # rank 1
+    with pytest.raises(SingularGram):
+        orthogonalize(Y_raw)
+
+
 def test_orthogonalize_rank_deficient_with_jitter_still_fails_residual():
     # Jitter makes the Cholesky succeed but cannot restore a lost rank; the
     # residual check must reject the result rather than return a bad map.
     col = np.random.default_rng(3).normal(size=(20, 1))
-    other = np.random.default_rng(2).normal(size=(20, 1))
-    for Y_raw in (
-        np.hstack([col, col]),
-        np.hstack([other, 2.0 * other, -other]),  # rank 1 of 3
-    ):
-        with pytest.raises(SingularGram):
-            orthogonalize(Y_raw)
+    Y_raw = np.hstack([col, col])
+    with pytest.raises(SingularGram):
+        orthogonalize(Y_raw)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
