@@ -29,6 +29,9 @@ _ANISO_TRANSFORM = np.array([[0.6, -0.6], [-0.4, 0.8]])
 _MIN_CENTER_SEPARATION = 2.0
 _MAX_CENTER_REDRAWS = 100
 
+# Radius of the inner circle, relative to the outer one.
+_CIRCLES_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -125,7 +128,7 @@ def _moons(n, noise, rng):
     return X, y
 
 
-def _circles(n, noise, rng, factor=0.5):
+def _circles(n, noise, rng):
     n_outer = n - n // 2
     n_inner = n // 2
     t_outer = np.linspace(0.0, 2.0 * np.pi, n_outer, endpoint=False)
@@ -133,8 +136,8 @@ def _circles(n, noise, rng, factor=0.5):
     X = np.empty((n, 2))
     X[:n_outer, 0] = np.cos(t_outer)
     X[:n_outer, 1] = np.sin(t_outer)
-    X[n_outer:, 0] = factor * np.cos(t_inner)
-    X[n_outer:, 1] = factor * np.sin(t_inner)
+    X[n_outer:, 0] = _CIRCLES_FACTOR * np.cos(t_inner)
+    X[n_outer:, 1] = _CIRCLES_FACTOR * np.sin(t_inner)
     if noise > 0:
         X += rng.normal(scale=noise, size=X.shape)
     y = np.r_[np.zeros(n_outer, dtype=np.int64), np.ones(n_inner, dtype=np.int64)]

@@ -210,7 +210,7 @@ def _run_seed(config: ExperimentConfig, run_index):
     return run_seed
 
 
-def mine_run_pairs(X, config: ExperimentConfig, run_index=0):
+def mine_run_pairs(X, config: ExperimentConfig, run_index):
     """The pair set that run ``run_index`` of ``config`` trains on."""
     run_seed = _run_seed(config, run_index)
     return mine_pairs(X, config.method, _stage_rng(run_seed, _STAGE_PAIRS))

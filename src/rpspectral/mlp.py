@@ -24,6 +24,8 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+# Central-difference step of gradient_check.
+_GRADIENT_CHECK_EPS = 1e-5
 
 
 def _activate(name, z, out=None):
@@ -281,15 +283,13 @@ class Adam:
             param -= update
 
 
-def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):
+def gradient_check(net, loss_fn, batch, sample_size=200, seed=0):
     """Max relative error between backprop and central finite differences.
 
     ``loss_fn`` maps the network output to (scalar loss, gradient wrt the
     output). Every parameter is probed when the net has at most
     ``sample_size`` of them, otherwise a seeded sample of that many.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     batch = np.asarray(batch, dtype=np.float64)
     output, cache = net.forward(batch)
     _, output_grad = loss_fn(output)
@@ -312,12 +312,12 @@ def gradient_check(net, loss_fn, batch, eps=1e-5, sample_size=200, seed=0):
     for param, grad, pos in flat:
         view = param.reshape(-1)
         original = view[pos]
-        view[pos] = original + eps
+        view[pos] = original + _GRADIENT_CHECK_EPS
         loss_plus, _ = loss_fn(net.forward(batch)[0])
-        view[pos] = original - eps
+        view[pos] = original - _GRADIENT_CHECK_EPS
         loss_minus, _ = loss_fn(net.forward(batch)[0])
         view[pos] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        numeric = (loss_plus - loss_minus) / (2.0 * _GRADIENT_CHECK_EPS)
         analytic = grad.reshape(-1)[pos]
         scale = max(abs(numeric) + abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / scale)

@@ -159,9 +159,12 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     standardized scale (see the module docstring). Before training starts,
     a value of ``X`` that is NaN, infinite or beyond float32's range (about
     3.4e38) raises NonFiniteInput, and pair indices outside
-    ``0..len(X) - 1`` raise IndexOutOfRange. A diverged twin raises
-    NonFiniteInput too: at the first epoch whose mean loss is NaN or
-    infinite, or after the last one if a weight is.
+    ``0..len(X) - 1`` raise IndexOutOfRange. A diverging twin raises
+    NonFiniteInput too, naming the step and epoch: at the first step whose
+    loss, gradient or Adam update overflows or produces a NaN (training runs
+    under ``np.errstate(over="raise", invalid="raise")``), and otherwise at
+    the first epoch whose mean loss is NaN or infinite, or after the last
+    one if a weight is.
     """
     config.validate()
     X = finite_float32(X)
@@ -185,34 +188,46 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     major = max(n_pos, n_neg)
     slot = np.empty(len(X), dtype=np.intp)
     history = []
-    for epoch in range(1, config.epochs + 1):
-        pos_order = (
-            rng.permutation(n_pos)
-            if n_pos == major
-            else rng.integers(0, n_pos, size=major)
-        )
-        neg_order = (
-            rng.permutation(n_neg)
-            if n_neg == major
-            else rng.integers(0, n_neg, size=major)
-        )
-        batch_losses = []
-        for start in range(0, major, half):
-            pos_batch = pairs.positives[pos_order[start : start + half]]
-            neg_batch = pairs.negatives[neg_order[start : start + half]]
-            ends = np.concatenate(
-                [pos_batch[:, 0], neg_batch[:, 0], pos_batch[:, 1], neg_batch[:, 1]]
+    # An overflow or invalid operation is where a diverging twin first
+    # shows; it fails the step it happens in, before Adam can hide an
+    # infinite moment behind a zero update.
+    with np.errstate(over="raise", invalid="raise"):
+        for epoch in range(1, config.epochs + 1):
+            pos_order = (
+                rng.permutation(n_pos)
+                if n_pos == major
+                else rng.integers(0, n_pos, size=major)
             )
-            mask = np.zeros(len(ends) // 2, dtype=bool)
-            mask[: len(pos_batch)] = True
-            loss, grads = _twin_gradients(net, X, ends, mask, config.margin, slot)
-            optimizer.step(net, grads)
-            batch_losses.append(loss)
-        history.append(float(np.mean(batch_losses)))
-        if not np.isfinite(history[-1]):
-            raise NonFiniteInput(
-                f"twin loss is {history[-1]} in epoch {epoch} of {config.epochs}"
+            neg_order = (
+                rng.permutation(n_neg)
+                if n_neg == major
+                else rng.integers(0, n_neg, size=major)
             )
+            batch_losses = []
+            for step, start in enumerate(range(0, major, half), 1):
+                pos_batch = pairs.positives[pos_order[start : start + half]]
+                neg_batch = pairs.negatives[neg_order[start : start + half]]
+                ends = np.concatenate(
+                    [pos_batch[:, 0], neg_batch[:, 0], pos_batch[:, 1], neg_batch[:, 1]]
+                )
+                mask = np.zeros(len(ends) // 2, dtype=bool)
+                mask[: len(pos_batch)] = True
+                try:
+                    loss, grads = _twin_gradients(
+                        net, X, ends, mask, config.margin, slot
+                    )
+                    optimizer.step(net, grads)
+                except FloatingPointError as err:
+                    raise NonFiniteInput(
+                        f"twin training diverged at step {step} of epoch {epoch} "
+                        f"of {config.epochs}: {err}"
+                    ) from None
+                batch_losses.append(loss)
+            history.append(float(np.mean(batch_losses)))
+            if not np.isfinite(history[-1]):
+                raise NonFiniteInput(
+                    f"twin loss is {history[-1]} in epoch {epoch} of {config.epochs}"
+                )
     net = net.astype(np.float64)
     if not all(np.isfinite(p).all() for l in net.layers for p in (l.weights, l.biases)):
         raise NonFiniteInput(

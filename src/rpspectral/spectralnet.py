@@ -12,9 +12,9 @@ Adam update. Each step's raw output is widened to float64 before whitening,
 so the Gram matrix, the Cholesky whitening and its residual check, the loss
 on the float64 affinity and the gradient through the whitening map are all
 float64. The trained net is handed back widened to float64, exactly, and the
-stored whitening map is fitted with it. Float32 keeps about seven
-significant digits, so inputs are expected at standardized scale, as for
-the twin.
+stored whitening map is fitted with it on every point of the dataset, so the
+dataset's embedding is white. Float32 keeps about seven significant digits,
+so inputs are expected at standardized scale, as for the twin.
 """
 
 from __future__ import annotations
@@ -188,8 +188,7 @@ def spectral_loss(affinity, Y, degrees=None):
 @dataclass
 class SpectralModel:
     net: Mlp
-    transform: np.ndarray  # (g, g) whitening map fitted on final_batch
-    final_batch: np.ndarray
+    transform: np.ndarray  # (g, g) whitening map fitted on all n points
     loss_history: list = field(default_factory=list)
     ortho_residuals: list = field(default_factory=list)
     config: SpectralConfig = None
@@ -226,14 +225,14 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     output (``_orthogonalize``), takes ``spectral_loss`` on the batch
     affinity and backpropagates the exact gradient of the whitened loss,
     whitening map included (``_whitened_loss``). A final whitening after the
-    last update fits the stored map to the trained weights, on the whole
-    dataset or on one more drawn batch; that batch is ``final_batch``.
+    last update fits the stored map to the trained weights on all n points,
+    the points ``embed`` maps, so the embedding of the dataset is white.
 
     Affinities come from the frozen twin network: embed the points, take
-    pairwise distances, apply the heat kernel at the supplied bandwidth. The
-    full n x n affinity is built once and cached whenever n * n <= 16M, and
-    always when the batch is the whole dataset; otherwise each batch builds
-    its own.
+    pairwise distances, apply the heat kernel at the supplied bandwidth.
+    When the batch is the whole dataset, the n x n affinity is built once
+    and every step uses it; otherwise each drawn batch builds its own m x m
+    affinity.
 
     The body network consumes raw coordinates by default; with
     ``features="twin"`` it consumes the frozen twin's embedding instead
@@ -269,9 +268,8 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     narrow = finite_float32(X)
 
     # The twin net is frozen, so its embedding of the dataset never changes;
-    # compute it once. For datasets small enough to hold an n x n matrix the
-    # full affinity is also cached and batches just slice it; when the batch
-    # is the whole dataset, every step uses it as it stands.
+    # compute it once. When the batch is the whole dataset, so is its
+    # affinity, and every step uses it as it stands.
     Z_full = twin_net.predict(X)
     features = X
     if config.features == "twin":
@@ -280,16 +278,9 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     if not np.isfinite(Z_full).all():
         raise NonFiniteInput("the twin embedding holds NaN or infinite values")
     full_batch = m == n
-    affinity_full = degrees_full = None
-    if full_batch or n * n <= 16_000_000:
-        affinity_full = heat_kernel(pairwise_distances(Z_full), bandwidth)
     if full_batch:
+        affinity_full = heat_kernel(pairwise_distances(Z_full), bandwidth)
         degrees_full = affinity_full.sum(axis=1)
-
-    def batch_affinity(idx):
-        if affinity_full is not None:
-            return affinity_full[np.ix_(idx, idx)]
-        return heat_kernel(pairwise_distances(Z_full[idx]), bandwidth)
 
     sizes = [features.shape[1], *config.hidden_sizes, config.n_clusters]
     half_steps = config.total_steps // 2
@@ -310,13 +301,15 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
                     * (1.0 + np.cos(np.pi * step / half_steps))
                 )
             if full_batch:
-                batch, affinity = narrow, affinity_full
+                batch, affinity, degrees = narrow, affinity_full, degrees_full
             else:
                 idx = run_rng.choice(n, size=m, replace=False)
-                batch, affinity = narrow[idx], batch_affinity(idx)
+                batch = narrow[idx]
+                affinity = heat_kernel(pairwise_distances(Z_full[idx]), bandwidth)
+                degrees = None
             out, cache = net.forward(batch)
             loss, grad_out, residual = _whitened_loss(
-                out.astype(np.float64), affinity, degrees=degrees_full
+                out.astype(np.float64), affinity, degrees
             )
             grads = net.backward(cache, grad_out)
             optimizer.step(net, grads)
@@ -324,16 +317,11 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
             ortho_residuals.append(residual)
 
         # The last update left the stored map stale; refit it once more, with
-        # the float64 net that embed() will run.
+        # the float64 net that embed() will run, on every point it will map.
         net = net.astype(np.float64)
-        if full_batch:
-            final_idx = np.arange(n)
-        else:
-            final_idx = run_rng.choice(n, size=m, replace=False)
-        Y_raw = net.predict(features[final_idx])
-        _, transform, residual = _orthogonalize(Y_raw)
+        _, transform, residual = _orthogonalize(net.predict(features))
         ortho_residuals.append(residual)
-        return net, transform, final_idx, loss_history, ortho_residuals
+        return net, transform, loss_history, ortho_residuals
 
     if config.restarts == 1:
         candidates = [train_once(rng)]
@@ -344,17 +332,14 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         ]
         candidates = [train_once(np.random.default_rng(s)) for s in seeds]
         tails = [
-            float(np.mean(c[3][-_SELECTION_TAIL:])) for c in candidates
+            float(np.mean(c[2][-_SELECTION_TAIL:])) for c in candidates
         ]
         selected = int(np.argmin(tails))
 
-    net, transform, final_idx, loss_history, ortho_residuals = candidates[
-        selected
-    ]
+    net, transform, loss_history, ortho_residuals = candidates[selected]
     return SpectralModel(
         net=net,
         transform=transform,
-        final_batch=np.asarray(final_idx, dtype=np.int64),
         loss_history=loss_history,
         ortho_residuals=ortho_residuals,
         config=config,

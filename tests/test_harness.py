@@ -311,6 +311,24 @@ def test_run_pipeline_names_a_diverged_twin_in_the_siamese_stage():
     assert "epoch 1 of 3" in str(caught.value.cause)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("learning_rate", [1e4, 1e6])
+def test_run_pipeline_fails_a_diverging_twin_at_its_step(learning_rate):
+    # At 1e4 Adam's float32 second moment overflows to inf, which turns those
+    # updates into 0; unchecked, the run finishes with a twin loss of ~2e27.
+    # The overflow fails the step it happens in, and no numpy warning is
+    # printed on the way (warnings are errors here).
+    config = quick_config(
+        siamese=SiameseConfig(epochs=3, learning_rate=learning_rate)
+    )
+    X, y = load_dataset(config.dataset)
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == "siamese"
+    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert "at step 2 of epoch 1 of 3" in str(caught.value.cause)
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route):
     X, y = load_dataset(quick_config().dataset)

@@ -254,10 +254,10 @@ def test_training_is_deterministic():
     b = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(3))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
-    assert np.array_equal(a.final_batch, b.final_batch)
+    assert a.transform.tobytes() == b.transform.tobytes()
 
 
-def test_embedding_shape_and_final_batch_whiteness():
+def test_embedding_shape_and_dataset_whiteness():
     X, _ = blobs_case()
     twin = identity_twin(2)
     config = SpectralConfig(
@@ -266,10 +266,47 @@ def test_embedding_shape_and_final_batch_whiteness():
     model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(1))
     Y = embed(model, X)
     assert Y.shape == (len(X), 3)
-    # the stored map was refit on final_batch, so that subset is white
-    Y_final = embed(model, X[model.final_batch])
-    assert ortho_residual(Y_final, 48) <= 1e-6 * 48
-    assert model.ortho_residuals[-1] == ortho_residual(Y_final, 48)
+    # the stored map was refit on every point, so the whole embedding is white
+    n = len(X)
+    assert ortho_residual(Y, n) <= 1e-6 * n
+    assert model.ortho_residuals[-1] == ortho_residual(Y, n)
+
+
+def test_sampled_training_refits_the_map_on_every_point():
+    # The refit draws nothing: the generator ends where the init seed and
+    # the per-step batch draws leave it, and the map is the whitening of
+    # the trained net's output over the whole dataset.
+    X, _ = blobs_case()
+    n = len(X)
+    config = SpectralConfig(
+        n_clusters=3, batch_size=32, total_steps=30, hidden_sizes=(8,)
+    )
+    rng = np.random.default_rng(5)
+    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=rng)
+    replay = np.random.default_rng(5)
+    replay.integers(0, 2**63 - 1)
+    for _ in range(config.total_steps // 2):
+        replay.choice(n, size=32, replace=False)
+    assert rng.bit_generator.state == replay.bit_generator.state
+    Y, transform = orthogonalize(model.net.predict(X))
+    assert transform.tobytes() == model.transform.tobytes()
+    assert np.array_equal(embed(model, X), Y)
+
+
+def test_sampled_training_builds_no_dataset_affinity(peak_traced_bytes):
+    # A drawn batch builds its own m x m affinity, so training on a few
+    # batches of n points never holds an n x n matrix.
+    n = 4000
+    X = np.random.default_rng(2).normal(size=(n, 2))
+    config = SpectralConfig(
+        n_clusters=2, batch_size=64, total_steps=4, hidden_sizes=(8,)
+    )
+    peak = peak_traced_bytes(
+        lambda: train_spectralnet(
+            X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0)
+        )
+    )
+    assert peak < n * n * 8 // 10
 
 
 @pytest.mark.parametrize("restarts", [1, 2])
@@ -287,7 +324,6 @@ def test_full_batch_training(restarts):
     b = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(4))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
-    assert np.array_equal(a.final_batch, np.arange(n))
     assert ortho_residual(embed(a, X), n) <= 1e-6 * n
     assert a.ortho_residuals[-1] == ortho_residual(embed(a, X), n)
     assert len(a.loss_history) == config.total_steps // 2
@@ -446,8 +482,8 @@ def test_twin_feature_training_and_embedding():
     Z, _ = twin.forward(X)
     out, _ = model.net.forward(Z)
     assert np.array_equal(Y, out @ model.transform)
-    Y_final = embed(model, X[model.final_batch])
-    assert ortho_residual(Y_final, 32) <= 1e-6 * 32
+    assert ortho_residual(Y, len(X)) <= 1e-6 * len(X)
+    assert model.ortho_residuals[-1] == ortho_residual(Y, len(X))
 
 
 def test_twin_feature_model_requires_its_twin():
@@ -590,13 +626,14 @@ def test_float32_training_returns_a_widened_float64_net(case):
         for param in (layer.weights, layer.biases):
             assert param.dtype == np.float64
             assert np.array_equal(param, param.astype(np.float32).astype(np.float64))
-    m = config.batch_size
-    assert max(model.ortho_residuals) <= 1e-6 * m
-    # the stored map was fitted with the float64 net that embed() runs
-    Y_final = embed(model, X)[model.final_batch]
-    assert Y_final.dtype == np.float64
-    assert ortho_residual(Y_final, m) <= 1e-6 * m
-    assert model.ortho_residuals[-1] == ortho_residual(Y_final, m)
+    assert max(model.ortho_residuals) <= 1e-6 * config.batch_size
+    # the stored map was fitted with the float64 net that embed() runs, on
+    # every point it maps
+    Y = embed(model, X)
+    n = len(X)
+    assert Y.dtype == np.float64
+    assert ortho_residual(Y, n) <= 1e-6 * n
+    assert model.ortho_residuals[-1] == ortho_residual(Y, n)
 
 
 @pytest.mark.parametrize("case", list(float32_cases()))
@@ -659,7 +696,6 @@ def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
     model = SpectralModel(
         net=Mlp.init([width, 128, 128, 3], seed=9),
         transform=np.eye(3),
-        final_batch=np.arange(n),
         config=SpectralConfig(n_clusters=3, features=features),
         twin=twin,
     )
