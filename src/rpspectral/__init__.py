@@ -10,10 +10,8 @@ reads the clusters off the embedding.
 
 from .clustering import (
     KmeansResult,
-    PairConfusion,
     ari,
     kmeans,
-    pair_confusion,
     spectral_oracle,
 )
 from .datasets import (
@@ -40,7 +38,6 @@ from .harness import (
 from .mlp import Adam, Mlp, gradient_check
 from .pairing import PairSet, knn_pairs, rptree_pairs
 from .rptree import (
-    DirectionStrategy,
     Tree,
     TreeConfig,
     build_tree,
@@ -70,12 +67,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "CsvSource",
-    "DirectionStrategy",
     "ExperimentConfig",
     "KmeansResult",
     "MethodConfig",
     "Mlp",
-    "PairConfusion",
     "PairSet",
     "PipelineRun",
     "SiameseConfig",
@@ -102,7 +97,6 @@ __all__ = [
     "load_dataset",
     "mine_pairs",
     "orthogonalize",
-    "pair_confusion",
     "pairwise_distances",
     "report",
     "rptree_pairs",

@@ -65,7 +65,7 @@ def _cmd_pairs(args):
     write_json(
         outdir / "pairs.json",
         {
-            "source": pairs.source,
+            "source": config.method.label,
             "positive": int(len(pairs.positives)),
             "negative": int(len(pairs.negatives)),
             "raw_positive": int(pairs.raw_positive_count),
@@ -73,7 +73,7 @@ def _cmd_pairs(args):
         },
     )
     print(
-        f"{pairs.source}: {len(pairs.positives)} positive / "
+        f"{config.method.label}: {len(pairs.positives)} positive / "
         f"{len(pairs.negatives)} negative pairs -> {outdir}"
     )
     if pairs.warning:

@@ -113,32 +113,15 @@ def kmeans(points, n_clusters, rng):
     return best
 
 
-@dataclass(frozen=True)
-class PairConfusion:
-    """Unordered point pairs split by whether each labeling groups them.
+def ari(first, second):
+    """Adjusted Rand index from the pair confusion counts.
 
-    together_both: grouped by both labelings; together_first / together_second:
-    grouped by only that labeling; together_neither: separated by both.
-    All exact Python ints.
+    The unordered point pairs that both labelings, only the first, only the
+    second or neither group together are counted from the contingency
+    table as exact Python ints. Returns None when the index is undefined
+    (both labelings are constant or both split every pair), rather than
+    guessing a value.
     """
-
-    together_both: int
-    together_first: int
-    together_second: int
-    together_neither: int
-
-    @property
-    def total(self) -> int:
-        return (
-            self.together_both
-            + self.together_first
-            + self.together_second
-            + self.together_neither
-        )
-
-
-def pair_confusion(first, second) -> PairConfusion:
-    """Count pair agreements between two labelings via the contingency table."""
     first = np.asarray(first).ravel()
     second = np.asarray(second).ravel()
     if len(first) != len(second):
@@ -151,35 +134,17 @@ def pair_confusion(first, second) -> PairConfusion:
 
     _, fi = np.unique(first, return_inverse=True)
     _, si = np.unique(second, return_inverse=True)
-    n_f = int(fi.max()) + 1
-    n_s = int(si.max()) + 1
-    table = np.zeros((n_f, n_s), dtype=np.int64)
+    table = np.zeros((int(fi.max()) + 1, int(si.max()) + 1), dtype=np.int64)
     np.add.at(table, (fi, si), 1)
 
     def pairs_of(counts):
         return sum(int(c) * (int(c) - 1) // 2 for c in counts)
 
-    both = pairs_of(table.ravel())
+    n11 = pairs_of(table.ravel())
     same_first = pairs_of(table.sum(axis=1))
     same_second = pairs_of(table.sum(axis=0))
-    total = n * (n - 1) // 2
-    return PairConfusion(
-        together_both=both,
-        together_first=same_first - both,
-        together_second=same_second - both,
-        together_neither=total - same_first - same_second + both,
-    )
-
-
-def ari(first, second):
-    """Adjusted Rand index from pair confusion counts.
-
-    Returns None when the index is undefined (both labelings are constant or
-    both split every pair), rather than guessing a value.
-    """
-    c = pair_confusion(first, second)
-    n11, n10 = c.together_both, c.together_first
-    n01, n00 = c.together_second, c.together_neither
+    n10, n01 = same_first - n11, same_second - n11
+    n00 = n * (n - 1) // 2 - same_first - same_second + n11
     numerator = 2 * (n00 * n11 - n10 * n01)
     denominator = (n00 + n01) * (n01 + n11) + (n00 + n10) * (n10 + n11)
     if denominator == 0:

@@ -55,7 +55,7 @@ class SyntheticSpec:
             raise EmptyRequest("n = 0 points requested")
         if self.n < 0:
             raise BadSpec(f"n must be positive, got {self.n}")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise BadSpec(f"noise must be nonnegative, got {self.noise}")
         if self.kind in ("blobs", "aniso-blobs"):
             if self.centers == 0:

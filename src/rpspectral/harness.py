@@ -34,7 +34,7 @@ from .errors import (
     StageError,
 )
 from .pairing import knn_pairs, rptree_pairs
-from .rptree import DirectionStrategy, TreeConfig, build_tree
+from .rptree import TreeConfig, build_tree
 from .serialize import section_from_dict, write_csv, write_json
 from .siamese import (
     SiameseConfig,
@@ -67,8 +67,8 @@ class MethodConfig:
     """Which pair-mining route to use and its knobs.
 
     kind "knn" uses exact k nearest neighbors; kind "rptree" mines pairs from
-    random-projection tree leaves. ``strategy`` is the tree's direction rule
-    ("random", "pca", or "bestof:N").
+    random-projection tree leaves, with ``leaf_size`` and ``strategy`` as
+    the ``TreeConfig`` that checks them.
     """
 
     kind: str = "rptree"
@@ -85,9 +85,9 @@ class MethodConfig:
             if self.leaf_size < 2:
                 raise ConfigError("leaf_size must be at least 2")
             try:
-                DirectionStrategy.parse(self.strategy)
+                TreeConfig(self.leaf_size, self.strategy)
             except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+                raise ConfigError(f"method.{exc}") from exc
 
     @property
     def label(self) -> str:
@@ -175,15 +175,9 @@ def _stage(name, durations):
 def mine_pairs(X, method: MethodConfig, rng):
     """Mine a pair set with whichever route the method config names."""
     if method.kind == "knn":
-        pairs = knn_pairs(X, method.k, rng)
-    else:
-        tree_config = TreeConfig(
-            leaf_size=method.leaf_size,
-            strategy=DirectionStrategy.parse(method.strategy),
-        )
-        pairs = rptree_pairs(build_tree(X, tree_config, rng), rng)
-    pairs.source = method.label
-    return pairs
+        return knn_pairs(X, method.k, rng)
+    tree = build_tree(X, TreeConfig(method.leaf_size, method.strategy), rng)
+    return rptree_pairs(tree, rng)
 
 
 @dataclass
@@ -217,7 +211,12 @@ def mine_run_pairs(X, config: ExperimentConfig, run_index):
 
 
 def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
-    """Train and score one pipeline run; domain failures become StageError."""
+    """Train and score one pipeline run; domain failures become StageError.
+
+    The config is validated first, so a bad setting is a ConfigError naming
+    it before any stage runs.
+    """
+    config.validate()
     run_seed = _run_seed(config, run_index)
     durations = {}
     t_start = time.perf_counter()
@@ -254,7 +253,7 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
         "seed": run_seed,
         "ari": score,
         "bandwidth": float(bandwidth),
-        "pair_source": pairs.source,
+        "pair_source": config.method.label,
         "pair_counts": {
             "positive": int(len(pairs.positives)),
             "negative": int(len(pairs.negatives)),
@@ -275,15 +274,14 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
     )
 
 
-def run_experiment(config: ExperimentConfig, data=None) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured number of pipeline repetitions on one dataset.
 
     Individual run failures are recorded, not raised, so one bad seed cannot
-    discard the rest of the experiment. Pass ``data=(X, y)`` to reuse an
-    already-materialized dataset.
+    discard the rest of the experiment.
     """
     config.validate()
-    X, y = load_dataset(config.dataset) if data is None else data
+    X, y = load_dataset(config.dataset)
     runs = []
     for run_index in range(config.runs):
         try:

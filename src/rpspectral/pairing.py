@@ -58,7 +58,6 @@ class PairSet:
 
     positives: np.ndarray
     negatives: np.ndarray
-    source: str
     raw_positive_count: int
     warning: str | None = None
 
@@ -152,7 +151,6 @@ def knn_pairs(X, k, rng) -> PairSet:
     return PairSet(
         positives=positives,
         negatives=_unique_pairs(keys, n),
-        source=f"knn:k={k}",
         raw_positive_count=n * k,
     )
 
@@ -495,7 +493,6 @@ def rptree_pairs(tree, rng) -> PairSet:
     return PairSet(
         positives=positives.copy(),
         negatives=negatives.copy(),
-        source="rptree",
         raw_positive_count=raw_count,
         warning=warning,
     )

@@ -2,8 +2,10 @@
 
 A tree recursively halves a point set: project the node's points onto a unit
 direction, cut at a random fraction of the projected range, recurse until a
-node holds at most ``leaf_size`` points. Leaves are the unit of pair mining
-downstream, so the structure exposes them directly.
+node holds at most ``leaf_size`` points. The direction rule is
+``TreeConfig.strategy``, one of the exact strings "random", "pca" or
+"bestof:N". Leaves are the unit of pair mining downstream, so the structure
+exposes them directly.
 
 The build runs one depth at a time. The nodes of a depth are contiguous
 segments of one array of point ids, so a single pass of segment operations
@@ -15,6 +17,7 @@ left-to-right order, and the finished tree is a few flat arrays.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,46 +31,31 @@ _MAX_SPLIT_RETRIES = 3
 # Covariance entries per block of nodes in the pca strategy: 8 MiB of
 # float64, so a level of many high-dimensional nodes is done a block at a time.
 _COV_BLOCK = 1 << 20
-
-
-@dataclass(frozen=True)
-class DirectionStrategy:
-    """How a node picks its projection direction.
-
-    kind "random" draws one direction uniformly on the unit sphere; "bestof"
-    draws ``n_try`` candidates and keeps the one with maximum projected
-    variance; "pca" uses the subset's first principal component. bestof with
-    n_try=1 coincides with random draw for draw.
-    """
-
-    kind: str = "random"
-    n_try: int = 1
-
-    def __post_init__(self):
-        if self.kind not in ("random", "bestof", "pca"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.n_try < 1:
-            raise ValueError("n_try must be >= 1")
-
-    @classmethod
-    def parse(cls, text):
-        """A strategy from its config spelling: "random", "pca" or "bestof:N"."""
-        text = text.strip().lower()
-        if text in ("random", "pca"):
-            return cls(text)
-        if text.startswith("bestof:"):
-            return cls("bestof", int(text.split(":", 1)[1]))
-        raise ValueError(f"cannot parse strategy {text!r}")
+# The exact spellings of TreeConfig.strategy.
+_STRATEGY = re.compile(r"random|pca|bestof:[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
 class TreeConfig:
+    """Leaf size bound and the rule that picks each node's direction.
+
+    ``strategy`` "random" draws one direction uniformly on the unit sphere;
+    "bestof:N" draws N candidates and keeps the one with maximum projected
+    variance; "pca" uses the node's first principal component. "bestof:1"
+    coincides with "random" draw for draw.
+    """
+
     leaf_size: int
-    strategy: DirectionStrategy = DirectionStrategy()
+    strategy: str = "random"
 
     def __post_init__(self):
         if self.leaf_size < 1:
             raise ValueError("leaf_size must be >= 1")
+        if not (isinstance(self.strategy, str) and _STRATEGY.fullmatch(self.strategy)):
+            raise ValueError(
+                f"strategy must be 'random', 'pca' or 'bestof:N' with N >= 1, "
+                f"got {self.strategy!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,20 +141,22 @@ def choose_directions(points, sizes, strategy, rng):
     """One projection direction per segment of ``points``.
 
     ``points`` holds m segments' rows end to end, segment i ``sizes[i]`` rows
-    long. Returns the (m, dim) directions and, for bestof, the (m, n_try)
-    projected variances of every candidate in draw order (None for the
-    random and pca strategies). The random and bestof candidates come from
-    one (m, n_try, dim) draw, so random is bestof with n_try=1 draw for draw.
+    long, and ``strategy`` is a ``TreeConfig.strategy`` spelling. Returns the
+    (m, dim) directions and, for bestof, the (m, N) projected variances of
+    every candidate in draw order (None for "random" and "pca"). The random
+    and bestof candidates come from one (m, N, dim) draw, so "random" is
+    "bestof:1" draw for draw.
     """
     m, dim = len(sizes), points.shape[1]
-    if strategy.kind == "pca":
+    if strategy == "pca":
         return principal_directions(points, sizes), None
-    candidates = random_directions((m, strategy.n_try, dim), rng)
-    if strategy.kind == "random":
+    n_try = 1 if strategy == "random" else int(strategy.split(":")[1])
+    candidates = random_directions((m, n_try, dim), rng)
+    if strategy == "random":
         return candidates[:, 0], None
     starts = _starts(sizes)
-    scores = np.empty((m, strategy.n_try))
-    for t in range(strategy.n_try):
+    scores = np.empty((m, n_try))
+    for t in range(n_try):
         projected = _project(points, candidates[:, t], sizes)
         projected -= np.repeat(np.add.reduceat(projected, starts) / sizes, sizes)
         scores[:, t] = np.add.reduceat(projected * projected, starts) / sizes

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import typing
 from pathlib import Path
 
@@ -74,14 +75,17 @@ def read_json(path):
 def _fits(value, kind):
     """Whether a parsed JSON value may fill a field of type ``kind``.
 
-    An int refuses floats, strings and booleans; a float also takes an int;
-    a tuple is an array of ints; a union takes any of its members.
+    An int refuses floats, strings and booleans; a float also takes an int
+    but refuses NaN and the infinities, which ``json.loads`` accepts; a
+    tuple is an array of ints; a union takes any of its members.
     """
     if typing.get_args(kind):
         return any(_fits(value, member) for member in typing.get_args(kind))
     if kind is tuple:
         return isinstance(value, (list, tuple)) and all(_fits(v, int) for v in value)
     if kind in (int, float) and isinstance(value, bool):
+        return False
+    if kind is float and isinstance(value, float) and not math.isfinite(value):
         return False
     return isinstance(value, (int, float) if kind is float else kind)
 
@@ -105,7 +109,9 @@ def section_from_dict(cls, name, data, **fixed):
     for key, value in data.items():
         kind = hints[key]
         if not _fits(value, kind):
-            wanted = "an array of int" if kind is tuple else getattr(kind, "__name__", kind)
+            wanted = {tuple: "an array of int", float: "a finite float"}.get(
+                kind, getattr(kind, "__name__", kind)
+            )
             raise ConfigError(
                 f"bad {label} config: {path}{key} must be {wanted}, got {value!r}"
             )

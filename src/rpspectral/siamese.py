@@ -1,9 +1,10 @@
 """Contrastive twin network and distance-to-affinity conversion.
 
-One shared-parameter network embeds both sides of every pair. Positive pairs
-are pulled together (squared distance), negative pairs pushed past a margin
-(hinge on the plain distance). Embedding distances then feed a heat kernel
-whose bandwidth is the median positive-pair distance.
+One shared-parameter network, ReLU between its layers, embeds both sides of
+every pair. Positive pairs are pulled together (squared distance), negative
+pairs pushed past a fixed margin of ``_MARGIN`` (hinge on the plain
+distance). Embedding distances then feed a heat kernel whose bandwidth is
+the median positive-pair distance.
 
 The twin trains in float32 and is handed back widened to float64, exactly;
 everything after training (distances, bandwidth, kernel) computes in
@@ -27,8 +28,9 @@ from .errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
+from .mlp import Adam, Mlp, finite_float32
 
+_MARGIN = 1.0  # distance past which a negative pair costs nothing
 _NORM_FLOOR = 1e-12  # guards the distance gradient at coincident embeddings
 # Pairs per block in siamese_distances; with the default 32-wide embedding a
 # gathered block of float64 rows is 2 MiB.
@@ -37,21 +39,13 @@ _DISTANCE_BLOCK = 8192
 
 @dataclass(frozen=True)
 class SiameseConfig:
-    margin: float = 1.0
     epochs: int = 40
     batch_size: int = 128
     hidden_sizes: tuple = (128, 128)
     embedding_dim: int = 32
-    activation: str = "relu"
     learning_rate: float = 1e-3
 
     def validate(self):
-        if self.margin <= 0:
-            raise ValueError("margin must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.epochs < 1:
@@ -62,15 +56,15 @@ class SiameseConfig:
             )
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be at least 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
 
 
-def contrastive_loss(z1, z2, is_positive, margin=1.0):
+def contrastive_loss(z1, z2, is_positive):
     """Loss and gradients for one embedded pair.
 
     Positive pairs pay the squared distance; negative pairs pay
-    max(margin - distance, 0), with subgradient 0 at the hinge and a floored
+    max(_MARGIN - distance, 0), with subgradient 0 at the hinge and a floored
     norm at coincident points. Returns (loss, grad_z1, grad_z2).
     """
     z1 = np.asarray(z1, dtype=np.float64)
@@ -83,32 +77,32 @@ def contrastive_loss(z1, z2, is_positive, margin=1.0):
         grad = 2.0 * diff
         return loss, grad, -grad
     distance = float(np.sqrt(diff @ diff))
-    if distance >= margin:
+    if distance >= _MARGIN:
         zero = np.zeros_like(diff)
         return 0.0, zero, zero.copy()
     grad = -diff / max(distance, _NORM_FLOOR)
-    return margin - distance, grad, -grad
+    return _MARGIN - distance, grad, -grad
 
 
-def _contrastive_batch(Z1, Z2, positive_mask, margin):
+def _contrastive_batch(Z1, Z2, positive_mask):
     """Mean loss over a pair batch and gradients of that mean wrt Z1, Z2."""
     diff = Z1 - Z2
     sq = (diff * diff).sum(axis=1)
     dist = np.sqrt(sq)
     m = len(Z1)
 
-    losses = np.where(positive_mask, sq, np.maximum(margin - dist, 0.0))
+    losses = np.where(positive_mask, sq, np.maximum(_MARGIN - dist, 0.0))
     # d(mean)/dZ1: positive rows 2*diff/m, active negative rows -diff/(dist*m).
     coeff = np.where(
         positive_mask,
         2.0,
-        np.where(dist < margin, -1.0 / np.maximum(dist, _NORM_FLOOR), 0.0),
+        np.where(dist < _MARGIN, -1.0 / np.maximum(dist, _NORM_FLOOR), 0.0),
     )
     G1 = diff * (coeff / m)[:, None]
     return float(losses.mean()), G1, -G1
 
 
-def _twin_gradients(net, X, ends, positive_mask, margin, slot):
+def _twin_gradients(net, X, ends, positive_mask, slot):
     """Mean contrastive loss of one batch and its parameter gradients.
 
     ``ends`` holds the batch's left endpoints, then its right ones. The twin
@@ -127,9 +121,7 @@ def _twin_gradients(net, X, ends, positive_mask, margin, slot):
 
     Z, cache = net.forward(X[points])
     half = len(ends) // 2
-    loss, G1, G2 = _contrastive_batch(
-        Z[local[:half]], Z[local[half:]], positive_mask, margin
-    )
+    loss, G1, G2 = _contrastive_batch(Z[local[:half]], Z[local[half:]], positive_mask)
     G_ends = np.concatenate([G1, G2])
     # The first occurrences fill every row in order; only repeats scatter.
     G = G_ends[first]
@@ -179,9 +171,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     _check_indices(pairs.negatives, len(X))
 
     sizes = [X.shape[1], *config.hidden_sizes, config.embedding_dim]
-    net = Mlp.init(
-        sizes, config.activation, seed=int(rng.integers(0, 2**63 - 1))
-    ).astype(np.float32)
+    net = Mlp.init(sizes, seed=int(rng.integers(0, 2**63 - 1))).astype(np.float32)
     optimizer = Adam(net, learning_rate=config.learning_rate)
 
     half = config.batch_size // 2
@@ -213,9 +203,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                 mask = np.zeros(len(ends) // 2, dtype=bool)
                 mask[: len(pos_batch)] = True
                 try:
-                    loss, grads = _twin_gradients(
-                        net, X, ends, mask, config.margin, slot
-                    )
+                    loss, grads = _twin_gradients(net, X, ends, mask, slot)
                     optimizer.step(net, grads)
                 except FloatingPointError as err:
                     raise NonFiniteInput(

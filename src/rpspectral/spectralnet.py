@@ -72,7 +72,7 @@ class SpectralConfig:
             )
         if self.total_steps < 2 or self.total_steps % 2 != 0:
             raise ValueError("total_steps must be even and at least 2")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.learning_rate_schedule not in ("constant", "cosine"):
             raise ValueError(

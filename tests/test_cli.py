@@ -354,8 +354,15 @@ OUT_OF_RANGE = [
     ("spectral", {"learning_rate": 0}, "spectral.learning_rate"),
 ]
 
+# json.loads reads the literals NaN, Infinity and -Infinity as floats.
+NON_FINITE = [
+    ("dataset", {"noise": float("nan")}, "dataset.noise"),
+    ("siamese", {"learning_rate": float("inf")}, "siamese.learning_rate"),
+    ("spectral", {"learning_rate": -float("inf")}, "spectral.learning_rate"),
+]
 
-@pytest.mark.parametrize("section, values, field", WRONG_TYPES + OUT_OF_RANGE)
+
+@pytest.mark.parametrize("section, values, field", WRONG_TYPES + OUT_OF_RANGE + NON_FINITE)
 def test_wrong_json_type_is_refused_naming_the_field(
     tmp_path, capsys, section, values, field
 ):
@@ -405,6 +412,11 @@ REMOVED_SETTINGS = [
     ("kmeans", {"restarts": 10}, "unknown top-level option(s): kmeans"),
     ("method", {"max_split_retries": 0}, "unknown method option(s): max_split_retries"),
     ("spectral", {"jitter": 1e-6}, "unknown spectral option(s): jitter"),
+    ("siamese", {"margin": 1.0}, "unknown siamese option(s): margin"),
+    ("siamese", {"activation": "relu"}, "unknown siamese option(s): activation"),
+    # The strategy spellings are exact; no case or whitespace is forgiven.
+    ("method", {"strategy": "PCA"}, "method.strategy must be 'random', 'pca' or 'bestof:N'"),
+    ("method", {"strategy": " pca "}, "got ' pca '"),
 ]
 
 

@@ -9,6 +9,8 @@ from rpspectral import harness
 from rpspectral.clustering import kmeans
 from rpspectral.datasets import SyntheticSpec
 from rpspectral.errors import BadGrid, ConfigError, NonFiniteInput, StageError
+from rpspectral.pairing import knn_pairs, rptree_pairs
+from rpspectral.rptree import TreeConfig, build_tree
 from rpspectral.harness import (
     CsvSource,
     ExperimentConfig,
@@ -183,14 +185,19 @@ def test_load_dataset_csv_standardizes(tmp_path):
 def test_mine_pairs_routes():
     X = np.random.default_rng(0).normal(size=(50, 2))
     knn = mine_pairs(X, MethodConfig(kind="knn", k=2), np.random.default_rng(1))
-    assert knn.source == "knn:k=2"
     assert knn.raw_positive_count == 100
+    want = knn_pairs(X, 2, np.random.default_rng(1))
+    assert np.array_equal(knn.positives, want.positives)
+    assert np.array_equal(knn.negatives, want.negatives)
     tree = mine_pairs(
         X,
-        MethodConfig(kind="rptree", leaf_size=10),
+        MethodConfig(kind="rptree", leaf_size=10, strategy="pca"),
         np.random.default_rng(1),
     )
-    assert tree.source == "rptree:leaf=10:random"
+    rng = np.random.default_rng(1)
+    want = rptree_pairs(build_tree(X, TreeConfig(10, "pca"), rng), rng)
+    assert np.array_equal(tree.positives, want.positives)
+    assert np.array_equal(tree.negatives, want.negatives)
     assert len(tree.positives) > 0 and len(tree.negatives) > 0
 
 
@@ -242,7 +249,30 @@ def test_negative_run_seed_is_refused_before_any_stage(monkeypatch):
         mine_run_pairs(X, config, run_index=-1)
     # A base seed that covers the negative index is a valid run.
     shifted = replace(config, base_seed=1)
-    assert mine_run_pairs(X, shifted, -1).source == "rptree:leaf=10:random"
+    assert len(mine_run_pairs(X, shifted, -1).positives) > 0
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"spectral": SpectralConfig(n_clusters=2, total_steps=3)}, "spectral.total_steps"),
+        ({"siamese": SiameseConfig(epochs=0)}, "siamese.epochs"),
+        ({"method": MethodConfig(leaf_size=1)}, "leaf_size must be at least 2"),
+        ({"method": MethodConfig(strategy="bestof:0")}, "method.strategy must be"),
+        # Built in Python, a NaN setting fails its range check too.
+        ({"siamese": SiameseConfig(learning_rate=float("nan"))}, "siamese.learning_rate"),
+        ({"spectral": SpectralConfig(n_clusters=2, learning_rate=float("nan"))}, "spectral.learning_rate"),
+        ({"dataset": SyntheticSpec(kind="moons", n=60, noise=float("nan"))}, "noise must be nonnegative"),
+    ],
+)
+def test_run_pipeline_refuses_a_bad_config_before_any_stage(monkeypatch, override, message):
+    X, y = load_dataset(quick_config().dataset)
+    config = quick_config(**override)
+    mined = []
+    monkeypatch.setattr(harness, "mine_pairs", lambda *args: mined.append(args))
+    with pytest.raises(ConfigError, match=message):
+        run_pipeline(X, y, config)
+    assert not mined
 
 
 def test_run_index_changes_results():
@@ -330,10 +360,11 @@ def test_run_pipeline_fails_a_diverging_twin_at_its_step(learning_rate):
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
-def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route):
+def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route, monkeypatch):
     X, y = load_dataset(quick_config().dataset)
     X[3, 0] = np.inf
-    record = run_experiment(quick_config(method=ROUTES[route]), data=(X, y))
+    monkeypatch.setattr(harness, "load_dataset", lambda source: (X, y))
+    record = run_experiment(quick_config(method=ROUTES[route]))
     assert record["summary"]["runs_failed"] == 2
     for run in record["runs"]:
         assert run["error"]["stage"] == "pairs"

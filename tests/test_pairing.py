@@ -54,7 +54,6 @@ def test_knn_raw_count_and_dedup_bounds():
     assert pairs.raw_positive_count == 50 * 3
     # Unordered dedup keeps between half (all mutual) and all (none mutual).
     assert 75 <= len(pairs.positives) <= 150
-    assert pairs.source == "knn:k=3"
 
 
 def test_knn_negative_budget_and_disjointness():
@@ -113,7 +112,6 @@ def test_leaf_pairs_cover_leaves_exactly():
                 expected.add((min(int(a), int(b)), max(int(a), int(b))))
     assert as_set(pairs.positives) == expected
     assert pairs.raw_positive_count == raw
-    assert pairs.source == "rptree"
 
 
 def test_leaf_negatives_come_from_other_leaves():
@@ -189,7 +187,7 @@ def test_save_pairs_csv_writes_the_unblocked_bytes_in_bounded_memory(tmp_path, p
     # The negatives end one row past a block, and an empty polarity keeps its header.
     rng = np.random.default_rng(10)
     for negatives in (rng.integers(0, 10**6, size=(2 * 8192 + 1, 2)), np.empty((0, 2), np.int64)):
-        pairs = PairSet(rng.integers(0, 10**6, size=(50_000, 2)), negatives, "test", 0)
+        pairs = PairSet(rng.integers(0, 10**6, size=(50_000, 2)), negatives, 0)
         got, want = tmp_path / "got", tmp_path / "want"
         got.mkdir(exist_ok=True)
         want.mkdir(exist_ok=True)
@@ -265,7 +263,7 @@ def reference_knn_pairs(X, k, rng):
         if negative_rows
         else np.empty((0, 2), dtype=np.int64)
     )
-    return PairSet(positives, negatives, f"knn:k={k}", n * k)
+    return PairSet(positives, negatives, n * k)
 
 
 def reference_rptree_pairs(tree, rng):
@@ -291,7 +289,7 @@ def reference_rptree_pairs(tree, rng):
             negative_rows.append(np.stack([grid_a.reshape(-1), grid_b.reshape(-1)], axis=1))
         negatives = reference_unique_unordered(np.concatenate(negative_rows))
         warning = None
-    return PairSet(positives, negatives, "rptree", raw_count, warning)
+    return PairSet(positives, negatives, raw_count, warning)
 
 
 def assert_same_pairs(got, want, got_rng, want_rng):
@@ -302,7 +300,6 @@ def assert_same_pairs(got, want, got_rng, want_rng):
         assert np.array_equal(a, b), name
     assert got.raw_positive_count == want.raw_positive_count
     assert got.warning == want.warning
-    assert got.source == want.source
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     got.validate()
 
@@ -594,7 +591,7 @@ def validate_message(pairs):
 
 def pair_set(positives, negatives):
     as_rows = lambda rows: np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    return PairSet(as_rows(positives), as_rows(negatives), "test", 0)
+    return PairSet(as_rows(positives), as_rows(negatives), 0)
 
 
 @pytest.mark.parametrize(

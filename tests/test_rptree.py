@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from rpspectral import rptree
 from rpspectral.errors import DegenerateSplit
 from rpspectral.rptree import (
-    DirectionStrategy,
     TreeConfig,
     build_tree,
     choose_directions,
@@ -94,7 +93,7 @@ def test_tree_partitions_all_points():
 def test_partition_invariant_property(n, dim, leaf_size, copies, strategy, seed):
     # Repeated rows make cuts fail, so retries run and degenerate leaves freeze.
     X = np.repeat(np.random.default_rng(seed).normal(size=(n, dim)), copies, axis=0)
-    config = TreeConfig(leaf_size=leaf_size, strategy=DirectionStrategy.parse(strategy))
+    config = TreeConfig(leaf_size=leaf_size, strategy=strategy)
     tree = build_tree(X, config, rng=np.random.default_rng(seed))
     walk_and_check(tree, X, leaf_size=leaf_size)
 
@@ -144,7 +143,7 @@ def test_seed_changes_tree():
 def test_duplicates_freeze_into_degenerate_leaf():
     X = np.ones((40, 2))
     for strategy in ("random", "bestof:3", "pca"):
-        config = TreeConfig(leaf_size=8, strategy=DirectionStrategy.parse(strategy))
+        config = TreeConfig(leaf_size=8, strategy=strategy)
         tree = build_tree(X, config, rng=np.random.default_rng(0))
         assert tree.children.shape == (0, 2)
         assert tree.degenerate.tolist() == [True]
@@ -227,7 +226,7 @@ def test_best_of_picks_max_variance_candidate():
     rng = np.random.default_rng(11)
     parts = [rng.normal(size=(80, 2)) @ np.diag([5.0, 0.5]), rng.normal(size=(30, 2))]
     points, sizes = segments(*parts)
-    directions, scores = choose_directions(points, sizes, DirectionStrategy("bestof", 8), rng)
+    directions, scores = choose_directions(points, sizes, "bestof:8", rng)
     assert directions.shape == (2, 2)
     assert scores.shape == (2, 8)
     for d, part, row in zip(directions, parts, scores):
@@ -236,8 +235,8 @@ def test_best_of_picks_max_variance_candidate():
 
 def test_best_of_one_is_random_draw_for_draw():
     points, sizes = segments(*(np.random.default_rng(12).normal(size=(s, 3)) for s in (4, 9)))
-    a, _ = choose_directions(points, sizes, DirectionStrategy(), np.random.default_rng(3))
-    b, scores = choose_directions(points, sizes, DirectionStrategy("bestof", 1), np.random.default_rng(3))
+    a, _ = choose_directions(points, sizes, "random", np.random.default_rng(3))
+    b, scores = choose_directions(points, sizes, "bestof:1", np.random.default_rng(3))
     assert np.array_equal(a, b)
     assert scores.shape == (2, 1)
 
@@ -247,24 +246,18 @@ def test_best_of_beats_single_draw_on_average():
     X = rng.normal(size=(100, 2)) @ np.diag([10.0, 0.1])
     points, sizes = segments(*([X] * 20))
     variances = {}
-    for strategy in (DirectionStrategy("bestof", 10), DirectionStrategy()):
+    for strategy in ("bestof:10", "random"):
         directions, _ = choose_directions(points, sizes, strategy, rng)
-        variances[strategy.kind] = np.var(X @ directions.T, axis=0)
-    assert np.mean(variances["bestof"]) > np.mean(variances["random"])
+        variances[strategy] = np.var(X @ directions.T, axis=0)
+    assert np.mean(variances["bestof:10"]) > np.mean(variances["random"])
 
 
-def test_strategy_parse_round_trip():
-    for text, strategy in (
-        ("random", DirectionStrategy()),
-        ("pca", DirectionStrategy("pca")),
-        ("bestof:5", DirectionStrategy("bestof", 5)),
-    ):
-        assert DirectionStrategy.parse(text) == strategy
-    assert DirectionStrategy.parse(" PCA ") == DirectionStrategy("pca")
-    with pytest.raises(ValueError):
-        DirectionStrategy.parse("kd")
-    with pytest.raises(ValueError):
-        DirectionStrategy("bestof", 0)
+def test_tree_config_takes_only_the_exact_strategy_spellings():
+    for strategy in ("random", "pca", "bestof:1", "bestof:5", "bestof:12"):
+        assert TreeConfig(leaf_size=4, strategy=strategy).strategy == strategy
+    for strategy in ("kd", "PCA", " pca ", "Random", "bestof", "bestof:0", "bestof:03", "bestof:x", 3):
+        with pytest.raises(ValueError, match="strategy must be"):
+            TreeConfig(leaf_size=4, strategy=strategy)
 
 
 # --- splitting ---

@@ -29,7 +29,6 @@ def make_pairs(positives, negatives):
     return PairSet(
         positives=np.asarray(positives, dtype=np.int64).reshape(-1, 2),
         negatives=np.asarray(negatives, dtype=np.int64).reshape(-1, 2),
-        source="test",
         raw_positive_count=len(positives),
     )
 
@@ -40,7 +39,7 @@ def make_pairs(positives, negatives):
 def test_negative_pair_inside_margin():
     z1 = np.array([0.0, 0.0])
     z2 = np.array([0.4, 0.0])
-    loss, g1, g2 = contrastive_loss(z1, z2, is_positive=False, margin=1.0)
+    loss, g1, g2 = contrastive_loss(z1, z2, is_positive=False)
     assert loss == pytest.approx(0.6, abs=1e-12)
     # descent step (minus gradient) pushes the points apart
     assert g1[0] > 0 and g2[0] < 0
@@ -49,15 +48,13 @@ def test_negative_pair_inside_margin():
 def test_negative_pair_past_margin_is_free():
     z1 = np.zeros(2)
     z2 = np.array([1.5, 0.0])
-    loss, g1, g2 = contrastive_loss(z1, z2, is_positive=False, margin=1.0)
+    loss, g1, g2 = contrastive_loss(z1, z2, is_positive=False)
     assert loss == 0.0
     assert not g1.any() and not g2.any()
 
 
 def test_negative_pair_exactly_at_margin_is_free():
-    loss, g1, _ = contrastive_loss(
-        np.zeros(1), np.array([1.0]), is_positive=False, margin=1.0
-    )
+    loss, g1, _ = contrastive_loss(np.zeros(1), np.array([1.0]), is_positive=False)
     assert loss == 0.0 and not g1.any()
 
 
@@ -114,9 +111,9 @@ def batch_case(seed=2, m=12, scale=0.3):
 
 def test_contrastive_batch_is_mean_of_pair_losses():
     Z1, Z2, mask = batch_case()
-    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, 1.0)
+    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask)
     per_pair = [
-        contrastive_loss(z1, z2, positive, margin=1.0)
+        contrastive_loss(z1, z2, positive)
         for z1, z2, positive in zip(Z1, Z2, mask)
     ]
     m = len(Z1)
@@ -128,24 +125,24 @@ def test_contrastive_batch_is_mean_of_pair_losses():
 
 def test_contrastive_batch_matches_finite_differences():
     Z1, Z2, mask = batch_case(seed=3)
-    _, G1, G2 = _contrastive_batch(Z1, Z2, mask, 1.0)
+    _, G1, G2 = _contrastive_batch(Z1, Z2, mask)
     eps = 1e-6
     for Z, G in ((Z1, G1), (Z2, G2)):
         for index in np.ndindex(Z.shape):
             saved = Z[index]
             Z[index] = saved + eps
-            up = _contrastive_batch(Z1, Z2, mask, 1.0)[0]
+            up = _contrastive_batch(Z1, Z2, mask)[0]
             Z[index] = saved - eps
-            down = _contrastive_batch(Z1, Z2, mask, 1.0)[0]
+            down = _contrastive_batch(Z1, Z2, mask)[0]
             Z[index] = saved
             assert (up - down) / (2 * eps) == pytest.approx(G[index], abs=1e-8)
 
 
-def reference_twin_gradients(net, X, left, right, mask, margin):
+def reference_twin_gradients(net, X, left, right, mask):
     """The two-pass step: each side forward and backward, gradients summed."""
     Z1, cache1 = net.forward(X[left])
     Z2, cache2 = net.forward(X[right])
-    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask, margin)
+    loss, G1, G2 = _contrastive_batch(Z1, Z2, mask)
     grads1 = net.backward(cache1, G1)
     grads2 = net.backward(cache2, G2)
     total = [
@@ -173,9 +170,9 @@ def test_twin_gradients_match_two_pass_reference(case):
     mask = np.arange(len(pairs)) < len(positives)
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
     slot = np.full(len(X), len(X) - 1, dtype=np.intp)  # stale content is fine
-    loss, grads = _twin_gradients(net, X, ends, mask, 5.0, slot)
+    loss, grads = _twin_gradients(net, X, ends, mask, slot)
     ref_loss, ref_grads = reference_twin_gradients(
-        net, X, pairs[:, 0], pairs[:, 1], mask, 5.0
+        net, X, pairs[:, 0], pairs[:, 1], mask
     )
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     for got, want in zip(grads, ref_grads):
@@ -197,21 +194,21 @@ def test_float32_twin_gradients_stay_float32_and_track_float64():
     slot = np.empty(len(X), dtype=np.intp)
 
     Z = narrow.forward(X)[0]
-    _, G1, G2 = _contrastive_batch(Z[pairs[:, 0]], Z[pairs[:, 1]], mask, 5.0)
+    _, G1, G2 = _contrastive_batch(Z[pairs[:, 0]], Z[pairs[:, 1]], mask)
     assert G1.dtype == G2.dtype == np.float32
     # forward and backward cast what they are handed, so that is checked too
     handed = []
     forward, backward = narrow.forward, narrow.backward
     narrow.forward = lambda batch: handed.append(batch.dtype) or forward(batch)
     narrow.backward = lambda cache, G: handed.append(G.dtype) or backward(cache, G)
-    loss, grads = _twin_gradients(narrow, X.astype(np.float32), ends, mask, 5.0, slot)
+    loss, grads = _twin_gradients(narrow, X.astype(np.float32), ends, mask, slot)
     del narrow.forward, narrow.backward
     assert handed == [np.float32, np.float32]
     assert all(g.dtype == np.float32 for pair in grads for g in pair)
 
     wide_loss, wide_grads = _twin_gradients(
         narrow.astype(np.float64), X.astype(np.float32).astype(np.float64),
-        ends, mask, 5.0, slot,
+        ends, mask, slot,
     )
     assert loss == pytest.approx(wide_loss, rel=1e-4)
     got = np.concatenate([g.ravel() for pair in grads for g in pair])
@@ -400,12 +397,8 @@ def test_training_rejects_out_of_range_pair_indices(positives, negatives):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SiameseConfig(margin=0.0).validate()
-    with pytest.raises(ValueError):
         SiameseConfig(batch_size=1).validate()
-    with pytest.raises(ValueError):
-        SiameseConfig(activation="gelu").validate()
-    for rate in (0.0, -1e-3):
+    for rate in (0.0, -1e-3, float("nan")):
         with pytest.raises(ValueError, match="learning_rate"):
             SiameseConfig(learning_rate=rate).validate()
     with pytest.raises(ValueError, match="embedding_dim"):
