@@ -68,7 +68,8 @@ class MethodConfig:
 
     kind "knn" uses exact k nearest neighbors; kind "rptree" mines pairs from
     random-projection tree leaves, with ``leaf_size`` and ``strategy`` as
-    the ``TreeConfig`` that checks them.
+    the ``TreeConfig`` that checks them. Every field is checked whatever
+    the kind, since the config echo records them all.
     """
 
     kind: str = "rptree"
@@ -78,16 +79,15 @@ class MethodConfig:
 
     def validate(self):
         if self.kind not in ("knn", "rptree"):
-            raise ConfigError(f"unknown pairing method {self.kind!r}")
-        if self.kind == "knn" and self.k < 1:
-            raise ConfigError("k must be at least 1")
-        if self.kind == "rptree":
-            if self.leaf_size < 2:
-                raise ConfigError("leaf_size must be at least 2")
-            try:
-                TreeConfig(self.leaf_size, self.strategy)
-            except ValueError as exc:
-                raise ConfigError(f"method.{exc}") from exc
+            raise ConfigError(f"method.kind: unknown pairing method {self.kind!r}")
+        if self.k < 1:
+            raise ConfigError("method.k must be at least 1")
+        if self.leaf_size < 2:
+            raise ConfigError("method.leaf_size must be at least 2")
+        try:
+            TreeConfig(self.leaf_size, self.strategy)
+        except ValueError as exc:
+            raise ConfigError(f"method.{exc}") from exc
 
     @property
     def label(self) -> str:

@@ -8,9 +8,12 @@ the test suite.
 
 A net runs a batch in one of two ways. ``forward`` keeps every layer's
 input, pre-activation and output, which ``backward`` needs; training uses
-it. ``predict`` keeps nothing and returns only the output, bit-identical to
-``forward``'s; every pass that needs no gradient uses it, since at 10k points
-each array of a 128-wide layer's cache takes about 10 MB.
+it. ``predict`` keeps nothing and returns only the output; every pass that
+needs no gradient uses it. It runs the batch in row blocks of
+``block_rows(widest layer)``, so besides its (n, output) result it holds
+two activations of at most ``_BLOCK_FLOATS`` (2^16) values, 512 KiB in
+float64, at any n; a 128-wide layer's array over all of 10k points would
+take 10 MB.
 """
 
 from __future__ import annotations
@@ -26,6 +29,14 @@ _BETA2 = 0.999
 _EPS = 1e-8
 # Central-difference step of gradient_check.
 _GRADIENT_CHECK_EPS = 1e-5
+# Values per block in a pass over many rows: 512 rows of a 128-wide layer.
+# Every workload of at most 512 points runs predict as one block.
+_BLOCK_FLOATS = 1 << 16
+
+
+def block_rows(width):
+    """Rows per block when each row holds ``width`` values."""
+    return max(1, _BLOCK_FLOATS // width)
 
 
 def _activate(name, z, out=None):
@@ -156,17 +167,34 @@ class Mlp:
     def predict(self, batch):
         """The net's output for a batch, keeping no cache for ``backward``.
 
-        Casts and checks the batch as ``forward`` does and returns exactly
-        ``forward(batch)[0]``. Each layer's activation is applied in place
-        to its fresh affine output, so at most one layer's input and output
-        are alive at a time; the caller's batch is never written.
+        Casts and checks the batch as ``forward`` does. The rows run in
+        blocks of ``block_rows`` of the widest layer, each written into one
+        preallocated output; within a block each layer's activation is
+        applied in place to its fresh affine output, so at most one layer's
+        input and output block are alive. The caller's batch is never
+        written.
+
+        On a batch of at most one block the result is exactly
+        ``forward(batch)[0]``; on a larger one it is exactly ``forward``
+        applied block by block, rows concatenated. That equals one
+        ``forward`` over the whole batch wherever the BLAS product's bits do
+        not depend on the number of rows. OpenBLAS picks its kernel by
+        shape, and on narrow outputs (128 -> 2, 3, 4 and 32 -> 2, 4, seen
+        at 10k-40k rows) the last bits can differ, by up to 1.6e-15 seen;
+        the result is still deterministic. Wider outputs and every hidden
+        layer matched.
         """
-        a = self._as_batch(batch)
-        for layer in self.layers:
-            z = a @ layer.weights
-            z += layer.biases
-            a = _activate(layer.activation, z, out=z)
-        return a
+        batch = self._as_batch(batch)
+        rows = block_rows(max(layer.weights.shape[1] for layer in self.layers))
+        out = np.empty((len(batch), self.output_dim), dtype=self.dtype)
+        for start in range(0, len(batch), rows):
+            a = batch[start : start + rows]
+            for layer in self.layers:
+                z = a @ layer.weights
+                z += layer.biases
+                a = _activate(layer.activation, z, out=z)
+            out[start : start + rows] = a
+        return out
 
     def backward(self, cache, output_grad):
         """Backpropagate a loss gradient through a cached forward pass.

@@ -207,6 +207,18 @@ def test_run_verb_bad_config_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_knn_config_with_bad_tree_settings_exits_2(tmp_path, capsys):
+    doc = quick_config_doc()
+    doc["method"] = {"kind": "knn", "k": 5, "leaf_size": 0, "strategy": "PCA"}
+    outdir = tmp_path / "out"
+    code = main(
+        ["experiment", "--config", write_config(tmp_path, doc), "--outdir", str(outdir)]
+    )
+    assert code == 2
+    assert "method.leaf_size must be at least 2" in capsys.readouterr().err
+    assert not (outdir / "results.json").exists()
+
+
 def test_run_verb_stage_failure_exits_1(tmp_path, capsys):
     doc = quick_config_doc()
     doc["method"] = {"kind": "knn", "k": 60}  # as many neighbors as points

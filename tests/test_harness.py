@@ -144,6 +144,22 @@ def test_config_validation_errors():
     quick_config().validate()
 
 
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        (MethodConfig(kind="x"), r"^method\.kind: unknown pairing method 'x'$"),
+        (MethodConfig(kind="knn", k=0), r"^method\.k must be at least 1$"),
+        (MethodConfig(kind="rptree", k=0), r"^method\.k must be at least 1$"),
+        (MethodConfig(kind="knn", leaf_size=0), r"^method\.leaf_size must be at least 2$"),
+        (MethodConfig(kind="knn", strategy="PCA"), r"^method\.strategy must be"),
+    ],
+    ids=["kind", "knn-k", "rptree-k", "knn-leaf_size", "knn-strategy"],
+)
+def test_method_validation_checks_every_field_and_names_its_section(method, message):
+    with pytest.raises(ConfigError, match=message):
+        method.validate()
+
+
 def test_method_labels():
     assert MethodConfig(kind="knn", k=3).label == "knn:k=3"
     assert (
@@ -257,7 +273,7 @@ def test_negative_run_seed_is_refused_before_any_stage(monkeypatch):
     [
         ({"spectral": SpectralConfig(n_clusters=2, total_steps=3)}, "spectral.total_steps"),
         ({"siamese": SiameseConfig(epochs=0)}, "siamese.epochs"),
-        ({"method": MethodConfig(leaf_size=1)}, "leaf_size must be at least 2"),
+        ({"method": MethodConfig(leaf_size=1)}, "method.leaf_size must be at least 2"),
         ({"method": MethodConfig(strategy="bestof:0")}, "method.strategy must be"),
         # Built in Python, a NaN setting fails its range check too.
         ({"siamese": SiameseConfig(learning_rate=float("nan"))}, "siamese.learning_rate"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rpspectral.errors import BadArchitecture, ShapeMismatch
-from rpspectral.mlp import Adam, Layer, Mlp, gradient_check
+from rpspectral.mlp import _BLOCK_FLOATS, Adam, Layer, Mlp, block_rows, gradient_check
 
 
 def quadratic_loss(output):
@@ -162,6 +162,27 @@ def test_predict_matches_forward_on_a_mixed_net():
     batch = np.random.default_rng(14).normal(size=(10, 4))
     batch[0, :] = 0.0  # on every first-layer kink
     assert same_bits(net.predict(batch), net.forward(batch)[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_predict_runs_row_blocks_like_forward_block_by_block(activation, dtype):
+    net = Mlp.init([3, 128, 64, 2], activation=activation, seed=6).astype(dtype)
+    rows = block_rows(128)
+    batch = np.random.default_rng(15).normal(size=(3 * rows + 17, 3)).astype(dtype)
+    blocks = [batch[i : i + rows] for i in range(0, len(batch), rows)]
+    assert len(blocks) == 4 and len(blocks[-1]) == 17
+    expected = np.concatenate([net.forward(block)[0] for block in blocks])
+    assert same_bits(net.predict(batch), expected)
+    # one full block, and no rows, are one forward pass
+    assert same_bits(net.predict(blocks[0]), net.forward(blocks[0])[0])
+    assert same_bits(net.predict(batch[:0]), net.forward(batch[:0])[0])
+
+
+def test_block_rows_fills_the_budget():
+    assert block_rows(128) == _BLOCK_FLOATS // 128 >= 300  # n=300 runs unblocked
+    assert block_rows(1) == _BLOCK_FLOATS
+    assert block_rows(_BLOCK_FLOATS + 1) == 1
 
 
 @pytest.mark.parametrize(

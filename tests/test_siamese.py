@@ -10,7 +10,7 @@ from rpspectral.errors import (
     NonFiniteInput,
     ShapeMismatch,
 )
-from rpspectral.mlp import Mlp
+from rpspectral.mlp import _BLOCK_FLOATS, Mlp, block_rows
 from rpspectral.pairing import PairSet
 from rpspectral.siamese import (
     SiameseConfig,
@@ -214,6 +214,40 @@ def test_float32_twin_gradients_stay_float32_and_track_float64():
     got = np.concatenate([g.ravel() for pair in grads for g in pair])
     want = np.concatenate([w.ravel() for pair in wide_grads for w in pair])
     assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
+
+
+def test_twin_gradients_scatter_like_a_two_d_scatter_bit_for_bit():
+    # Point 0 ends five pairs and point 2 four, so their endpoint gradients
+    # are float32 sums of several terms, whose bits depend on the order.
+    positives = [(0, 1), (0, 2), (2, 3), (0, 2), (9, 0)]
+    negatives = [(0, 4), (2, 5), (6, 0), (1, 7), (8, 9)]
+    X = np.random.default_rng(9).normal(size=(10, 3)).astype(np.float32)
+    net = Mlp.init([3, 16, 16, 8], seed=10).astype(np.float32)
+    pairs = np.array(positives + negatives)
+    mask = np.arange(len(pairs)) < len(positives)
+    ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    handed = []
+    backward = net.backward
+    net.backward = lambda cache, G: handed.append(G) or backward(cache, G)
+    _twin_gradients(net, X, ends, mask, np.empty(len(X), dtype=np.intp))
+    del net.backward
+
+    # The same distinct points and rows, summed by a 2-D scatter of rows.
+    slot = np.empty(len(X), dtype=np.intp)
+    count = np.arange(len(ends))
+    slot[ends] = count
+    first = slot[ends] == count
+    slot[ends[first]] = np.arange(first.sum())
+    local = slot[ends]
+    Z = net.forward(X[ends[first]])[0]
+    half = len(ends) // 2
+    _, G1, G2 = _contrastive_batch(Z[local[:half]], Z[local[half:]], mask)
+    G_ends = np.concatenate([G1, G2])
+    G = G_ends[first]
+    np.add.at(G, local[~first], G_ends[~first])
+    assert np.bincount(local).max() >= 3
+    assert handed[0].dtype == G.dtype == np.float32
+    assert handed[0].tobytes() == G.tobytes()
 
 
 # --- bandwidth ---
@@ -465,18 +499,23 @@ def test_siamese_distances_across_a_block_boundary_match_one_pass():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(300, 2))
     net = Mlp.init([2, 16, 16, 32], seed=4)
-    pairs = rng.integers(0, len(X), size=(8193, 2))  # one pair past a block
+    # four pair blocks and one pair past them
+    pairs = rng.integers(0, len(X), size=(4 * block_rows(32) + 1, 2))
     d = siamese_distances(net, X, pairs)
     assert d.tobytes() == reference_distances(net, X, pairs).tobytes()
 
 
 def test_siamese_distances_keep_no_activation_cache(peak_traced_bytes):
-    # A 10k-point pass through the default twin holds two 10k x 128 float64
-    # activations at once, and no more: the bound is three of them. A pass
-    # that kept forward's cache would hold six, and every gathered pair row.
-    n = 10_000
-    rng = np.random.default_rng(5)
-    X = rng.normal(size=(n, 2))
+    # Beside the n x 32 embedding and the distances, a pass through the
+    # default twin holds a few blocks of _BLOCK_FLOATS values at any n: two
+    # 128-wide activation blocks, then two gathered pair blocks. A pass over
+    # all rows at once would hold two n x 128 activations.
     net = Mlp.init([2, 128, 128, 32], seed=6)
-    pairs = rng.integers(0, n, size=(65_286, 2))
-    assert peak_traced_bytes(lambda: siamese_distances(net, X, pairs)) < 3 * n * 128 * 8
+    blocks = 4 * _BLOCK_FLOATS * 8
+    for n in (10_000, 40_000):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, 2))
+        pairs = rng.integers(0, n, size=(65_286, 2))
+        needed = (n * 32 + len(pairs)) * 8
+        peak = peak_traced_bytes(lambda: siamese_distances(net, X, pairs))
+        assert peak < needed + blocks, n

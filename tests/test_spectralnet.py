@@ -11,7 +11,7 @@ from rpspectral.errors import (
     ShapeMismatch,
     SingularGram,
 )
-from rpspectral.mlp import Adam, Mlp
+from rpspectral.mlp import _BLOCK_FLOATS, Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
     SpectralConfig,
@@ -687,10 +687,10 @@ def test_training_rejects_a_non_finite_twin_embedding(full, features):
 
 @pytest.mark.parametrize("features", ["raw", "twin"])
 def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
-    # As for siamese_distances: 10k points through 128-wide layers may hold
-    # two 10k x 128 float64 activations at once, not a forward pass's cache.
-    n = 10_000
-    X = np.random.default_rng(7).normal(size=(n, 2))
+    # As for siamese_distances: beside the n x 3 output, its product with
+    # the map and the n x 32 twin embedding when it is the input, a pass
+    # through 128-wide layers holds a few blocks of _BLOCK_FLOATS values at
+    # any n, not n x 128 activations.
     twin = Mlp.init([2, 128, 128, 32], seed=8)
     width = 32 if features == "twin" else 2
     model = SpectralModel(
@@ -699,4 +699,8 @@ def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
         config=SpectralConfig(n_clusters=3, features=features),
         twin=twin,
     )
-    assert peak_traced_bytes(lambda: embed(model, X)) < 3 * n * 128 * 8
+    blocks = 4 * _BLOCK_FLOATS * 8
+    for n in (10_000, 40_000):
+        X = np.random.default_rng(7).normal(size=(n, 2))
+        needed = (2 * n * 3 + (n * 32 if features == "twin" else 0)) * 8
+        assert peak_traced_bytes(lambda: embed(model, X)) < needed + blocks, n
