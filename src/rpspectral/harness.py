@@ -1,9 +1,10 @@
 """End-to-end experiment harness.
 
 A pipeline run goes: mine pairs (neighbor graph or tree leaves) -> train the
-twin network -> pick a heat-kernel bandwidth from positive-pair distances ->
-train the spectral embedding network -> embed everything -> k-means ->
-score against the reference labels.
+twin network -> embed the dataset with it once and pick a heat-kernel
+bandwidth from positive-pair distances -> train the spectral embedding
+network on the heat kernel of twin distances -> embed everything -> k-means
+-> score against the reference labels.
 
 Seeding is stage-isolated: run r uses seed ``base_seed + r``, and every stage
 inside the run draws from its own generator derived via
@@ -30,6 +31,7 @@ from .errors import (
     BadSpec,
     ConfigError,
     EmptyRequest,
+    NonFiniteInput,
     RpSpectralError,
     StageError,
 )
@@ -38,6 +40,8 @@ from .rptree import TreeConfig, build_tree
 from .serialize import section_from_dict, write_csv, write_json
 from .siamese import (
     SiameseConfig,
+    heat_kernel,
+    pairwise_distances,
     select_bandwidth,
     siamese_distances,
     train_siamese,
@@ -228,18 +232,21 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
             X, pairs, config.siamese, rng=_stage_rng(run_seed, _STAGE_SIAMESE)
         )
     with _stage("bandwidth", durations):
-        positive_distances = siamese_distances(twin, X, pairs.positives)
-        bandwidth = select_bandwidth(positive_distances)
+        # One twin pass: the bandwidth, the affinity and twin features read it.
+        Z = twin.predict(X)
+        if not np.isfinite(Z).all():
+            raise NonFiniteInput("the twin embedding holds NaN or infinite values")
+        bandwidth = select_bandwidth(siamese_distances(Z, pairs.positives))
+    features = Z if config.spectral_config.features == "twin" else X
     with _stage("spectral", durations):
         model = train_spectralnet(
-            X,
-            twin,
-            bandwidth,
+            features,
+            lambda rows: heat_kernel(pairwise_distances(Z[rows]), bandwidth),
             config.spectral_config,
             rng=_stage_rng(run_seed, _STAGE_SPECTRAL),
         )
     with _stage("embed", durations):
-        Y = embed(model, X)
+        Y = embed(model, features)
     with _stage("kmeans", durations):
         clusters = kmeans(
             Y, config.n_clusters, rng=_stage_rng(run_seed, _STAGE_KMEANS)

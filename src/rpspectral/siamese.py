@@ -226,19 +226,19 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     return net, history
 
 
-def siamese_distances(net, X, index_pairs):
-    """Embedding-space Euclidean distance for each (i, j) pair.
+def siamese_distances(Z, index_pairs):
+    """Euclidean distance between the rows of each (i, j) pair of ``Z``.
 
+    ``Z`` is an embedding, typically the twin's ``predict`` of the dataset.
     ``index_pairs`` must be an integer array of shape (k, 2); k = 0 gives an
     empty float64 array. Any other shape or a non-integer dtype raises
-    ShapeMismatch, and an index outside ``0..len(X) - 1`` IndexOutOfRange.
-    The net embeds ``X`` once through ``Mlp.predict``; the pairs are then
-    gathered and differenced in blocks of ``mlp.block_rows`` of the
-    embedding width, the same budget as ``predict``'s row blocks, which
-    gives the same bits as one pass over all of them, since each row's sum
-    is its own.
+    ShapeMismatch, and an index outside ``0..len(Z) - 1`` IndexOutOfRange.
+    The pairs are gathered and differenced in blocks of ``mlp.block_rows``
+    of the embedding width, the same budget as ``Mlp.predict``'s row
+    blocks, which gives the same bits as one pass over all of them, since
+    each row's sum is its own.
     """
-    X = np.asarray(X, dtype=np.float64)
+    Z = np.asarray(Z, dtype=np.float64)
     index_pairs = np.asarray(index_pairs)
     if (
         index_pairs.ndim != 2
@@ -249,8 +249,7 @@ def siamese_distances(net, X, index_pairs):
             f"pair indices must be integers of shape (k, 2), got "
             f"{index_pairs.dtype} of shape {index_pairs.shape}"
         )
-    _check_indices(index_pairs, len(X))
-    Z = net.predict(X)
+    _check_indices(index_pairs, len(Z))
     distances = np.empty(len(index_pairs))
     step = block_rows(Z.shape[1])
     for start in range(0, len(index_pairs), step):

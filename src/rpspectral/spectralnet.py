@@ -1,20 +1,22 @@
 """Spectral embedding network with batch orthogonalization.
 
-The network maps points to a g-dimensional embedding trained to minimize the
-graph Laplacian quadratic form over batch affinities, subject to the batch
-outputs being orthonormal. Each training step whitens the raw outputs of one
-batch with a Cholesky factor of their Gram matrix and follows the exact
-gradient of the whitened loss, whitening map included, back into the
-network weights.
+The network maps feature rows to a g-dimensional embedding trained to
+minimize the graph Laplacian quadratic form over batch affinities, subject
+to the batch outputs being orthonormal. The affinity is an input: a callable
+that returns the affinity matrix of any set of rows, so the graph the net
+trains on is chosen by the caller, not here. Each training step whitens the
+raw outputs of one batch with a Cholesky factor of their Gram matrix and
+follows the exact gradient of the whitened loss, whitening map included,
+back into the network weights.
 
 The network body trains in float32: its forward pass, backward pass and
 Adam update. Each step's raw output is widened to float64 before whitening,
 so the Gram matrix, the Cholesky whitening and its residual check, the loss
 on the float64 affinity and the gradient through the whitening map are all
 float64. The trained net is handed back widened to float64, exactly, and the
-stored whitening map is fitted with it on every point of the dataset, so the
-dataset's embedding is white. Float32 keeps about seven significant digits,
-so inputs are expected at standardized scale, as for the twin.
+stored whitening map is fitted with it on every row of the features, so
+their embedding is white. Float32 keeps about seven significant digits, so
+features are expected at standardized scale.
 """
 
 from __future__ import annotations
@@ -24,15 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadArchitecture,
-    BatchTooSmall,
-    NonFiniteInput,
-    ShapeMismatch,
-    SingularGram,
-)
+from .errors import BatchTooSmall, ShapeMismatch, SingularGram
 from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
-from .siamese import heat_kernel, pairwise_distances
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
 # Diagonal bump, relative to the mean Gram eigenvalue, tried once when a
@@ -52,7 +47,7 @@ class SpectralConfig:
     learning_rate: float = 1e-3
     learning_rate_schedule: str = "constant"  # or "cosine" (decay to zero)
     restarts: int = 1  # train this many nets, keep the lowest-loss one
-    features: str = "raw"  # or "twin": body consumes the twin embedding
+    features: str = "raw"  # or "twin": the pipeline feeds the twin embedding
 
     def validate(self):
         if self.n_clusters < 1:
@@ -192,7 +187,6 @@ class SpectralModel:
     loss_history: list = field(default_factory=list)
     ortho_residuals: list = field(default_factory=list)
     config: SpectralConfig = None
-    twin: Mlp = None  # frozen feature net, consulted when features="twin"
     selected_restart: int = 0
 
 
@@ -215,8 +209,13 @@ def _whitened_loss(out, affinity, degrees=None):
 _SELECTION_TAIL = 10  # gradient losses averaged when ranking restarts
 
 
-def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
+def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     """Train on the whitened Laplacian loss, one batch per step.
+
+    ``features`` is the (n, d) matrix the net reads. ``affinity(rows)``
+    returns the (m, m) float64 affinity of the feature rows ``rows``, an
+    integer index array; ``spectral_loss`` refuses one of another shape with
+    ShapeMismatch.
 
     Each of the ``total_steps // 2`` steps (a step counts as one whitening
     plus one gradient update) takes one batch: every row in natural order
@@ -224,19 +223,12 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     drawn from ``rng``. It runs the net once over the batch, whitens that
     output (``_orthogonalize``), takes ``spectral_loss`` on the batch
     affinity and backpropagates the exact gradient of the whitened loss,
-    whitening map included (``_whitened_loss``). A final whitening after the
-    last update fits the stored map to the trained weights on all n points,
-    the points ``embed`` maps, so the embedding of the dataset is white.
-
-    Affinities come from the frozen twin network: embed the points, take
-    pairwise distances, apply the heat kernel at the supplied bandwidth.
-    When the batch is the whole dataset, the n x n affinity is built once
-    and every step uses it; otherwise each drawn batch builds its own m x m
-    affinity.
-
-    The body network consumes raw coordinates by default; with
-    ``features="twin"`` it consumes the frozen twin's embedding instead
-    (the affinity is built from twin distances either way).
+    whitening map included (``_whitened_loss``). When the batch is the whole
+    dataset, ``affinity`` is called once, on ``np.arange(n)``, and every
+    step reuses that matrix and its row sums; otherwise it is called once
+    per step, on the drawn rows. A final whitening after the last update
+    fits the stored map to the trained weights on all n rows, the rows
+    ``embed`` maps, so their embedding is white.
 
     With ``restarts > 1``, that many nets train on generators seeded by
     consecutive 63-bit draws from ``rng``, and the one with the lowest mean
@@ -250,71 +242,68 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
     is widened to float64 for the whitening, the loss and the gradient
     through the whitening map, which ``backward`` casts back. The returned
     net is widened to float64, exactly, and the stored map is fitted with it
-    on the float64 features, so ``embed`` reproduces it. Inputs are expected
-    at standardized scale. An input or twin-feature value that is NaN,
-    infinite or beyond float32's range (about 3.4e38), or a non-finite value
-    in the twin embedding that builds the affinity, raises NonFiniteInput
-    before any training.
+    on the float64 features, so ``embed`` reproduces it. Features are
+    expected at standardized scale; a value that is NaN, infinite or beyond
+    float32's range (about 3.4e38) raises NonFiniteInput before any
+    training. The steps run under ``np.errstate(over="raise",
+    invalid="raise")``: a step that overflows or makes a NaN, or whose
+    outputs cannot be whitened, raises SingularGram naming the step (and
+    the restart, when there are several).
     """
     config.validate()
-    X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
     m = config.batch_size
     if n < m:
         raise BatchTooSmall(f"dataset has {n} points, batch size is {m}")
+    narrow = finite_float32(features)
 
-    # The input is checked with twin features too: a tanh twin maps an
-    # infinite input to a finite embedding.
-    narrow = finite_float32(X)
-
-    # The twin net is frozen, so its embedding of the dataset never changes;
-    # compute it once. When the batch is the whole dataset, so is its
-    # affinity, and every step uses it as it stands.
-    Z_full = twin_net.predict(X)
-    features = X
-    if config.features == "twin":
-        features = Z_full
-        narrow = finite_float32(Z_full, "twin feature")
-    if not np.isfinite(Z_full).all():
-        raise NonFiniteInput("the twin embedding holds NaN or infinite values")
     full_batch = m == n
     if full_batch:
-        affinity_full = heat_kernel(pairwise_distances(Z_full), bandwidth)
-        degrees_full = affinity_full.sum(axis=1)
+        affinity_full = affinity(np.arange(n))
+        # Any shape sums here; spectral_loss then refuses a wrong one.
+        degrees_full = np.sum(affinity_full, axis=-1)
 
     sizes = [features.shape[1], *config.hidden_sizes, config.n_clusters]
     half_steps = config.total_steps // 2
 
-    def train_once(run_rng):
+    def train_once(run_rng, restart):
         net = Mlp.init(
             sizes, config.activation, seed=int(run_rng.integers(0, 2**63 - 1))
         ).astype(np.float32)
         optimizer = Adam(net, learning_rate=config.learning_rate)
         loss_history = []
         ortho_residuals = []
-        for step in range(half_steps):
-            if config.learning_rate_schedule == "cosine":
-                # A Python float, so the float32 update stays in float32.
-                optimizer.learning_rate = float(
-                    config.learning_rate
-                    * 0.5
-                    * (1.0 + np.cos(np.pi * step / half_steps))
-                )
-            if full_batch:
-                batch, affinity, degrees = narrow, affinity_full, degrees_full
-            else:
-                idx = run_rng.choice(n, size=m, replace=False)
-                batch = narrow[idx]
-                affinity = heat_kernel(pairwise_distances(Z_full[idx]), bandwidth)
-                degrees = None
-            out, cache = net.forward(batch)
-            loss, grad_out, residual = _whitened_loss(
-                out.astype(np.float64), affinity, degrees
-            )
-            grads = net.backward(cache, grad_out)
-            optimizer.step(net, grads)
-            loss_history.append(loss)
-            ortho_residuals.append(residual)
+        # A diverging net fails the step whose overflow or NaN first shows it.
+        with np.errstate(over="raise", invalid="raise"):
+            for step in range(half_steps):
+                if config.learning_rate_schedule == "cosine":
+                    # A Python float, so the float32 update stays in float32.
+                    optimizer.learning_rate = float(
+                        config.learning_rate
+                        * 0.5
+                        * (1.0 + np.cos(np.pi * step / half_steps))
+                    )
+                if full_batch:
+                    batch, A, degrees = narrow, affinity_full, degrees_full
+                else:
+                    idx = run_rng.choice(n, size=m, replace=False)
+                    batch, A, degrees = narrow[idx], affinity(idx), None
+                try:
+                    out, cache = net.forward(batch)
+                    loss, grad_out, residual = _whitened_loss(
+                        out.astype(np.float64), A, degrees
+                    )
+                    optimizer.step(net, net.backward(cache, grad_out))
+                except (FloatingPointError, SingularGram) as err:
+                    where = f"step {step + 1} of {half_steps}"
+                    if config.restarts > 1:
+                        where += f" of restart {restart + 1} of {config.restarts}"
+                    raise SingularGram(
+                        f"spectral training failed at {where}: {err}"
+                    ) from None
+                loss_history.append(loss)
+                ortho_residuals.append(residual)
 
         # The last update left the stored map stale; refit it once more, with
         # the float64 net that embed() will run, on every point it will map.
@@ -324,17 +313,13 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         return net, transform, loss_history, ortho_residuals
 
     if config.restarts == 1:
-        candidates = [train_once(rng)]
-        selected = 0
+        candidates = [train_once(rng, 0)]
     else:
-        seeds = [
-            int(rng.integers(0, 2**63 - 1)) for _ in range(config.restarts)
+        seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(config.restarts)]
+        candidates = [
+            train_once(np.random.default_rng(s), r) for r, s in enumerate(seeds)
         ]
-        candidates = [train_once(np.random.default_rng(s)) for s in seeds]
-        tails = [
-            float(np.mean(c[2][-_SELECTION_TAIL:])) for c in candidates
-        ]
-        selected = int(np.argmin(tails))
+    selected = int(np.argmin([np.mean(c[2][-_SELECTION_TAIL:]) for c in candidates]))
 
     net, transform, loss_history, ortho_residuals = candidates[selected]
     return SpectralModel(
@@ -343,19 +328,14 @@ def train_spectralnet(X, twin_net, bandwidth, config: SpectralConfig, rng):
         loss_history=loss_history,
         ortho_residuals=ortho_residuals,
         config=config,
-        twin=twin_net,
         selected_restart=selected,
     )
 
 
-def embed(model: SpectralModel, X):
-    """Spectral embedding of arbitrary points through the stored map."""
-    X = np.asarray(X, dtype=np.float64)
-    if model.config is not None and model.config.features == "twin":
-        if model.twin is None:
-            raise BadArchitecture(
-                "model embeds twin features but carries no twin network"
-            )
-        X = model.twin.predict(X)
-    out = model.net.predict(X)
-    return out @ model.transform
+def embed(model: SpectralModel, features):
+    """Spectral embedding of feature rows: the net's output through the map.
+
+    ``features`` are read as the net was trained to read them, the same
+    kind of rows that were handed to ``train_spectralnet``.
+    """
+    return model.net.predict(features) @ model.transform

@@ -8,7 +8,14 @@ import pytest
 from rpspectral import harness
 from rpspectral.clustering import kmeans
 from rpspectral.datasets import SyntheticSpec
-from rpspectral.errors import BadGrid, ConfigError, NonFiniteInput, StageError
+from rpspectral.errors import (
+    BadGrid,
+    ConfigError,
+    NonFiniteInput,
+    SingularGram,
+    StageError,
+)
+from rpspectral.mlp import Mlp
 from rpspectral.pairing import knn_pairs, rptree_pairs
 from rpspectral.rptree import TreeConfig, build_tree
 from rpspectral.harness import (
@@ -373,6 +380,111 @@ def test_run_pipeline_fails_a_diverging_twin_at_its_step(learning_rate):
     assert caught.value.stage == "siamese"
     assert isinstance(caught.value.cause, NonFiniteInput)
     assert "at step 2 of epoch 1 of 3" in str(caught.value.cause)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("restarts", [1, 2])
+@pytest.mark.parametrize("batch_size", [24, 60], ids=["sampled", "full"])
+def test_run_pipeline_fails_a_diverging_spectral_net_at_its_step(batch_size, restarts):
+    # At this rate the net's first update overflows its float32 weights.
+    # The overflow fails the step it happens in, not a later whitening, and
+    # no numpy warning is printed on the way (warnings are errors here).
+    config = quick_config(
+        spectral=SpectralConfig(
+            n_clusters=2, batch_size=batch_size, total_steps=20, hidden_sizes=(8,),
+            learning_rate=1e30, restarts=restarts,
+        )
+    )
+    X, y = load_dataset(config.dataset)
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == "spectral"
+    assert isinstance(caught.value.cause, SingularGram)
+    where = "at step 2 of 10" + (" of restart 1 of 2" if restarts > 1 else ":")
+    assert where in str(caught.value.cause)
+
+
+def nan_twin(monkeypatch):
+    """Make the siamese stage hand back a twin whose embedding is NaN."""
+    train = harness.train_siamese
+
+    def train_nan(*args, **kwargs):
+        twin, history = train(*args, **kwargs)
+        twin.layers[-1].biases[0] = np.nan
+        return twin, history
+
+    monkeypatch.setattr(harness, "train_siamese", train_nan)
+
+
+@pytest.mark.parametrize("features", ["raw", "twin"])
+def test_run_pipeline_names_a_non_finite_twin_embedding_in_the_bandwidth_stage(
+    features, monkeypatch
+):
+    # Finite input, but the twin that builds the affinity maps it to NaN.
+    nan_twin(monkeypatch)
+    config = quick_config(
+        spectral=SpectralConfig(
+            n_clusters=2, batch_size=24, total_steps=20, hidden_sizes=(8,),
+            features=features,
+        )
+    )
+    X, y = load_dataset(config.dataset)
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == "bandwidth"
+    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert "twin embedding" in str(caught.value.cause)
+
+
+@pytest.mark.parametrize("features", ["raw", "twin"])
+@pytest.mark.parametrize("batch_size", [24, 60], ids=["sampled", "full"])
+def test_run_pipeline_embeds_with_the_twin_once(features, batch_size, monkeypatch):
+    twins = []
+    train = harness.train_siamese
+
+    def keep_twin(*args, **kwargs):
+        twin, history = train(*args, **kwargs)
+        twins.append(twin)
+        return twin, history
+
+    predict = Mlp.predict
+    twin_passes = []
+
+    def spy_predict(net, batch):
+        if net is twins[0]:
+            twin_passes.append(len(batch))
+        return predict(net, batch)
+
+    monkeypatch.setattr(harness, "train_siamese", keep_twin)
+    monkeypatch.setattr(Mlp, "predict", spy_predict)
+    config = quick_config(
+        spectral=SpectralConfig(
+            n_clusters=2, batch_size=batch_size, total_steps=20,
+            hidden_sizes=(8,), features=features,
+        )
+    )
+    X, y = load_dataset(config.dataset)
+    run_pipeline(X, y, config)
+    assert twin_passes == [len(X)]
+
+
+@pytest.mark.parametrize("bad", [np.inf, 1e39])
+def test_run_pipeline_with_twin_features_checks_the_input(bad):
+    # With twin features the spectral net never sees X, so X is refused
+    # before the twin embeds it.
+    config = quick_config(
+        spectral=SpectralConfig(
+            n_clusters=2, batch_size=24, total_steps=20, hidden_sizes=(8,),
+            features="twin",
+        )
+    )
+    X, y = load_dataset(config.dataset)
+    X[3, 0] = bad
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, y, config)
+    assert caught.value.stage == ("pairs" if bad == np.inf else "siamese")
+    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert "1 input value" in str(caught.value.cause)
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))

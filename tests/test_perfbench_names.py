@@ -4,7 +4,10 @@
 and ``harness._stage`` by name, and ``perfbench/workloads.py`` builds its
 configs from the public API, so renaming or removing one breaks only the
 benchmark, which tier-1 does not run. The benchmark's modules are compiled
-from their source and only read here.
+from their source and only read here. A name can also stay while the calls
+stop reaching it, which zeroes a per-layer counter silently; the last test
+runs shrunk pipeline operations under ``spans.instrument`` and counts the
+spectral stage's spans.
 """
 
 import ast
@@ -124,3 +127,28 @@ PIPELINE_WORKLOADS = [
 def test_pipeline_workload_configs_validate(workload):
     workload.config(0).validate()
     workload.shrunk().config(0).validate()  # the smoke test's size
+
+
+def test_the_trace_sees_both_spectral_batch_kinds():
+    shrunk = [w.shrunk() for w in PIPELINE_WORKLOADS]
+    full = {w.config(0).spectral_config.batch_size == w.dataset.n for w in shrunk}
+    assert full == {True, False}
+
+
+@pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)
+def test_the_spectral_stage_traces_each_affinity_and_loss(workload):
+    # One affinity for the whole run when the batch is the dataset, one per
+    # update when it is drawn, and one loss per update: the calls behind
+    # spectral.affinity_s, spectral.affinity_calls and spectral.grad_steps.
+    shrunk = workload.shrunk()
+    inputs = shrunk.setup(3)
+    with spans.instrument(spans.Tracer()) as tracer:
+        result = shrunk.op(inputs, 0)
+    assert result.run is not None
+    table = spans.SpanTable(tracer.spans)
+    spectral = inputs["config"].spectral_config
+    updates = spectral.restarts * spectral.total_steps // 2
+    affinities = 1 if spectral.batch_size == len(inputs["X"]) else updates
+    for name in ("siamese.pairwise_distances", "siamese.heat_kernel"):
+        assert table.count[("spectral", name)] == affinities, name
+    assert table.count[("spectral", "spectralnet.spectral_loss")] == updates

@@ -347,8 +347,9 @@ def test_training_reduces_loss():
     assert len(history) == 30
     assert history[-1] < 0.5 * history[0]
     # learned geometry: positives closer than negatives on average
-    pos_d = siamese_distances(net, X, pairs.positives)
-    neg_d = siamese_distances(net, X, pairs.negatives)
+    Z = net.predict(X)
+    pos_d = siamese_distances(Z, pairs.positives)
+    neg_d = siamese_distances(Z, pairs.negatives)
     assert pos_d.mean() < neg_d.mean()
 
 
@@ -443,18 +444,15 @@ def test_config_validation():
 
 
 def test_siamese_distances_identity_net():
-    # A 1-layer identity-weight linear net embeds points as themselves, so
-    # pair distances are the input distances.
-    net = Mlp.init([2, 2], activation="identity", seed=0)
-    net.layers[0].weights = np.eye(2)
-    net.layers[0].biases = np.zeros(2)
+    # Points taken as their own embedding, as an identity twin would map
+    # them: pair distances are the input distances.
     X = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
-    d = siamese_distances(net, X, [(0, 1), (0, 2)])
+    d = siamese_distances(X, [(0, 1), (0, 2)])
     assert np.allclose(d, [5.0, 1.0])
     with pytest.raises(IndexOutOfRange):
-        siamese_distances(net, X, [(0, 3)])
+        siamese_distances(X, [(0, 3)])
     with pytest.raises(IndexOutOfRange):
-        siamese_distances(net, X, [(-1, 1)])
+        siamese_distances(X, [(-1, 1)])
 
 
 @pytest.mark.parametrize(
@@ -472,50 +470,45 @@ def test_siamese_distances_identity_net():
          "bools", "three-dims"],
 )
 def test_siamese_distances_rejects_malformed_pair_indices(index_pairs):
-    net = Mlp.init([2, 4, 3], seed=0)
-    X = np.random.default_rng(0).normal(size=(5, 2))
+    Z = np.random.default_rng(0).normal(size=(5, 3))
     with pytest.raises(ShapeMismatch):
-        siamese_distances(net, X, index_pairs)
+        siamese_distances(Z, index_pairs)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16])
 def test_siamese_distances_takes_any_integer_pairs_including_none(dtype):
-    net = Mlp.init([2, 4, 3], seed=0)
-    X = np.random.default_rng(0).normal(size=(5, 2))
-    d = siamese_distances(net, X, np.empty((0, 2), dtype=dtype))
+    Z = np.random.default_rng(0).normal(size=(5, 3))
+    d = siamese_distances(Z, np.empty((0, 2), dtype=dtype))
     assert d.dtype == np.float64 and d.shape == (0,)
     pairs = np.array([[0, 4], [3, 1]], dtype=dtype)
-    expected = siamese_distances(net, X, pairs.astype(np.int64))
-    assert siamese_distances(net, X, pairs).tobytes() == expected.tobytes()
+    expected = siamese_distances(Z, pairs.astype(np.int64))
+    assert siamese_distances(Z, pairs).tobytes() == expected.tobytes()
 
 
-def reference_distances(net, X, index_pairs):
-    Z, _ = net.forward(X)
+def reference_distances(Z, index_pairs):
     diff = Z[index_pairs[:, 0]] - Z[index_pairs[:, 1]]
     return np.sqrt((diff * diff).sum(axis=1))
 
 
 def test_siamese_distances_across_a_block_boundary_match_one_pass():
     rng = np.random.default_rng(3)
-    X = rng.normal(size=(300, 2))
-    net = Mlp.init([2, 16, 16, 32], seed=4)
+    Z = Mlp.init([2, 16, 16, 32], seed=4).predict(rng.normal(size=(300, 2)))
     # four pair blocks and one pair past them
-    pairs = rng.integers(0, len(X), size=(4 * block_rows(32) + 1, 2))
-    d = siamese_distances(net, X, pairs)
-    assert d.tobytes() == reference_distances(net, X, pairs).tobytes()
+    pairs = rng.integers(0, len(Z), size=(4 * block_rows(32) + 1, 2))
+    d = siamese_distances(Z, pairs)
+    assert d.tobytes() == reference_distances(Z, pairs).tobytes()
 
 
 def test_siamese_distances_keep_no_activation_cache(peak_traced_bytes):
-    # Beside the n x 32 embedding and the distances, a pass through the
-    # default twin holds a few blocks of _BLOCK_FLOATS values at any n: two
-    # 128-wide activation blocks, then two gathered pair blocks. A pass over
-    # all rows at once would hold two n x 128 activations.
-    net = Mlp.init([2, 128, 128, 32], seed=6)
+    # Beside the distances, gathering the pairs of a 32-wide embedding holds
+    # a few blocks of _BLOCK_FLOATS values at any n: two gathered pair
+    # blocks and their difference. Gathering all pairs at once would hold
+    # two 65k x 32 arrays.
     blocks = 4 * _BLOCK_FLOATS * 8
     for n in (10_000, 40_000):
         rng = np.random.default_rng(5)
-        X = rng.normal(size=(n, 2))
+        Z = rng.normal(size=(n, 32))
         pairs = rng.integers(0, n, size=(65_286, 2))
-        needed = (n * 32 + len(pairs)) * 8
-        peak = peak_traced_bytes(lambda: siamese_distances(net, X, pairs))
+        needed = len(pairs) * 8
+        peak = peak_traced_bytes(lambda: siamese_distances(Z, pairs))
         assert peak < needed + blocks, n

@@ -5,7 +5,6 @@ import pytest
 
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import (
-    BadArchitecture,
     BatchTooSmall,
     NonFiniteInput,
     ShapeMismatch,
@@ -25,12 +24,9 @@ from rpspectral.spectralnet import (
 )
 
 
-def identity_twin(dim):
-    """Twin stand-in that embeds points as themselves."""
-    net = Mlp.init([dim, dim], activation="identity", seed=0)
-    net.layers[0].weights = np.eye(dim)
-    net.layers[0].biases = np.zeros(dim)
-    return net
+def heat_affinity(Z, bandwidth):
+    """The affinity of rows of ``Z``: the heat kernel of their distances."""
+    return lambda rows: heat_kernel(pairwise_distances(Z[rows]), bandwidth)
 
 
 # --- orthogonalization ---
@@ -225,7 +221,6 @@ def blobs_case():
 
 def test_training_progress_and_orthogonality():
     X, _ = blobs_case()
-    twin = identity_twin(2)
     # Learning rate low enough that the loss decay spans the whole run,
     # keeping the first-vs-last comparison out of the plateau noise.
     config = SpectralConfig(
@@ -236,7 +231,7 @@ def test_training_progress_and_orthogonality():
         learning_rate=1e-4,
     )
     model = train_spectralnet(
-        X, twin, bandwidth=0.5, config=config, rng=np.random.default_rng(0)
+        X, heat_affinity(X, 0.5), config=config, rng=np.random.default_rng(0)
     )
     assert len(model.loss_history) == 200  # one per gradient step
     assert len(model.ortho_residuals) == 201  # plus the trailing refit
@@ -246,12 +241,12 @@ def test_training_progress_and_orthogonality():
 
 def test_training_is_deterministic():
     X, _ = blobs_case()
-    twin = identity_twin(2)
     config = SpectralConfig(
         n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    a = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(3))
-    b = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(3))
+    affinity = heat_affinity(X, 0.5)
+    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(3))
+    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(3))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert a.transform.tobytes() == b.transform.tobytes()
@@ -259,11 +254,12 @@ def test_training_is_deterministic():
 
 def test_embedding_shape_and_dataset_whiteness():
     X, _ = blobs_case()
-    twin = identity_twin(2)
     config = SpectralConfig(
         n_clusters=3, batch_size=48, total_steps=100, hidden_sizes=(8, 8)
     )
-    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(1))
+    model = train_spectralnet(
+        X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(1)
+    )
     Y = embed(model, X)
     assert Y.shape == (len(X), 3)
     # the stored map was refit on every point, so the whole embedding is white
@@ -282,7 +278,7 @@ def test_sampled_training_refits_the_map_on_every_point():
         n_clusters=3, batch_size=32, total_steps=30, hidden_sizes=(8,)
     )
     rng = np.random.default_rng(5)
-    model = train_spectralnet(X, identity_twin(2), 0.5, config, rng=rng)
+    model = train_spectralnet(X, heat_affinity(X, 0.5), config, rng=rng)
     replay = np.random.default_rng(5)
     replay.integers(0, 2**63 - 1)
     for _ in range(config.total_steps // 2):
@@ -294,7 +290,7 @@ def test_sampled_training_refits_the_map_on_every_point():
 
 
 def test_sampled_training_builds_no_dataset_affinity(peak_traced_bytes):
-    # A drawn batch builds its own m x m affinity, so training on a few
+    # A drawn batch asks for its own m x m affinity, so training on a few
     # batches of n points never holds an n x n matrix.
     n = 4000
     X = np.random.default_rng(2).normal(size=(n, 2))
@@ -303,7 +299,7 @@ def test_sampled_training_builds_no_dataset_affinity(peak_traced_bytes):
     )
     peak = peak_traced_bytes(
         lambda: train_spectralnet(
-            X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0)
+            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
         )
     )
     assert peak < n * n * 8 // 10
@@ -320,8 +316,9 @@ def test_full_batch_training(restarts):
         hidden_sizes=(8,),
         restarts=restarts,
     )
-    a = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(4))
-    b = train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(4))
+    affinity = heat_affinity(X, 0.5)
+    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(4))
+    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(4))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert ortho_residual(embed(a, X), n) <= 1e-6 * n
@@ -357,7 +354,7 @@ def test_full_batch_training_reaches_the_dense_optimum(
         learning_rate=1e-2,
     )
     model = train_spectralnet(
-        X, identity_twin(2), bandwidth, config, rng=np.random.default_rng(seed)
+        X, lambda rows: A[np.ix_(rows, rows)], config, rng=np.random.default_rng(seed)
     )
     assert np.mean(model.loss_history[-10:]) <= 1.05 * optimum
 
@@ -366,7 +363,9 @@ def test_training_rejects_undersized_dataset():
     X = np.zeros((10, 2))
     config = SpectralConfig(n_clusters=2, batch_size=32, total_steps=10)
     with pytest.raises(BatchTooSmall):
-        train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0))
+        train_spectralnet(
+            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+        )
 
 
 def test_config_validation():
@@ -391,12 +390,84 @@ def test_config_validation():
     SpectralConfig(n_clusters=2).validate()
 
 
-# --- restarts, schedules, twin features ---
+# --- the affinity callable ---
+
+
+def counting_affinity(Z, bandwidth):
+    """``heat_affinity`` that also keeps the rows of every call."""
+    calls = []
+    inner = heat_affinity(Z, bandwidth)
+
+    def affinity(rows):
+        calls.append(np.array(rows))
+        return inner(rows)
+
+    return affinity, calls
+
+
+def test_full_batch_asks_for_the_affinity_once():
+    X, _ = blobs_case()
+    n = len(X)
+    config = SpectralConfig(
+        n_clusters=3, batch_size=n, total_steps=20, hidden_sizes=(8,), restarts=2
+    )
+    affinity, calls = counting_affinity(X, 0.5)
+    model = train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], np.arange(n))
+    # the same bits as an affinity built for every step
+    fresh = train_spectralnet(
+        X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+    )
+    assert model.loss_history == fresh.loss_history
+
+
+def test_drawn_batches_ask_for_the_affinity_of_the_rows_the_net_sees(monkeypatch):
+    X, _ = blobs_case()
+    config = SpectralConfig(
+        n_clusters=3, batch_size=32, total_steps=20, hidden_sizes=(8,)
+    )
+    affinity, calls = counting_affinity(X, 0.5)
+    forward = Mlp.forward
+    batches = []
+
+    def spy_forward(net, batch):
+        batches.append(np.array(batch))
+        return forward(net, batch)
+
+    monkeypatch.setattr(Mlp, "forward", spy_forward)
+    train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+    assert len(calls) == len(batches) == config.total_steps // 2
+    for rows, batch in zip(calls, batches):
+        assert len(np.unique(rows)) == config.batch_size
+        assert np.array_equal(X[rows].astype(np.float32), batch)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
+@pytest.mark.parametrize(
+    "shape",
+    [lambda m: (m + 1, m + 1), lambda m: (m - 1, m - 1), lambda m: (m,)],
+    ids=["larger", "smaller", "flat"],
+)
+def test_an_affinity_of_the_wrong_shape_is_refused(full, shape):
+    X, _ = blobs_case()
+    config = SpectralConfig(
+        n_clusters=3, batch_size=len(X) if full else 32, total_steps=10,
+        hidden_sizes=(8,),
+    )
+    with pytest.raises(ShapeMismatch, match="affinity"):
+        train_spectralnet(
+            X, lambda rows: np.zeros(shape(len(rows))), config,
+            rng=np.random.default_rng(0),
+        )
+
+
+# --- restarts, schedules, features ---
 
 
 def test_cosine_schedule_is_deterministic_and_changes_the_run():
     X, _ = blobs_case()
-    twin = identity_twin(2)
+    affinity = heat_affinity(X, 0.5)
     config = SpectralConfig(
         n_clusters=3,
         batch_size=32,
@@ -404,13 +475,12 @@ def test_cosine_schedule_is_deterministic_and_changes_the_run():
         hidden_sizes=(8,),
         learning_rate_schedule="cosine",
     )
-    a = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(2))
-    b = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(2))
+    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(2))
+    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(2))
     assert a.loss_history == b.loss_history
     constant = train_spectralnet(
         X,
-        twin,
-        0.5,
+        affinity,
         replace(config, learning_rate_schedule="constant"),
         rng=np.random.default_rng(2),
     )
@@ -424,7 +494,7 @@ def test_restart_selection_follows_documented_derivation():
     # the caller's rng, and the lowest tail-loss candidate wins; rebuild the
     # candidates by hand and check the winner matches.
     X, _ = blobs_case()
-    twin = identity_twin(2)
+    affinity = heat_affinity(X, 0.5)
     config = SpectralConfig(
         n_clusters=3,
         batch_size=32,
@@ -432,15 +502,13 @@ def test_restart_selection_follows_documented_derivation():
         hidden_sizes=(8,),
         restarts=3,
     )
-    model = train_spectralnet(
-        X, twin, 0.5, config, rng=np.random.default_rng(11)
-    )
+    model = train_spectralnet(X, affinity, config, rng=np.random.default_rng(11))
 
     rng = np.random.default_rng(11)
     seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(3)]
     single = replace(config, restarts=1)
     candidates = [
-        train_spectralnet(X, twin, 0.5, single, rng=np.random.default_rng(s))
+        train_spectralnet(X, affinity, single, rng=np.random.default_rng(s))
         for s in seeds
     ]
     tails = [float(np.mean(c.loss_history[-10:])) for c in candidates]
@@ -453,21 +521,23 @@ def test_restart_selection_follows_documented_derivation():
 def test_single_restart_keeps_the_plain_stream():
     # restarts=1 must behave exactly like a config without the field at all
     X, _ = blobs_case()
-    twin = identity_twin(2)
+    affinity = heat_affinity(X, 0.5)
     base = SpectralConfig(
         n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    a = train_spectralnet(X, twin, 0.5, base, rng=np.random.default_rng(3))
+    a = train_spectralnet(X, affinity, base, rng=np.random.default_rng(3))
     b = train_spectralnet(
-        X, twin, 0.5, replace(base, restarts=1), rng=np.random.default_rng(3)
+        X, affinity, replace(base, restarts=1), rng=np.random.default_rng(3)
     )
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
 
 
 def test_twin_feature_training_and_embedding():
+    # The pipeline's features="twin": the net reads the twin embedding,
+    # which also builds the affinity.
     X, _ = blobs_case()
-    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
+    Z = Mlp.init([2, 6, 4], activation="tanh", seed=9).predict(X)
     config = SpectralConfig(
         n_clusters=3,
         batch_size=32,
@@ -475,31 +545,34 @@ def test_twin_feature_training_and_embedding():
         hidden_sizes=(8,),
         features="twin",
     )
-    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(6))
-    Y = embed(model, X)
+    model = train_spectralnet(
+        Z, heat_affinity(Z, 0.5), config, rng=np.random.default_rng(6)
+    )
+    Y = embed(model, Z)
     assert Y.shape == (len(X), 3)
     # the embedding really is body(twin(x)) through the stored map
-    Z, _ = twin.forward(X)
     out, _ = model.net.forward(Z)
     assert np.array_equal(Y, out @ model.transform)
     assert ortho_residual(Y, len(X)) <= 1e-6 * len(X)
     assert model.ortho_residuals[-1] == ortho_residual(Y, len(X))
 
 
-def test_twin_feature_model_requires_its_twin():
-    X, _ = blobs_case()
-    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
+# --- failing steps ---
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
+def test_outputs_that_cannot_be_whitened_fail_at_their_step(full):
+    # Identical feature rows give identical output rows, whose rank-1 Gram
+    # matrix has no whitening map.
+    X = np.zeros((200, 2))
     config = SpectralConfig(
-        n_clusters=3,
-        batch_size=32,
-        total_steps=20,
+        n_clusters=3, batch_size=len(X) if full else 32, total_steps=10,
         hidden_sizes=(8,),
-        features="twin",
     )
-    model = train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(6))
-    model.twin = None
-    with pytest.raises(BadArchitecture):
-        embed(model, X)
+    with pytest.raises(SingularGram, match="at step 1 of 5: batch Gram"):
+        train_spectralnet(
+            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+        )
 
 
 # --- float32 body ---
@@ -525,14 +598,22 @@ def float32_cases():
     }
 
 
-def float32_train(config, seed=0):
+def float32_features(config):
+    """The blobs, or with twin features a tanh twin's embedding of them."""
     X, _ = blobs_case()
     if config.features == "twin":
-        twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
-    else:
-        twin = identity_twin(2)
+        return Mlp.init([2, 6, 4], activation="tanh", seed=9).predict(X)
+    return X
+
+
+def float32_train(config, seed=0, features=None):
+    if features is None:
+        features = float32_features(config)
     rng = np.random.default_rng(seed)
-    return X, rng, train_spectralnet(X, twin, 0.5, config, rng=rng)
+    model = train_spectralnet(
+        features, heat_affinity(features, 0.5), config, rng=rng
+    )
+    return features, rng, model
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -562,6 +643,7 @@ def test_float32_step_tracks_the_float64_step(seed):
 @pytest.mark.parametrize("case", list(float32_cases()))
 def test_training_steps_run_in_float32(case, monkeypatch):
     config = float32_cases()[case]
+    features = float32_features(config)
     forward, predict = Mlp.forward, Mlp.predict
     backward, step = Mlp.backward, Adam.step
     seen = {"forward": 0, "backward": 0, "adam": 0, "widened": 0}
@@ -577,8 +659,8 @@ def test_training_steps_run_in_float32(case, monkeypatch):
         return out, cache
 
     def spy_predict(net, batch):
-        # the twin's pass over X and the refit after the last update, which
-        # need no gradient and so keep no cache
+        # the refit after the last update, which needs no gradient and so
+        # keeps no cache
         seen["widened"] += 1
         assert net.dtype == np.float64
         return predict(net, batch)
@@ -607,21 +689,20 @@ def test_training_steps_run_in_float32(case, monkeypatch):
     monkeypatch.setattr(Mlp, "predict", spy_predict)
     monkeypatch.setattr(Mlp, "backward", spy_backward)
     monkeypatch.setattr(Adam, "step", spy_step)
-    float32_train(config)
+    float32_train(config, features=features)
     updates = config.restarts * config.total_steps // 2
     assert seen == {
         "forward": updates,
         "backward": updates,
         "adam": updates,
-        # one refit per restart, plus the float64 twin's pass over X
-        "widened": config.restarts + 1,
+        "widened": config.restarts,  # one refit per restart
     }
 
 
 @pytest.mark.parametrize("case", list(float32_cases()))
 def test_float32_training_returns_a_widened_float64_net(case):
     config = float32_cases()[case]
-    X, _, model = float32_train(config)
+    features, _, model = float32_train(config)
     for layer in model.net.layers:
         for param in (layer.weights, layer.biases):
             assert param.dtype == np.float64
@@ -629,8 +710,8 @@ def test_float32_training_returns_a_widened_float64_net(case):
     assert max(model.ortho_residuals) <= 1e-6 * config.batch_size
     # the stored map was fitted with the float64 net that embed() runs, on
     # every point it maps
-    Y = embed(model, X)
-    n = len(X)
+    Y = embed(model, features)
+    n = len(features)
     assert Y.dtype == np.float64
     assert ortho_residual(Y, n) <= 1e-6 * n
     assert model.ortho_residuals[-1] == ortho_residual(Y, n)
@@ -639,7 +720,7 @@ def test_float32_training_returns_a_widened_float64_net(case):
 @pytest.mark.parametrize("case", list(float32_cases()))
 def test_float32_training_is_reproducible(case):
     config = float32_cases()[case]
-    X, rng_a, a = float32_train(config, seed=12)
+    _, rng_a, a = float32_train(config, seed=12)
     _, rng_b, b = float32_train(config, seed=12)
     assert a.loss_history == b.loss_history
     assert a.ortho_residuals == b.ortho_residuals
@@ -654,53 +735,33 @@ def test_float32_training_is_reproducible(case):
 @pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e39])
 def test_training_rejects_values_float32_cannot_hold(bad, full):
+    # Checked before the affinity is first asked for.
     X, _ = blobs_case()
     X[7, 1] = bad
     config = SpectralConfig(
         n_clusters=3, batch_size=len(X) if full else 48, total_steps=10,
         hidden_sizes=(8,),
     )
+    affinity, calls = counting_affinity(X, 0.5)
     with pytest.raises(NonFiniteInput, match="1 input value"):
-        train_spectralnet(X, identity_twin(2), 0.5, config, rng=np.random.default_rng(0))
-    # With twin features the input is checked too: a tanh twin maps an
-    # infinite input to a finite embedding.
-    twin = Mlp.init([2, 6, 4], activation="tanh", seed=9)
-    twin_config = replace(config, features="twin")
-    with pytest.raises(NonFiniteInput, match="1 input value"):
-        train_spectralnet(X, twin, 0.5, twin_config, rng=np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("features", ["raw", "twin"])
-@pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
-def test_training_rejects_a_non_finite_twin_embedding(full, features):
-    # Finite input, but the twin that builds the affinity maps it to NaN.
-    X, _ = blobs_case()
-    twin = identity_twin(2)
-    twin.layers[0].biases = np.array([0.0, np.nan])
-    config = SpectralConfig(
-        n_clusters=3, batch_size=len(X) if full else 48, total_steps=10,
-        hidden_sizes=(8,), features=features,
-    )
-    with pytest.raises(NonFiniteInput, match="twin (embedding|feature)"):
-        train_spectralnet(X, twin, 0.5, config, rng=np.random.default_rng(0))
+        train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("features", ["raw", "twin"])
 def test_embed_keeps_no_activation_cache(features, peak_traced_bytes):
-    # As for siamese_distances: beside the n x 3 output, its product with
-    # the map and the n x 32 twin embedding when it is the input, a pass
-    # through 128-wide layers holds a few blocks of _BLOCK_FLOATS values at
-    # any n, not n x 128 activations.
-    twin = Mlp.init([2, 128, 128, 32], seed=8)
+    # As for Mlp.predict: beside the n x 3 output and its product with the
+    # map, a pass through 128-wide layers holds a few blocks of
+    # _BLOCK_FLOATS values at any n, not n x 128 activations, whether the
+    # features are raw points or a 32-wide twin embedding.
     width = 32 if features == "twin" else 2
     model = SpectralModel(
         net=Mlp.init([width, 128, 128, 3], seed=9),
         transform=np.eye(3),
         config=SpectralConfig(n_clusters=3, features=features),
-        twin=twin,
     )
     blocks = 4 * _BLOCK_FLOATS * 8
     for n in (10_000, 40_000):
-        X = np.random.default_rng(7).normal(size=(n, 2))
-        needed = (2 * n * 3 + (n * 32 if features == "twin" else 0)) * 8
-        assert peak_traced_bytes(lambda: embed(model, X)) < needed + blocks, n
+        rows = np.random.default_rng(7).normal(size=(n, width))
+        needed = 2 * n * 3 * 8
+        assert peak_traced_bytes(lambda: embed(model, rows)) < needed + blocks, n
