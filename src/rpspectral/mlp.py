@@ -6,17 +6,27 @@ the forward pass, the backward pass and Adam's buffers all follow it. No
 autodiff; gradients are hand-derived and verified by finite differences in
 the test suite.
 
+Every weight and bias of a net is a view into one flat parameter vector,
+``Mlp.params``, laid out layer by layer, weights before biases. ``Adam``
+keeps its gradient and moments in flat buffers of the same layout:
+``backward`` writes each layer's gradient straight into the optimizer's
+buffer, and a step updates the parameter vector with one op per stage of
+the update. A training step allocates only batch-sized arrays: the
+activations ``forward`` caches and the products ``backward`` carries down
+the layers, never a parameter-sized buffer.
+
 A net runs a batch in one of two ways. ``forward`` keeps every layer's
-input, pre-activation and output, which ``backward`` needs; training uses
-it. ``predict`` keeps nothing and returns only the output; every pass that
-needs no gradient uses it. It runs the batch in row blocks of
-``block_rows(widest layer)``, so besides its (n, output) result it holds
-two activations of at most ``_BLOCK_FLOATS`` (2^16) values, 512 KiB in
-float64, at any n; a 128-wide layer's array over all of 10k points would
-take 10 MB.
+input and output, which ``backward`` needs; training uses it. ``predict``
+keeps nothing and returns only the output; every pass that needs no
+gradient uses it. It runs the batch in row blocks of ``block_rows(widest
+layer)``, so besides its (n, output) result it holds two activations of at
+most ``_BLOCK_FLOATS`` (2^16) values, 512 KiB in float64, at any n; a
+128-wide layer's array over all of 10k points would take 10 MB.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,18 +58,44 @@ def _activate(name, z, out=None):
     return z
 
 
-def _through_activation(name, upstream, z, a):
-    """upstream times the activation's derivative at z, in upstream's dtype.
+def _layer_pass(layer, a):
+    """One layer's output for input rows ``a``, in a fresh array.
 
-    ``a`` is the already-computed activation of z, reused where cheaper.
-    ReLU multiplies by a boolean mask (subgradient 0 at the kink), which
-    keeps the dtype where a float mask would fix it.
+    The bias and the activation are applied in place to the product, which
+    gives the same bits as ``activation(a @ W + b)``.
+    """
+    z = a @ layer.weights
+    z += layer.biases
+    return _activate(layer.activation, z, out=z)
+
+
+def _through_activation(name, upstream, a, out=None):
+    """upstream times the activation's derivative, in upstream's dtype.
+
+    The derivative is read from the layer's output ``a``. ReLU's mask is
+    a > 0, which holds exactly where the pre-activation is positive
+    (subgradient 0 at the kink); it multiplies as a boolean, which keeps the
+    dtype where a float mask would fix it. tanh's derivative is 1 - a^2. The
+    product is written into ``out`` when one is given.
     """
     if name == "relu":
-        return upstream * (z > 0.0)
+        return np.multiply(upstream, a > 0.0, out=out)
     if name == "tanh":
-        return upstream * (1.0 - a * a)
+        return np.multiply(upstream, 1.0 - a * a, out=out)
     return upstream
+
+
+def _layer_views(flat, layers):
+    """Per-layer (weights, biases) views of ``flat``, laid out as ``Mlp.params``."""
+    views, start = [], 0
+    for layer in layers:
+        pair = []
+        for shape in (layer.weights.shape, layer.biases.shape):
+            size = math.prod(shape)
+            pair.append(flat[start : start + size].reshape(shape))
+            start += size
+        views.append(tuple(pair))
+    return views
 
 
 def finite_float32(values, what="input"):
@@ -88,10 +124,27 @@ class Layer:
 
 
 class Mlp:
-    """Stack of affine-plus-activation layers with hand-written gradients."""
+    """Stack of affine-plus-activation layers with hand-written gradients.
+
+    ``Mlp(layers)`` copies the layers' weights and biases into one fresh flat
+    vector, ``params``, and holds new layers whose arrays are views of it;
+    the caller's arrays are not kept. Writing a layer's weights in place
+    writes ``params``. A copy (``copy.deepcopy``, ``pickle``) is rebuilt the
+    same way, so it owns its own vector.
+    """
 
     def __init__(self, layers):
-        self.layers = layers
+        self.params = np.concatenate(
+            [p.ravel() for l in layers for p in (l.weights, l.biases)]
+        )
+        views = _layer_views(self.params, layers)
+        self.layers = [
+            Layer(weights, biases, layer.activation)
+            for (weights, biases), layer in zip(views, layers)
+        ]
+
+    def __reduce__(self):
+        return Mlp, (self.layers,)
 
     @classmethod
     def init(cls, layer_sizes, activation="relu", seed=0):
@@ -128,7 +181,7 @@ class Mlp:
 
     @property
     def dtype(self):
-        return self.layers[0].weights.dtype
+        return self.params.dtype
 
     @property
     def input_dim(self):
@@ -150,17 +203,16 @@ class Mlp:
     def forward(self, batch):
         """Run a batch through the net; returns (output, cache).
 
-        The batch is cast to the weights' dtype. The cache holds per-layer
-        inputs, pre-activations and outputs and is what backward() consumes;
-        it keeps three arrays per layer alive, so a pass that needs no
-        gradient calls ``predict`` instead.
+        The batch is cast to the weights' dtype. The cache holds each
+        layer's input and output and is what backward() consumes; it keeps
+        two arrays per layer alive, so a pass that needs no gradient calls
+        ``predict`` instead.
         """
         cache = []
         a = self._as_batch(batch)
         for layer in self.layers:
-            z = a @ layer.weights + layer.biases
-            out = _activate(layer.activation, z)
-            cache.append((a, z, out))
+            out = _layer_pass(layer, a)
+            cache.append((a, out))
             a = out
         return a, cache
 
@@ -190,97 +242,109 @@ class Mlp:
         for start in range(0, len(batch), rows):
             a = batch[start : start + rows]
             for layer in self.layers:
-                z = a @ layer.weights
-                z += layer.biases
-                a = _activate(layer.activation, z, out=z)
+                a = _layer_pass(layer, a)
             out[start : start + rows] = a
         return out
 
-    def backward(self, cache, output_grad):
+    def backward(self, cache, output_grad, out=None):
         """Backpropagate a loss gradient through a cached forward pass.
 
-        The gradient is cast to the weights' dtype. Returns the parameter
-        gradients, a list of (dW, db) congruent with the layers. The
+        The gradient is cast to the weights' dtype. Each layer's (dW, db) is
+        written into ``out``, a list of per-layer (dW, db) arrays congruent
+        with the layers, such as ``Adam.grads``; when ``out`` is not given,
+        one flat buffer laid out as ``params`` is allocated and viewed that
+        way. Returns ``out``. Each activation's derivative is applied in
+        place to the product that carries the gradient into that layer, which
+        backward owns; the output gradient handed in is never written. The
         gradient in the batch itself is not computed: no caller trains the
         input.
+
+        Each db is ``np.einsum("ij->j", dz)``, which adds the rows in order,
+        as ``dz.sum(axis=0)`` does on a layer at least two wide, in about
+        half the time (a one-wide layer's column is summed pairwise by
+        ``sum``, so its last bits can differ). einsum does not report an
+        overflow to ``np.errstate``: an overflowing bias sum is inf, and the
+        Adam step it feeds fails on it (inf / inf is invalid), so a net that
+        diverges there still fails in that training step.
         """
         output_grad = np.asarray(output_grad, dtype=self.dtype)
-        if output_grad.shape != cache[-1][2].shape:
+        if output_grad.shape != cache[-1][1].shape:
             raise ShapeMismatch(
-                f"output grad {output_grad.shape} vs output {cache[-1][2].shape}"
+                f"output grad {output_grad.shape} vs output {cache[-1][1].shape}"
             )
-        grads = [None] * len(self.layers)
+        if out is None:
+            out = _layer_views(np.empty_like(self.params), self.layers)
         upstream = output_grad
         for i in range(len(self.layers) - 1, -1, -1):
-            a_in, z, a_out = cache[i]
-            dz = _through_activation(self.layers[i].activation, upstream, z, a_out)
-            grads[i] = (a_in.T @ dz, dz.sum(axis=0))
+            layer = self.layers[i]
+            a_in, a_out = cache[i]
+            dW, db = out[i]
+            owned = None if upstream is output_grad else upstream
+            dz = _through_activation(layer.activation, upstream, a_out, out=owned)
+            np.matmul(a_in.T, dz, out=dW)
+            np.einsum("ij->j", dz, out=db)
             if i:
-                upstream = dz @ self.layers[i].weights.T
-        return grads
+                upstream = dz @ layer.weights.T
+        return out
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction.
+    """Adaptive-moment optimizer with bias correction, over flat parameters.
 
-    Each moment is one flat buffer over every parameter, layer by layer and
-    weights before biases; ``m[i][j]`` and ``v[i][j]`` are views of
-    parameter j of layer i into it. A step runs each stage of the update as
-    one ufunc call over the whole vector, so its cost does not grow with
-    the number of parameter arrays. The buffers take the parameters' dtype,
-    so a float32 net is updated in float32. The moments decay at
-    ``_BETA1`` = 0.9 and ``_BETA2`` = 0.999, and ``_EPS`` = 1e-8 guards the
-    update's denominator.
+    The gradient, each moment and two scratch buffers are one flat vector
+    each, laid out as the net's ``params``; ``grads``, ``m`` and ``v`` are
+    per-layer (dW, db) views of the gradient and the moments.
+    ``net.backward(cache, output_grad, out=optimizer.grads)`` writes a
+    step's gradient in place, and ``step`` runs each stage of the update as
+    one ufunc call over the whole vector, so a step allocates nothing and
+    its cost does not grow with the number of parameter arrays. The buffers
+    take the parameters' dtype, so a float32 net is updated in float32. The
+    moments decay at ``_BETA1`` = 0.9 and ``_BETA2`` = 0.999, and ``_EPS`` =
+    1e-8 guards the update's denominator.
     """
 
     def __init__(self, net, learning_rate=1e-3):
         self.learning_rate = learning_rate
         self.step_count = 0
-        self._shapes = [p.shape for l in net.layers for p in (l.weights, l.biases)]
-        bounds = np.cumsum([0] + [int(np.prod(s)) for s in self._shapes])
-        size, dtype = bounds[-1], net.dtype
+        size, dtype = net.params.size, net.dtype
         self._m, self._v = np.zeros(size, dtype), np.zeros(size, dtype)
-        # The gradient copy and two scratch buffers hold the update's
+        # The gradient and two scratch buffers hold the update's
         # intermediates, so a step allocates nothing.
         self._grad, self._a, self._b = (np.empty(size, dtype) for _ in range(3))
         self._tiny, self._normal = np.finfo(dtype).tiny, np.empty(size, bool)
-
-        def views(flat):
-            return [
-                flat[lo:hi].reshape(shape)
-                for lo, hi, shape in zip(bounds, bounds[1:], self._shapes)
-            ]
-
-        def per_layer(flat):
-            parts = views(flat)
-            return list(zip(parts[::2], parts[1::2]))
-
-        self.m = per_layer(self._m)
-        self.v = per_layer(self._v)
-        self._grad_views = views(self._grad)
-        self._update_views = views(self._a)
+        self.m = _layer_views(self._m, net.layers)
+        self.v = _layer_views(self._v, net.layers)
+        self.grads = _layer_views(self._grad, net.layers)
 
     def step(self, net, grads):
-        """Apply one update in place; increments the step counter.
+        """Apply one update to ``net.params`` in place; increments the counter.
 
-        Every gradient shape is checked before anything changes, so a
-        rejected step leaves the parameters, the moments and the counter as
-        they were. The update is lr * (m / c1) / (sqrt(v / c2) + _EPS), with
-        c1, c2 the bias corrections, and m is flushed to zero where it falls
-        below the dtype's smallest normal number. The gradients are copied
-        into one flat buffer first, so they may be any strided arrays.
+        ``grads`` is ``self.grads``, filled by ``backward``, or any list of
+        per-layer (dW, db) arrays, which may be strided; those are
+        shape-checked against the net and copied into ``self.grads`` first.
+        Every shape is checked before anything changes, so a rejected step
+        leaves the parameters, the moments and the counter as they were.
+        The update is lr * (m / c1) / (sqrt(v / c2) + _EPS), with c1, c2 the
+        bias corrections, and m is flushed to zero where it falls below the
+        dtype's smallest normal number.
         """
-        params = [p for l in net.layers for p in (l.weights, l.biases)]
-        flat_grads = [g for pair in grads for g in pair]
-        if len(grads) != len(net.layers) or len(flat_grads) != len(self._shapes):
-            raise ShapeMismatch("gradient list length does not match layers")
-        for param, grad, shape in zip(params, flat_grads, self._shapes):
-            if not param.shape == grad.shape == shape:
-                raise ShapeMismatch(
-                    f"grad shape {grad.shape} vs param {param.shape}"
-                )
-        for view, grad in zip(self._grad_views, flat_grads):
-            view[...] = grad
+        if net.params.shape != self._grad.shape:
+            raise ShapeMismatch(
+                f"net has {net.params.size} parameters, optimizer {self._grad.size}"
+            )
+        if grads is not self.grads:
+            params = [p for l in net.layers for p in (l.weights, l.biases)]
+            flat_grads = [g for pair in grads for g in pair]
+            views = [g for pair in self.grads for g in pair]
+            if len(grads) != len(net.layers) or len(flat_grads) != len(views):
+                raise ShapeMismatch("gradient list length does not match layers")
+            for param, grad, view in zip(params, flat_grads, views):
+                if not param.shape == grad.shape == view.shape:
+                    raise ShapeMismatch(
+                        f"grad shape {grad.shape} vs param {param.shape}"
+                    )
+            for view, grad in zip(views, flat_grads):
+                view[...] = grad
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - _BETA1**t
@@ -307,8 +371,7 @@ class Adam:
         np.sqrt(b, out=b)
         b += _EPS
         a /= b
-        for param, update in zip(params, self._update_views):
-            param -= update
+        net.params -= a
 
 
 def gradient_check(net, loss_fn, batch, sample_size=200, seed=0):
@@ -322,31 +385,24 @@ def gradient_check(net, loss_fn, batch, sample_size=200, seed=0):
     output, cache = net.forward(batch)
     _, output_grad = loss_fn(output)
     grads = net.backward(cache, output_grad)
+    flat_grad = np.concatenate([g.ravel() for pair in grads for g in pair])
 
-    flat = []
-    for i, layer in enumerate(net.layers):
-        for param, grad in (
-            (layer.weights, grads[i][0]),
-            (layer.biases, grads[i][1]),
-        ):
-            for pos in range(param.size):
-                flat.append((param, grad, pos))
-    if len(flat) > sample_size:
+    positions = range(net.params.size)
+    if len(positions) > sample_size:
         picker = np.random.default_rng(seed)
-        chosen = picker.choice(len(flat), size=sample_size, replace=False)
-        flat = [flat[i] for i in chosen]
+        positions = picker.choice(len(positions), size=sample_size, replace=False)
 
+    params = net.params
     worst = 0.0
-    for param, grad, pos in flat:
-        view = param.reshape(-1)
-        original = view[pos]
-        view[pos] = original + _GRADIENT_CHECK_EPS
+    for pos in positions:
+        original = params[pos]
+        params[pos] = original + _GRADIENT_CHECK_EPS
         loss_plus, _ = loss_fn(net.forward(batch)[0])
-        view[pos] = original - _GRADIENT_CHECK_EPS
+        params[pos] = original - _GRADIENT_CHECK_EPS
         loss_minus, _ = loss_fn(net.forward(batch)[0])
-        view[pos] = original
+        params[pos] = original
         numeric = (loss_plus - loss_minus) / (2.0 * _GRADIENT_CHECK_EPS)
-        analytic = grad.reshape(-1)[pos]
+        analytic = flat_grad[pos]
         scale = max(abs(numeric) + abs(analytic), 1e-8)
         worst = max(worst, abs(numeric - analytic) / scale)
     return worst

@@ -99,7 +99,7 @@ def _contrastive_batch(Z1, Z2, positive_mask):
     return float(losses.mean()), G1, -G1
 
 
-def _twin_gradients(net, X, ends, positive_mask, slot):
+def _twin_gradients(net, X, ends, positive_mask, slot, out=None):
     """Mean contrastive loss of one batch and its parameter gradients.
 
     ``ends`` holds the batch's left endpoints, then its right ones. The twin
@@ -108,6 +108,7 @@ def _twin_gradients(net, X, ends, positive_mask, slot):
     length-n integer scratch, overwritten: after ``slot[ends] = count``
     exactly one endpoint of each point reads its own position back, whichever
     duplicate write won, so the distinct points are found without a sort.
+    The gradients are written into ``out`` as ``Mlp.backward`` writes them.
     """
     count = np.arange(len(ends))
     slot[ends] = count
@@ -129,8 +130,7 @@ def _twin_gradients(net, X, ends, positive_mask, slot):
     width = G.shape[1]
     flat = (local[repeat][:, None] * width + np.arange(width)).ravel()
     np.add.at(G.reshape(-1), flat, G_ends[repeat].reshape(-1))
-    grads = net.backward(cache, G)
-    return loss, grads
+    return loss, net.backward(cache, G, out=out)
 
 
 def _check_indices(index_pairs, n):
@@ -179,6 +179,9 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     half = config.batch_size // 2
     major = max(n_pos, n_neg)
     slot = np.empty(len(X), dtype=np.intp)
+    # Positives first: one mask per batch length, a full batch's and the
+    # shorter last one's.
+    masks = {k: np.arange(2 * k) < k for k in (min(half, major), major % half or half)}
     history = []
     # An overflow or invalid operation is where a diverging twin first
     # shows; it fails the step it happens in, before Adam can hide an
@@ -195,18 +198,20 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                 if n_neg == major
                 else rng.integers(0, n_neg, size=major)
             )
+            pos_rows = pairs.positives[pos_order]
+            neg_rows = pairs.negatives[neg_order]
             batch_losses = []
             for step, start in enumerate(range(0, major, half), 1):
-                pos_batch = pairs.positives[pos_order[start : start + half]]
-                neg_batch = pairs.negatives[neg_order[start : start + half]]
+                pos_batch = pos_rows[start : start + half]
+                neg_batch = neg_rows[start : start + half]
                 ends = np.concatenate(
                     [pos_batch[:, 0], neg_batch[:, 0], pos_batch[:, 1], neg_batch[:, 1]]
                 )
-                mask = np.zeros(len(ends) // 2, dtype=bool)
-                mask[: len(pos_batch)] = True
                 try:
-                    loss, grads = _twin_gradients(net, X, ends, mask, slot)
-                    optimizer.step(net, grads)
+                    loss, _ = _twin_gradients(
+                        net, X, ends, masks[len(pos_batch)], slot, out=optimizer.grads
+                    )
+                    optimizer.step(net, optimizer.grads)
                 except FloatingPointError as err:
                     raise NonFiniteInput(
                         f"twin training diverged at step {step} of epoch {epoch} "
@@ -219,7 +224,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                     f"twin loss is {history[-1]} in epoch {epoch} of {config.epochs}"
                 )
     net = net.astype(np.float64)
-    if not all(np.isfinite(p).all() for l in net.layers for p in (l.weights, l.biases)):
+    if not np.isfinite(net.params).all():
         raise NonFiniteInput(
             f"twin weights are NaN or infinite after epoch {config.epochs}"
         )

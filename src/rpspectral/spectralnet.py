@@ -294,7 +294,8 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
                     loss, grad_out, residual = _whitened_loss(
                         out.astype(np.float64), A, degrees
                     )
-                    optimizer.step(net, net.backward(cache, grad_out))
+                    net.backward(cache, grad_out, out=optimizer.grads)
+                    optimizer.step(net, optimizer.grads)
                 except (FloatingPointError, SingularGram) as err:
                     where = f"step {step + 1} of {half_steps}"
                     if config.restarts > 1:

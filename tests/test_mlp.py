@@ -1,4 +1,5 @@
 import copy
+import types
 
 import numpy as np
 import pytest
@@ -111,7 +112,10 @@ def test_float64_backward_matches_the_float_derivative_formula():
 
     upstream = output_grad
     for i in range(len(net.layers) - 1, -1, -1):
-        a_in, z, a_out = cache[i]
+        # The cache keeps each layer's input and output; the pre-activation
+        # z is rebuilt here, so ReLU's mask comes from z as the formula has it.
+        a_in, a_out = cache[i]
+        z = a_in @ net.layers[i].weights + net.layers[i].biases
         dz = upstream * derivative[net.layers[i].activation](z, a_out)
         assert same_bits(grads[i][0], a_in.T @ dz)
         assert same_bits(grads[i][1], dz.sum(axis=0))
@@ -263,16 +267,20 @@ def reference_adam_step(net, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8)
             param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def reference_state(net):
+    """Zero moments for ``reference_adam_step``, one array per parameter."""
+    def zeros():
+        return [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in net.layers]
+
+    return {"t": 0, "m": zeros(), "v": zeros()}
+
+
 def test_adam_matches_reference_update_bit_for_bit():
     rng = np.random.default_rng(6)
     net = Mlp.init([3, 16, 16, 2], activation="relu", seed=4)
     ref = copy.deepcopy(net)
     opt = Adam(net, learning_rate=3e-3)
-    state = {
-        "t": 0,
-        "m": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
-        "v": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
-    }
+    state = reference_state(ref)
     for _ in range(120):
         batch = rng.normal(size=(24, 3))
         out, cache = net.forward(batch)
@@ -299,11 +307,7 @@ def test_float32_adam_matches_reference_update_bit_for_bit():
     net = Mlp.init([3, 16, 16, 2], activation="relu", seed=4).astype(np.float32)
     ref = copy.deepcopy(net)
     opt = Adam(net, learning_rate=3e-3)
-    state = {
-        "t": 0,
-        "m": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
-        "v": [[np.zeros_like(p) for p in (l.weights, l.biases)] for l in ref.layers],
-    }
+    state = reference_state(ref)
     for _ in range(60):
         out, cache = net.forward(rng.normal(size=(24, 3)))
         grads = net.backward(cache, quadratic_loss(out)[1])
@@ -379,3 +383,147 @@ def test_adam_takes_strided_gradients():
         for la, lb in zip(net.layers, twin.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.biases, lb.biases)
+
+
+# --- in-place training over flat buffers ---
+
+
+def test_layers_are_views_of_one_parameter_vector():
+    net = Mlp.init([3, 5, 2], seed=2)
+    params = [p for l in net.layers for p in (l.weights, l.biases)]
+    assert all(np.shares_memory(p, net.params) for p in params)
+    assert same_bits(net.params, np.concatenate([p.ravel() for p in params]))
+    # a copy and a cast own their own vectors
+    for other in (copy.deepcopy(net), net.astype(np.float32)):
+        assert not np.shares_memory(other.params, net.params)
+        assert all(
+            np.shares_memory(p, other.params)
+            for l in other.layers
+            for p in (l.weights, l.biases)
+        )
+
+
+def allocating_forward(layers, batch):
+    """``a @ W + b`` and the activation in fresh arrays; caches (a, z, out)."""
+    activate = {"relu": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+    cache, a = [], batch
+    for layer in layers:
+        z = a @ layer.weights + layer.biases
+        out = activate.get(layer.activation, lambda z: z)(z)
+        cache.append((a, z, out))
+        a = out
+    return a, cache
+
+
+def allocating_backward(layers, cache, output_grad):
+    """Fresh (dW, db) per layer, ReLU's mask taken from z as ``z > 0``."""
+    grads = [None] * len(layers)
+    upstream = output_grad
+    for i in range(len(layers) - 1, -1, -1):
+        a_in, z, a_out = cache[i]
+        if layers[i].activation == "relu":
+            dz = upstream * (z > 0)
+        elif layers[i].activation == "tanh":
+            dz = upstream * (1.0 - a_out * a_out)
+        else:
+            dz = upstream
+        grads[i] = (a_in.T @ dz, dz.sum(axis=0))
+        upstream = dz @ layers[i].weights.T
+    return grads
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_in_place_training_matches_an_allocating_reference_bit_for_bit(activation):
+    # The path both nets train on (backward into Adam's buffer, a step over
+    # the flat vector) against one that allocates every intermediate, over
+    # float32 updates whose batches put a row on every first-layer kink
+    # while the biases are still zero.
+    rng = np.random.default_rng(16)
+    net = Mlp.init([3, 16, 16, 4], activation=activation, seed=5).astype(np.float32)
+    ref = types.SimpleNamespace(
+        layers=[Layer(l.weights.copy(), l.biases.copy(), l.activation) for l in net.layers]
+    )
+    opt = Adam(net, learning_rate=3e-3)
+    state = reference_state(ref)
+    for _ in range(60):
+        batch = rng.normal(size=(24, 3)).astype(np.float32)
+        batch[0] = 0.0
+        target = rng.normal(size=(24, 4)).astype(np.float32)
+        out, cache = net.forward(batch)
+        ref_out, ref_cache = allocating_forward(ref.layers, batch)
+        assert same_bits(out, ref_out)
+        assert net.backward(cache, out - target, out=opt.grads) is opt.grads
+        ref_grads = allocating_backward(ref.layers, ref_cache, ref_out - target)
+        opt.step(net, opt.grads)
+        reference_adam_step(ref, ref_grads, state, lr=3e-3)
+        for la, lb in zip(net.layers, ref.layers):
+            assert same_bits(la.weights, lb.weights)
+            assert same_bits(la.biases, lb.biases)
+    assert opt.step_count == state["t"] == 60
+    for i in range(len(net.layers)):
+        for j in range(2):
+            assert same_bits(opt.m[i][j], state["m"][i][j])
+            assert same_bits(opt.v[i][j], state["v"][i][j])
+
+
+def test_backward_without_out_allocates_and_matches_backward_into_adam():
+    rng = np.random.default_rng(17)
+    net = Mlp.init([3, 8, 8, 2], activation="tanh", seed=6).astype(np.float32)
+    opt = Adam(net)
+    out, cache = net.forward(rng.normal(size=(10, 3)))
+    output_grad = rng.normal(size=out.shape).astype(np.float32)
+    kept = output_grad.copy()
+    fresh = net.backward(cache, output_grad)
+    net.backward(cache, output_grad, out=opt.grads)
+    assert same_bits(output_grad, kept)  # the caller's gradient is not written
+    for got, want in zip(fresh, opt.grads):
+        for g, w in zip(got, want):
+            assert same_bits(g, w) and not np.shares_memory(g, w)
+
+
+def test_a_training_step_allocates_no_parameter_vector(peak_traced_bytes):
+    # 2 -> 128 -> 128 -> 32 in float32 holds 21,024 parameters, 84 KB. After
+    # one warm-up update, neither Adam's steps nor a backward pass into its
+    # buffer may trace that much; a backward that allocates its gradients
+    # does, which shows the bound can fail.
+    net = Mlp.init([2, 128, 128, 32], seed=3).astype(np.float32)
+    vector = net.params.nbytes
+    assert vector == 84_096
+    opt = Adam(net)
+    rng = np.random.default_rng(18)
+    out, cache = net.forward(rng.normal(size=(8, 2)))
+    output_grad = rng.normal(size=out.shape).astype(np.float32)
+    net.backward(cache, output_grad, out=opt.grads)
+    opt.step(net, opt.grads)
+
+    def steps():
+        for _ in range(20):
+            opt.step(net, opt.grads)
+
+    assert peak_traced_bytes(steps) < vector
+    assert peak_traced_bytes(lambda: net.backward(cache, output_grad, out=opt.grads)) < vector
+    assert peak_traced_bytes(lambda: net.backward(cache, output_grad)) >= vector
+    assert opt.step_count == 21
+
+
+def test_an_overflowing_bias_sum_fails_the_step_it_feeds():
+    # Zero inputs make every weight gradient 0; only the bias sum, 300 rows
+    # of 1.2e36, overflows float32. Whether the reduction reports it or
+    # leaves inf for Adam, the update fails before any parameter changes.
+    net = Mlp.init([2, 2], activation="identity", seed=0).astype(np.float32)
+    opt = Adam(net)
+    out, cache = net.forward(np.zeros((300, 2), np.float32))
+    before = net.params.copy()
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            net.backward(cache, np.full(out.shape, 1.2e36, np.float32), out=opt.grads)
+            opt.step(net, opt.grads)
+    assert same_bits(net.params, before)
+
+
+def test_adam_refuses_a_net_of_another_size():
+    opt = Adam(Mlp.init([3, 4, 2], seed=0))
+    other = Mlp.init([3, 5, 2], seed=0)
+    with pytest.raises(ShapeMismatch):
+        opt.step(other, opt.grads)
+    assert opt.step_count == 0

@@ -5,12 +5,14 @@ and ``harness._stage`` by name, and ``perfbench/workloads.py`` builds its
 configs from the public API, so renaming or removing one breaks only the
 benchmark, which tier-1 does not run. The benchmark's modules are compiled
 from their source and only read here. A name can also stay while the calls
-stop reaching it, which zeroes a per-layer counter silently; the last test
-runs shrunk pipeline operations under ``spans.instrument`` and counts the
-spectral stage's spans.
+stop reaching it, which zeroes a per-layer counter silently; the last two
+tests run shrunk pipeline operations under ``spans.instrument`` and count
+the spectral stage's affinity and loss spans and both training stages'
+forward, backward and Adam step spans.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import sys
@@ -135,20 +137,45 @@ def test_the_trace_sees_both_spectral_batch_kinds():
     assert full == {True, False}
 
 
+@functools.cache
+def traced_op(name):
+    """Op 0 of the shrunk workload, traced: (inputs, result, span table)."""
+    shrunk = workloads.WORKLOADS[name].shrunk()
+    inputs = shrunk.setup(3)
+    with spans.instrument(spans.Tracer()) as tracer:
+        result = shrunk.op(inputs, 0)
+    assert result.run is not None
+    return inputs, result, spans.SpanTable(tracer.spans)
+
+
 @pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)
 def test_the_spectral_stage_traces_each_affinity_and_loss(workload):
     # One affinity for the whole run when the batch is the dataset, one per
     # update when it is drawn, and one loss per update: the calls behind
     # spectral.affinity_s, spectral.affinity_calls and spectral.grad_steps.
-    shrunk = workload.shrunk()
-    inputs = shrunk.setup(3)
-    with spans.instrument(spans.Tracer()) as tracer:
-        result = shrunk.op(inputs, 0)
-    assert result.run is not None
-    table = spans.SpanTable(tracer.spans)
+    inputs, _, table = traced_op(workload.name)
     spectral = inputs["config"].spectral_config
     updates = spectral.restarts * spectral.total_steps // 2
     affinities = 1 if spectral.batch_size == len(inputs["X"]) else updates
     for name in ("siamese.pairwise_distances", "siamese.heat_kernel"):
         assert table.count[("spectral", name)] == affinities, name
     assert table.count[("spectral", "spectralnet.spectral_loss")] == updates
+
+
+@pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)
+def test_each_training_update_traces_one_forward_backward_and_step(workload):
+    # The calls behind {siamese,spectral}.{forward,backward,adam}_s,
+    # siamese.adam_steps and the per-update step_ms: a training step that
+    # bypassed them would zero that per-op breakdown.
+    inputs, result, table = traced_op(workload.name)
+    config = inputs["config"]
+    spectral = config.spectral_config
+    major = max(len(result.pairs.positives), len(result.pairs.negatives))
+    half = config.siamese.batch_size // 2
+    updates = {
+        "siamese": config.siamese.epochs * -(-major // half),
+        "spectral": spectral.restarts * spectral.total_steps // 2,
+    }
+    for stage, count in updates.items():
+        for name in ("mlp.Mlp.forward", "mlp.Mlp.backward", "mlp.Adam.step"):
+            assert table.count[(stage, name)] == count, (stage, name)

@@ -200,7 +200,9 @@ def test_float32_twin_gradients_stay_float32_and_track_float64():
     handed = []
     forward, backward = narrow.forward, narrow.backward
     narrow.forward = lambda batch: handed.append(batch.dtype) or forward(batch)
-    narrow.backward = lambda cache, G: handed.append(G.dtype) or backward(cache, G)
+    narrow.backward = lambda cache, G, out=None: (
+        handed.append(G.dtype) or backward(cache, G, out=out)
+    )
     loss, grads = _twin_gradients(narrow, X.astype(np.float32), ends, mask, slot)
     del narrow.forward, narrow.backward
     assert handed == [np.float32, np.float32]
@@ -228,7 +230,9 @@ def test_twin_gradients_scatter_like_a_two_d_scatter_bit_for_bit():
     ends = np.concatenate([pairs[:, 0], pairs[:, 1]])
     handed = []
     backward = net.backward
-    net.backward = lambda cache, G: handed.append(G) or backward(cache, G)
+    net.backward = lambda cache, G, out=None: (
+        handed.append(G) or backward(cache, G, out=out)
+    )
     _twin_gradients(net, X, ends, mask, np.empty(len(X), dtype=np.intp))
     del net.backward
 

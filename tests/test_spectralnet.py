@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rpspectral import spectralnet
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import (
     BatchTooSmall,
@@ -575,6 +576,38 @@ def test_outputs_that_cannot_be_whitened_fail_at_their_step(full):
         )
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_bias_sum_fails_at_its_step(monkeypatch):
+    # One linear layer, full batch, and the first 100 feature rows zero. On
+    # step 3 the output gradient is 1.5 x float32's max / 100 on those rows
+    # and 0 on the rest: every weight gradient is exactly 0, but the bias
+    # sum overflows. The bias reduction does not report overflow itself, so
+    # this checks that the step it feeds still fails, and is named.
+    X, _ = blobs_case()
+    features = X.copy()
+    features[:100] = 0.0
+    config = SpectralConfig(
+        n_clusters=2, batch_size=len(X), total_steps=10, hidden_sizes=()
+    )
+    whitened = spectralnet._whitened_loss
+    calls = []
+
+    def overflowing_on_step_3(out, affinity, degrees=None):
+        loss, grad_out, residual = whitened(out, affinity, degrees)
+        calls.append(len(calls) + 1)
+        if len(calls) == 3:
+            grad_out = np.zeros_like(grad_out)
+            grad_out[:100] = 1.5 * float(np.finfo(np.float32).max) / 100
+        return loss, grad_out, residual
+
+    monkeypatch.setattr(spectralnet, "_whitened_loss", overflowing_on_step_3)
+    with pytest.raises(SingularGram, match="at step 3 of 5: "):
+        train_spectralnet(
+            features, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+        )
+    assert calls == [1, 2, 3]
+
+
 # --- float32 body ---
 
 
@@ -665,17 +698,20 @@ def test_training_steps_run_in_float32(case, monkeypatch):
         assert net.dtype == np.float64
         return predict(net, batch)
 
-    def spy_backward(net, cache, output_grad):
+    def spy_backward(net, cache, output_grad, out=None):
         seen["backward"] += 1
         assert net.dtype == np.float32
         assert all(a.dtype == np.float32 for entry in cache for a in entry)
-        grads = backward(net, cache, output_grad)
+        assert out is not None  # the optimizer's buffer, written in place
+        grads = backward(net, cache, output_grad, out=out)
+        assert grads is out
         assert all(g.dtype == np.float32 for pair in grads for g in pair)
         return grads
 
     def spy_step(optimizer, net, grads):
         seen["adam"] += 1
         assert net.dtype == np.float32
+        assert grads is optimizer.grads  # nothing to copy in
         step(optimizer, net, grads)
         for pair in optimizer.m + optimizer.v:
             assert all(moment.dtype == np.float32 for moment in pair)
