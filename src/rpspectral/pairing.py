@@ -4,11 +4,15 @@ Pairs are unordered, deduplicated, and self-pair free. The raw directed count
 (before merging) is kept alongside: n*k for k-nn, the sum of squared leaf
 sizes for tree leaves.
 
-Memory is bounded by the output plus one int64 key per raw pair. Each pair is
-written straight into its key ``min * width + max``; an in-place sort of the
-keys deduplicates them and the kept keys decode into the result, so no
-(rows, 2) intermediate is built. The tree route's other temporaries are one
-group of raw pairs (one leaf size, or one partner-leaf size) at a time.
+Each polarity is built inside the array it is returned in. Every pair is
+written straight into one int64 key ``min * width + max``; the keys are
+sorted in place, repeats are compacted forward, and each key decodes into the
+int32 (lo, hi) row that occupies its own 8 bytes, so no (rows, 2)
+intermediate or second copy is built. The tree route writes each pair once,
+so its keys are exactly its output; the k-nn route's n * k keys shrink in
+place to its output. Past that, the tree route holds one group of raw pairs
+(one leaf size, or one partner-leaf size) at a time, and the decode one
+block of ``_KEY_BLOCK`` keys.
 
 The k-nn search is exact without scanning all n^2 distances: kd leaves with
 bounding boxes prune the points that cannot be a neighbor (Friedman, Bentley
@@ -34,6 +38,10 @@ _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int32)
 # pair sets (the benchmark keeps every operation's) holds half the bytes of
 # int64: 5.9 instead of 11.8 MiB per n=40k rptree pair set.
 _INT32_WIDTH = 1 << 31
+# Keys per block of the forward compaction and the in-place decode: each
+# block's temporaries (the kept keys, the decode's copy of its input) stay
+# within 256 KiB whatever the number of pairs.
+_KEY_BLOCK = 1 << 15
 # Entries per temporary in _knn_indices: 2 MiB of float64, so the Gram
 # fallback's two reused block buffers, np.partition's copy and the <= mask,
 # and each group of candidate pairs, stay a few MiB at any n.
@@ -127,7 +135,7 @@ def knn_pairs(X, k, rng) -> PairSet:
     points = np.arange(n)
     keys = np.empty(n * k, dtype=np.int64)
     _write_keys(np.repeat(points, k), _knn_indices(X, k).reshape(-1), n, keys)
-    positives = _unique_pairs(keys, n)
+    positives = _pairs_from_keys(keys, n)
 
     # Point i's excluded set is excluded[bounds[i]:bounds[i + 1]], sorted.
     owner = np.concatenate([positives[:, 0], positives[:, 1], points])
@@ -150,7 +158,7 @@ def knn_pairs(X, k, rng) -> PairSet:
     _write_keys(owners, drawn, n, keys)
     return PairSet(
         positives=positives,
-        negatives=_unique_pairs(keys, n),
+        negatives=_pairs_from_keys(keys, n),
         raw_positive_count=n * k,
     )
 
@@ -445,8 +453,8 @@ def rptree_pairs(tree, rng) -> PairSet:
     with a warning attached.
 
     Both polarities are keyed from ``tree.points``, every leaf's members laid
-    out leaf after leaf: positives one (leaves, s) block per leaf size s,
-    negatives one (members, t) block per partner-leaf size t.
+    out leaf after leaf, and each pair is keyed once: see ``_positive_keys``
+    and ``_negative_keys``.
     """
     members, sizes = tree.points, tree.leaf_sizes
     # Ordered-with-self convention of the estimate.
@@ -454,6 +462,24 @@ def rptree_pairs(tree, rng) -> PairSet:
     starts = np.cumsum(sizes) - sizes
     width = int(members.max(initial=0)) + 1
 
+    positives = _pairs_from_keys(_positive_keys(members, sizes, starts, width), width)
+    warning = None
+    if len(sizes) < 2:
+        negatives = _EMPTY_PAIRS
+        warning = "tree has a single leaf; no negative pairs generated"
+    else:
+        partner = _partner_leaves(len(sizes), rng)
+        negatives = _pairs_from_keys(_negative_keys(members, sizes, starts, partner, width), width)
+    return PairSet(
+        positives=positives,
+        negatives=negatives,
+        raw_positive_count=raw_count,
+        warning=warning,
+    )
+
+
+def _positive_keys(members, sizes, starts, width):
+    """The key of every within-leaf pair: one (leaves, s) block per leaf size s."""
     keys = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.int64)
     filled = 0
     for s in np.unique(sizes[sizes >= 2]).tolist():
@@ -464,38 +490,30 @@ def rptree_pairs(tree, rng) -> PairSet:
         np.multiply(block[:, a], width, out=out)
         out += block[:, b]
         filled += out.size
-    positives = _unique_pairs(keys, width)
-    del keys
+    return keys
 
-    warning = None
-    if len(sizes) < 2:
-        negatives = _EMPTY_PAIRS
-        warning = "tree has a single leaf; no negative pairs generated"
-    else:
-        partner = _partner_leaves(len(sizes), rng)
-        # Every member meets each member of its leaf's partner leaf; members
-        # whose partner leaf has t members form one (members, t) block.
-        partner_size = np.repeat(sizes[partner], sizes)
-        partner_start = np.repeat(starts[partner], sizes)
-        keys = np.empty(int(partner_size.sum()), dtype=np.int64)
-        filled = 0
-        for t in np.unique(partner_size).tolist():
-            group = np.flatnonzero(partner_size == t)
-            theirs = members[(partner_start[group, None] + np.arange(t)).reshape(-1)]
-            own = np.repeat(members[group], t)
-            _write_keys(own, theirs, width, keys[filled : filled + len(own)])
-            filled += len(own)
-        negatives = _unique_pairs(keys, width)
-        del keys
-    # Both outputs are copied once the keys are freed, so that the heap holes
-    # the keys leave do not sit between the blocks of callers that keep many
-    # pair sets: 7.1 -> 6.1 MiB resident per kept n=40k set.
-    return PairSet(
-        positives=positives.copy(),
-        negatives=negatives.copy(),
-        raw_positive_count=raw_count,
-        warning=warning,
-    )
+
+def _negative_keys(members, sizes, starts, partner, width):
+    """The key of every pair across a leaf and its partner leaf, each once.
+
+    Two leaves that drew each other share one cross product, which only the
+    lower-numbered of them contributes; no other two leaves' products meet.
+    Every member meets each member of its leaf's partner leaf; members whose
+    partner leaf has t members form one (members, t) block.
+    """
+    leaf = np.arange(len(sizes))
+    gives = (partner[partner] != leaf) | (leaf < partner)
+    partner_size = np.repeat(np.where(gives, sizes[partner], 0), sizes)
+    partner_start = np.repeat(starts[partner], sizes)
+    keys = np.empty(int(partner_size.sum()), dtype=np.int64)
+    filled = 0
+    for t in np.unique(partner_size[partner_size > 0]).tolist():
+        group = np.flatnonzero(partner_size == t)
+        theirs = members[(partner_start[group, None] + np.arange(t)).reshape(-1)]
+        own = np.repeat(members[group], t)
+        _write_keys(own, theirs, width, keys[filled : filled + len(own)])
+        filled += len(own)
+    return keys
 
 
 def _partner_leaves(count, rng):
@@ -512,26 +530,57 @@ def _write_keys(a, b, width, out):
     out += a
 
 
-def _unique_pairs(keys, width):
+def _pairs_from_keys(keys, width):
     """The distinct rows (key // width, key % width) of ``keys``, sorted.
 
     With keys ``lo * width + hi`` (indices nonnegative, ``width`` above every
     ``hi``) key order is lexicographic row order, so the result equals
-    ``np.unique`` with ``axis=0`` on the (lo, hi) rows. ``keys`` is sorted in
-    place; adjacent repeats are dropped and ``divmod`` decodes the rest
-    straight into the result's columns, int32 up to ``_INT32_WIDTH``.
+    ``np.unique`` with ``axis=0`` on the (lo, hi) rows. The result is built
+    in ``keys``, which this takes over, so no other array may view it: it is
+    sorted in place, its distinct keys are moved to its front, and up to
+    ``_INT32_WIDTH`` each decodes into the int32 row that occupies its own 8
+    bytes. The result is then a view that fills ``keys``; a wider range
+    decodes into a separate int64 array.
     """
     if not len(keys):
         return _EMPTY_PAIRS
     keys.sort()
-    keep = np.empty(len(keys), dtype=bool)
-    keep[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    kept = keys[keep]
-    del keep
-    out = np.empty((len(kept), 2), dtype=np.int32 if width <= _INT32_WIDTH else np.int64)
-    np.divmod(kept, width, out=(out[:, 0], out[:, 1]))
+    count = _drop_repeats(keys)
+    if width > _INT32_WIDTH:
+        out = np.empty((count, 2), dtype=np.int64)
+        np.divmod(keys[:count], width, out=(out[:, 0], out[:, 1]))
+        return out
+    if count < len(keys):
+        # Shrunk in place, so that a kept pair set holds no bytes of its
+        # repeats. The check for other views is skipped, as the caller still
+        # names ``keys``; there are none.
+        keys.resize(count, refcheck=False)
+    out = keys.view(np.int32).reshape(count, 2)
+    for start in range(0, count, _KEY_BLOCK):
+        rows = out[start : start + _KEY_BLOCK]
+        # The rows share their bytes with the keys they decode, so numpy
+        # decodes from a copy of the keys: in blocks, a block-sized copy.
+        np.divmod(keys[start : start + len(rows)], width, out=(rows[:, 0], rows[:, 1]))
     return out
+
+
+def _drop_repeats(keys):
+    """Move the distinct values of sorted ``keys`` to its front; return their count.
+
+    A forward compaction, ``_KEY_BLOCK`` keys at a time: a key is kept when
+    it differs from the one before it, which for a block's first key is the
+    last key kept so far.
+    """
+    count = 0
+    for start in range(0, len(keys), _KEY_BLOCK):
+        block = keys[start : start + _KEY_BLOCK]
+        keep = np.empty(len(block), dtype=bool)
+        keep[0] = count == 0 or block[0] != keys[count - 1]
+        np.not_equal(block[1:], block[:-1], out=keep[1:])
+        kept = block[keep]
+        keys[count : count + len(kept)] = kept
+        count += len(kept)
+    return count
 
 
 def save_pairs_csv(pairs: PairSet, positives_path, negatives_path):

@@ -9,11 +9,12 @@ from rpspectral import pairing
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import KTooLarge, NonFiniteInput
 from rpspectral.pairing import (
+    _KEY_BLOCK,
     PairSet,
     _distinct_ranks,
     _knn_indices,
+    _pairs_from_keys,
     _partner_leaves,
-    _unique_pairs,
     _write_keys,
     knn_pairs,
     rptree_pairs,
@@ -54,6 +55,16 @@ def test_knn_raw_count_and_dedup_bounds():
     assert pairs.raw_positive_count == 50 * 3
     # Unordered dedup keeps between half (all mutual) and all (none mutual).
     assert 75 <= len(pairs.positives) <= 150
+
+
+def test_knn_pair_arrays_hold_no_bytes_of_their_repeats():
+    # Mutual neighbours key one pair twice; the compacted keys shrink to the
+    # rows returned, so a kept pair set holds nothing past them.
+    X = np.random.default_rng(2).normal(size=(300, 2))
+    pairs = knn_pairs(X, 5, np.random.default_rng(0))
+    assert len(pairs.positives) < 300 * 5
+    for array in (pairs.positives, pairs.negatives):
+        assert array.base is None or array.base.nbytes == array.nbytes
 
 
 def test_knn_negative_budget_and_disjointness():
@@ -304,6 +315,19 @@ def assert_same_pairs(got, want, got_rng, want_rng):
     got.validate()
 
 
+def rows_repeating_across_key_blocks(first, stop):
+    """Distinct canonical rows, three key blocks long, in random order,
+    except that the rows sorted to positions ``first`` to ``stop - 1`` all
+    repeat one row."""
+    rng = np.random.default_rng(3)
+    width = 3_000
+    count = 3 * _KEY_BLOCK
+    keys = np.unique(rng.integers(0, width * width, size=3 * count))
+    keys = keys[keys // width < keys % width][:count]
+    keys[first:stop] = keys[first]
+    return np.stack(np.divmod(keys, width), axis=1)[rng.permutation(count)]
+
+
 @pytest.mark.parametrize(
     "pairs",
     [
@@ -311,17 +335,29 @@ def assert_same_pairs(got, want, got_rng, want_rng):
         np.array([[4, 1]]),
         np.array([[5, 0], [3, 2], [9, 7], [2, 3], [0, 5]]),
         np.random.default_rng(0).integers(0, 6, size=(400, 2)),
+        rows_repeating_across_key_blocks(_KEY_BLOCK - 3, _KEY_BLOCK + 4),
+        rows_repeating_across_key_blocks(_KEY_BLOCK - 5, 2 * _KEY_BLOCK + 5),
+        np.array([[2**31, 0], [5, 2**31 - 1], [0, 2**31], [2**31 - 2, 2**31], [7, 3]]),
     ],
-    ids=["empty", "one-row", "reversed-rows", "heavy-duplicates"],
+    ids=[
+        "empty",
+        "one-row",
+        "reversed-rows",
+        "heavy-duplicates",
+        "repeats-straddle-a-block-boundary",
+        "repeats-span-a-block",
+        "indices-past-int32",
+    ],
 )
 def test_unique_unordered_matches_np_unique(pairs):
     # Keyed as the mining routes key their rows, deduplicated from the keys.
     width = int(pairs.max(initial=0)) + 1
     keys = np.empty(len(pairs), dtype=np.int64)
     _write_keys(pairs[:, 0].copy(), pairs[:, 1], width, keys)
-    got = _unique_pairs(keys, width)
+    got = _pairs_from_keys(keys, width)
     want = reference_unique_unordered(pairs)
-    assert got.dtype == np.int32
+    # Indices from 2^31 on do not fit the int32 rows the keys' bytes hold.
+    assert got.dtype == (np.int32 if width <= 2**31 else np.int64)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -355,6 +391,18 @@ HAND_TREES = {
     "single-leaf": chain_tree([5, 3, 0, 1, 4, 2]),
     "single-point": chain_tree([0]),
 }
+
+
+def test_two_leaf_tree_negatives_are_the_cross_product_once_each():
+    # Two leaves always draw each other; their shared cross product is keyed
+    # once, so the negatives fill their buffer with no repeat compacted out.
+    left, right = [6, 0, 3], [5, 1, 7, 2, 4]
+    tree = chain_tree(left, right)
+    for seed in range(3):
+        negatives = rptree_pairs(tree, np.random.default_rng(seed)).negatives
+        assert len(negatives) == 15
+        assert as_set(negatives) == {(min(i, j), max(i, j)) for i in left for j in right}
+        assert negatives.base is None or negatives.base.nbytes == negatives.nbytes
 
 
 @pytest.mark.parametrize("name", sorted(HAND_TREES))
@@ -525,13 +573,34 @@ def test_both_routes_reject_non_finite_points(bad):
 # --- memory bounds ---
 
 
-def test_rptree_pairs_peak_memory_is_keys_plus_output(peak_traced_bytes):
-    # A 40k-point tree gives ~0.26M positives and ~0.5M negatives: 12 MiB of
-    # output and 6 MiB of keys. A (rows, 2) copy of the raw pairs on the way
-    # to deduplication would pass the bound.
+def test_rptree_pairs_peak_memory_is_output_plus_4_mib(peak_traced_bytes):
+    # A 40k-point tree gives ~0.26M positives and ~0.5M negatives: 5.8 MiB of
+    # int32 output. Each polarity is built in its own key array, so the peak
+    # adds only the grouped temporaries to it. A second copy of the
+    # negatives' keys, or the keys apart from the output, would fail.
     X = np.random.default_rng(14).normal(size=(40_000, 2))
     tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
-    assert peak_traced_bytes(lambda: rptree_pairs(tree, np.random.default_rng(1))) < 32 * 2**20
+    mined = []
+    peak = peak_traced_bytes(lambda: mined.append(rptree_pairs(tree, np.random.default_rng(1))))
+    output = mined[0].positives.nbytes + mined[0].negatives.nbytes
+    assert output > 5.5 * 2**20
+    assert peak < output + 4 * 2**20
+
+
+def test_kept_rptree_pair_sets_hold_nothing_but_their_arrays(retained_traced_bytes):
+    # A caller that keeps many pair sets (the benchmark keeps every
+    # operation's) holds their arrays' bytes and no more: no key buffer
+    # outlives mining, and no returned array views a larger buffer.
+    X = np.random.default_rng(14).normal(size=(40_000, 2))
+    tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
+    rptree_pairs(tree, np.random.default_rng(0))  # the first call's lazy imports
+    kept, retained = retained_traced_bytes(
+        lambda: [rptree_pairs(tree, np.random.default_rng(seed)) for seed in range(5)]
+    )
+    arrays = [array for pairs in kept for array in (pairs.positives, pairs.negatives)]
+    assert retained == sum(array.nbytes for array in arrays)
+    for array in arrays:
+        assert array.base is None or array.base.nbytes == array.nbytes
 
 
 def test_knn_pairs_peak_memory_is_independent_of_block_height(peak_traced_bytes):
