@@ -316,13 +316,11 @@ class Adam:
         self.v = _layer_views(self._v, net.layers)
         self.grads = _layer_views(self._grad, net.layers)
 
-    def step(self, net, grads):
+    def step(self, net):
         """Apply one update to ``net.params`` in place; increments the counter.
 
-        ``grads`` is ``self.grads``, filled by ``backward``, or any list of
-        per-layer (dW, db) arrays, which may be strided; those are
-        shape-checked against the net and copied into ``self.grads`` first.
-        Every shape is checked before anything changes, so a rejected step
+        The gradient is ``self.grads``, which ``backward`` fills. A net of
+        another size is refused before anything changes, so a rejected step
         leaves the parameters, the moments and the counter as they were.
         The update is lr * (m / c1) / (sqrt(v / c2) + _EPS), with c1, c2 the
         bias corrections, and m is flushed to zero where it falls below the
@@ -332,19 +330,6 @@ class Adam:
             raise ShapeMismatch(
                 f"net has {net.params.size} parameters, optimizer {self._grad.size}"
             )
-        if grads is not self.grads:
-            params = [p for l in net.layers for p in (l.weights, l.biases)]
-            flat_grads = [g for pair in grads for g in pair]
-            views = [g for pair in self.grads for g in pair]
-            if len(grads) != len(net.layers) or len(flat_grads) != len(views):
-                raise ShapeMismatch("gradient list length does not match layers")
-            for param, grad, view in zip(params, flat_grads, views):
-                if not param.shape == grad.shape == view.shape:
-                    raise ShapeMismatch(
-                        f"grad shape {grad.shape} vs param {param.shape}"
-                    )
-            for view, grad in zip(views, flat_grads):
-                view[...] = grad
         self.step_count += 1
         t = self.step_count
         correction1 = 1.0 - _BETA1**t

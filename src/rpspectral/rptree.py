@@ -4,15 +4,15 @@ A tree recursively halves a point set: project the node's points onto a unit
 direction, cut at a random fraction of the projected range, recurse until a
 node holds at most ``leaf_size`` points. The direction rule is
 ``TreeConfig.strategy``, one of the exact strings "random", "pca" or
-"bestof:N". Leaves are the unit of pair mining downstream, so the structure
-exposes them directly.
+"bestof:N". Leaves are the unit of pair mining downstream, and they are all
+a built tree keeps: a tree with L leaves was cut L - 1 times.
 
 The build runs one depth at a time. The nodes of a depth are contiguous
 segments of one array of point ids, so a single pass of segment operations
 (``reduceat`` over the segments, one draw per node) splits all of them, and a
 stable partition inside each segment puts a node's left child ahead of its
 right one. That array therefore always lists the points in the tree's
-left-to-right order, and the finished tree is a few flat arrays.
+left-to-right order, and the finished tree is three flat arrays.
 """
 
 from __future__ import annotations
@@ -60,25 +60,18 @@ class TreeConfig:
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """A built tree as flat arrays.
+    """A built tree as its leaves.
 
     ``points`` holds every point id once, leaf after leaf, leaves left to
     right; leaf ``j`` owns the next ``leaf_sizes[j]`` of them. ``degenerate``
     flags the leaves frozen because no direction could separate their points
-    (duplicates); those may exceed the leaf size bound. Split ``s`` sends a
-    point whose projection on ``directions[s]`` is at or below
-    ``thresholds[s]`` to ``children[s, 0]`` and any other to
-    ``children[s, 1]``; a child ``c >= 0`` is split ``c`` and a child
-    ``c < 0`` is leaf ``~c``. Split 0 is the root, and splits are numbered
-    depth by depth; a tree without splits is the single leaf 0.
+    (duplicates); those may exceed the leaf size bound. A tree with L leaves
+    was cut L - 1 times; the cuts themselves are not kept.
     """
 
     points: np.ndarray  # (n,) int64
     leaf_sizes: np.ndarray  # (leaves,) int64
     degenerate: np.ndarray  # (leaves,) bool
-    directions: np.ndarray  # (splits, dim) float64, unit rows
-    thresholds: np.ndarray  # (splits,) float64
-    children: np.ndarray  # (splits, 2) int64
 
 
 def _starts(sizes):
@@ -142,25 +135,24 @@ def choose_directions(points, sizes, strategy, rng):
 
     ``points`` holds m segments' rows end to end, segment i ``sizes[i]`` rows
     long, and ``strategy`` is a ``TreeConfig.strategy`` spelling. Returns the
-    (m, dim) directions and, for bestof, the (m, N) projected variances of
-    every candidate in draw order (None for "random" and "pca"). The random
-    and bestof candidates come from one (m, N, dim) draw, so "random" is
-    "bestof:1" draw for draw.
+    (m, dim) directions; bestof keeps, per segment, the candidate of largest
+    projected variance. The random and bestof candidates come from one
+    (m, N, dim) draw, so "random" is "bestof:1" draw for draw.
     """
     m, dim = len(sizes), points.shape[1]
     if strategy == "pca":
-        return principal_directions(points, sizes), None
+        return principal_directions(points, sizes)
     n_try = 1 if strategy == "random" else int(strategy.split(":")[1])
     candidates = random_directions((m, n_try, dim), rng)
     if strategy == "random":
-        return candidates[:, 0], None
+        return candidates[:, 0]
     starts = _starts(sizes)
     scores = np.empty((m, n_try))
     for t in range(n_try):
         projected = _project(points, candidates[:, t], sizes)
         projected -= np.repeat(np.add.reduceat(projected, starts) / sizes, sizes)
         scores[:, t] = np.add.reduceat(projected * projected, starts) / sizes
-    return candidates[np.arange(m), scores.argmax(axis=1)], scores
+    return candidates[np.arange(m), scores.argmax(axis=1)]
 
 
 def _cut_segments(points, sizes, directions, rng):
@@ -258,26 +250,26 @@ def build_tree(X, config, rng):
     check_finite(X)
     n = len(X)
     points = np.arange(n, dtype=np.int64)
-    leaf_parts = []  # (start in points, size, degenerate, parent slot) per batch
-    split_parts = []  # (parent slot, direction, threshold) per depth
-    splits = 0
+    # A leaf is a run of ``points``: mark where each run starts and whether
+    # its node froze.
+    leaf_start = np.zeros(n, dtype=bool)
+    frozen = np.zeros(n, dtype=bool)
 
-    def admit(start, size, slot):
-        """Record the small nodes as leaves; return the mask of the others."""
+    def admit(start, size):
+        """Mark the small nodes as leaves; return the mask of the others."""
         small = size <= config.leaf_size
-        leaf_parts.append((start[small], size[small], np.zeros(small.sum(), bool), slot[small]))
+        leaf_start[start[small]] = True
         return ~small
 
-    # Nodes still to split: where their points start in ``points``, how many
-    # there are, and the parent's child slot (2 * split + side; -1, the root).
-    start, size, slot = np.zeros(1, np.int64), np.array([n]), np.array([-1])
-    ids = points.copy() if admit(start, size, slot)[0] else points[:0]
+    # Nodes still to split: where their points start in ``points`` and how
+    # many there are.
+    start, size = np.zeros(1, np.int64), np.array([n])
+    ids = points.copy() if admit(start, size)[0] else points[:0]
     while len(ids):
         local = X[ids]
-        directions, _ = choose_directions(local, size, config.strategy, rng)
-        left, thresholds, directions, ok = _cut_segments(local, size, directions, rng)
-        leaf_parts.append((start[~ok], size[~ok], np.ones((~ok).sum(), bool), slot[~ok]))
-        split_parts.append((slot[ok], directions[ok], thresholds[ok]))
+        directions = choose_directions(local, size, config.strategy, rng)
+        left, _, _, ok = _cut_segments(local, size, directions, rng)
+        leaf_start[start[~ok]] = frozen[start[~ok]] = True
 
         # Stable partition inside each segment, left side first; a frozen
         # segment has no left side, so it keeps its order.
@@ -293,39 +285,17 @@ def build_tree(X, config, rng):
         ids_after[dest] = ids
         points[dest + np.repeat(start - _starts(size), size)] = ids
 
-        split_ids = splits + np.arange(np.count_nonzero(ok))
-        splits += len(split_ids)
         sides = np.stack([n_left, n_right], axis=1)
         child_start = np.stack([start, start + n_left], axis=1)[ok].reshape(-1)
         child_size = sides[ok].reshape(-1)
-        child_slot = (2 * split_ids[:, None] + np.arange(2)).reshape(-1)
-        active = admit(child_start, child_size, child_slot)
+        active = admit(child_start, child_size)
         keep = np.zeros(sides.shape, dtype=bool)
         keep[ok] = active.reshape(-1, 2)
         ids = ids_after[np.repeat(keep.reshape(-1), sides.reshape(-1))]
-        start, size, slot = child_start[active], child_size[active], child_slot[active]
+        start, size = child_start[active], child_size[active]
 
-    # Leaves are numbered left to right, which is the order of their starts.
-    leaf_start, leaf_sizes, degenerate, leaf_slot = (np.concatenate(p) for p in zip(*leaf_parts))
-    order = np.argsort(leaf_start)
-    leaf_slot = leaf_slot[order]
-    children = np.empty(2 * splits, dtype=np.int64)
-    if split_parts:
-        split_slot, directions, thresholds = (np.concatenate(p) for p in zip(*split_parts))
-        linked = split_slot >= 0
-        children[split_slot[linked]] = np.flatnonzero(linked)
-    else:
-        directions, thresholds = np.empty((0, X.shape[1])), np.empty(0)
-    linked = leaf_slot >= 0
-    children[leaf_slot[linked]] = ~np.flatnonzero(linked)
-    return Tree(
-        points=points,
-        leaf_sizes=leaf_sizes[order],
-        degenerate=degenerate[order],
-        directions=directions,
-        thresholds=thresholds,
-        children=children.reshape(-1, 2),
-    )
+    starts = np.flatnonzero(leaf_start)
+    return Tree(points=points, leaf_sizes=np.diff(starts, append=n), degenerate=frozen[starts])
 
 
 def leaves(tree):

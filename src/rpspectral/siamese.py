@@ -211,7 +211,7 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                     loss, _ = _twin_gradients(
                         net, X, ends, masks[len(pos_batch)], slot, out=optimizer.grads
                     )
-                    optimizer.step(net, optimizer.grads)
+                    optimizer.step(net)
                 except FloatingPointError as err:
                     raise NonFiniteInput(
                         f"twin training diverged at step {step} of epoch {epoch} "

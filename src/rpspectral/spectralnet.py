@@ -295,7 +295,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
                         out.astype(np.float64), A, degrees
                     )
                     net.backward(cache, grad_out, out=optimizer.grads)
-                    optimizer.step(net, optimizer.grads)
+                    optimizer.step(net)
                 except (FloatingPointError, SingularGram) as err:
                     where = f"step {step + 1} of {half_steps}"
                     if config.restarts > 1:

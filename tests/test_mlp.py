@@ -132,7 +132,8 @@ def test_float32_net_computes_in_float32(activation):
     grads = net.backward(cache, rng.normal(size=out.shape))
     assert all(g.dtype == np.float32 for pair in grads for g in pair)
     opt = Adam(net, learning_rate=1e-2)
-    opt.step(net, grads)
+    net.backward(cache, rng.normal(size=out.shape), out=opt.grads)
+    opt.step(net)
     assert all(x.dtype == np.float32 for pair in opt.m + opt.v for x in pair)
     assert all(
         p.dtype == np.float32 for l in net.layers for p in (l.weights, l.biases)
@@ -234,20 +235,11 @@ def test_adam_reduces_quadratic_loss():
         loss, out_grad = quadratic_loss(out)
         if first is None:
             first = loss
-        grads = net.backward(cache, out_grad)
-        opt.step(net, grads)
+        net.backward(cache, out_grad, out=opt.grads)
+        opt.step(net)
     final, _ = quadratic_loss(net.forward(batch)[0])
     assert opt.step_count == 200
     assert final < 0.1 * first
-
-
-def test_adam_rejects_mismatched_grads():
-    net = Mlp.init([3, 4, 2], seed=0)
-    opt = Adam(net)
-    with pytest.raises(ShapeMismatch):
-        opt.step(net, [(np.zeros((3, 4)), np.zeros(4))])
-    with pytest.raises(ShapeMismatch):
-        opt.step(net, [(np.zeros((3, 5)), np.zeros(4)), (np.zeros((4, 2)), np.zeros(2))])
 
 
 def reference_adam_step(net, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -284,10 +276,10 @@ def test_adam_matches_reference_update_bit_for_bit():
     for _ in range(120):
         batch = rng.normal(size=(24, 3))
         out, cache = net.forward(batch)
-        grads = net.backward(cache, quadratic_loss(out)[1])
+        net.backward(cache, quadratic_loss(out)[1], out=opt.grads)
         ref_out, ref_cache = ref.forward(batch)
         ref_grads = ref.backward(ref_cache, quadratic_loss(ref_out)[1])
-        opt.step(net, grads)
+        opt.step(net)
         reference_adam_step(ref, ref_grads, state, lr=3e-3)
         for la, lb in zip(net.layers, ref.layers):
             assert np.array_equal(la.weights, lb.weights)
@@ -310,8 +302,8 @@ def test_float32_adam_matches_reference_update_bit_for_bit():
     state = reference_state(ref)
     for _ in range(60):
         out, cache = net.forward(rng.normal(size=(24, 3)))
-        grads = net.backward(cache, quadratic_loss(out)[1])
-        opt.step(net, grads)
+        grads = net.backward(cache, quadratic_loss(out)[1], out=opt.grads)
+        opt.step(net)
         reference_adam_step(ref, grads, state, lr=3e-3)
         for la, lb in zip(net.layers, ref.layers):
             assert la.weights.dtype == np.float32
@@ -332,12 +324,14 @@ def test_adam_flushes_a_decayed_first_moment_to_zero(dtype):
     net = Mlp.init([1, 1], activation="identity", seed=0).astype(dtype)
     opt = Adam(net)
     tiny = np.finfo(dtype).tiny
-    ones = [(np.ones((1, 1), dtype), np.ones(1, dtype))]
-    zeros = [(np.zeros((1, 1), dtype), np.zeros(1, dtype))]
-    opt.step(net, ones)
+    for grad in opt.grads[0]:
+        grad[...] = 1.0
+    opt.step(net)
+    for grad in opt.grads[0]:
+        grad[...] = 0.0
     nonzero = []
     for _ in range(8000 if dtype is np.float64 else 1000):
-        opt.step(net, zeros)
+        opt.step(net)
         m = opt.m[0][0][0, 0]
         assert m == 0 or abs(m) >= tiny
         nonzero.append(m != 0)
@@ -349,40 +343,19 @@ def test_adam_rejected_step_changes_nothing():
     net = Mlp.init([3, 4, 4, 2], seed=0)
     opt = Adam(net)
     out, cache = net.forward(rng.normal(size=(5, 3)))
-    grads = net.backward(cache, out)
-    opt.step(net, grads)  # nonzero moments, so a partial update would show
-    before = copy.deepcopy(net)
+    net.backward(cache, out, out=opt.grads)
+    opt.step(net)  # nonzero moments, so a partial update would show
+    other = Mlp.init([3, 4, 2], seed=0)  # one hidden layer fewer
+    before, other_before = net.params.copy(), other.params.copy()
     moments = [[p.copy() for p in pair] for pair in opt.m + opt.v]
-    bad = grads[:-1] + [(grads[-1][0], np.zeros(3))]  # last layer's bias
     with pytest.raises(ShapeMismatch):
-        opt.step(net, bad)
+        opt.step(other)
     assert opt.step_count == 1
-    for la, lb in zip(net.layers, before.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.biases, lb.biases)
+    assert np.array_equal(net.params, before)
+    assert np.array_equal(other.params, other_before)
     for saved, pair in zip(moments, opt.m + opt.v):
         for a, b in zip(saved, pair):
             assert np.array_equal(a, b)
-
-
-def test_adam_takes_strided_gradients():
-    # Transposed views of transposed copies and reversed views: the same
-    # values, so the same update as from contiguous arrays.
-    rng = np.random.default_rng(8)
-    net = Mlp.init([3, 5, 2], seed=1)
-    twin = copy.deepcopy(net)
-    plain, strided = Adam(net, learning_rate=1e-2), Adam(twin, learning_rate=1e-2)
-    for _ in range(3):
-        out, cache = net.forward(rng.normal(size=(6, 3)))
-        grads = net.backward(cache, out)
-        views = [(dW.T.copy().T, db[::-1].copy()[::-1]) for dW, db in grads]
-        assert not any(dW.flags.c_contiguous for dW, _ in views)
-        assert not any(db.flags.c_contiguous for _, db in views)
-        plain.step(net, grads)
-        strided.step(twin, views)
-        for la, lb in zip(net.layers, twin.layers):
-            assert np.array_equal(la.weights, lb.weights)
-            assert np.array_equal(la.biases, lb.biases)
 
 
 # --- in-place training over flat buffers ---
@@ -454,7 +427,7 @@ def test_in_place_training_matches_an_allocating_reference_bit_for_bit(activatio
         assert same_bits(out, ref_out)
         assert net.backward(cache, out - target, out=opt.grads) is opt.grads
         ref_grads = allocating_backward(ref.layers, ref_cache, ref_out - target)
-        opt.step(net, opt.grads)
+        opt.step(net)
         reference_adam_step(ref, ref_grads, state, lr=3e-3)
         for la, lb in zip(net.layers, ref.layers):
             assert same_bits(la.weights, lb.weights)
@@ -494,11 +467,11 @@ def test_a_training_step_allocates_no_parameter_vector(peak_traced_bytes):
     out, cache = net.forward(rng.normal(size=(8, 2)))
     output_grad = rng.normal(size=out.shape).astype(np.float32)
     net.backward(cache, output_grad, out=opt.grads)
-    opt.step(net, opt.grads)
+    opt.step(net)
 
     def steps():
         for _ in range(20):
-            opt.step(net, opt.grads)
+            opt.step(net)
 
     assert peak_traced_bytes(steps) < vector
     assert peak_traced_bytes(lambda: net.backward(cache, output_grad, out=opt.grads)) < vector
@@ -517,7 +490,7 @@ def test_an_overflowing_bias_sum_fails_the_step_it_feeds():
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(FloatingPointError):
             net.backward(cache, np.full(out.shape, 1.2e36, np.float32), out=opt.grads)
-            opt.step(net, opt.grads)
+            opt.step(net)
     assert same_bits(net.params, before)
 
 
@@ -525,5 +498,5 @@ def test_adam_refuses_a_net_of_another_size():
     opt = Adam(Mlp.init([3, 4, 2], seed=0))
     other = Mlp.init([3, 5, 2], seed=0)
     with pytest.raises(ShapeMismatch):
-        opt.step(other, opt.grads)
+        opt.step(other)
     assert opt.step_count == 0

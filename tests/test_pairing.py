@@ -102,7 +102,7 @@ def test_knn_pair_rows_are_canonical():
 def test_leaf_pairs_hand_case():
     # Two leaves {0,1} and {2}: one positive inside the pair leaf, and the
     # cross products as negatives.
-    tree = chain_tree([0, 1], [2])
+    tree = hand_tree([0, 1], [2])
     pairs = rptree_pairs(tree, np.random.default_rng(0))
     assert as_set(pairs.positives) == {(0, 1)}
     assert as_set(pairs.negatives) == {(0, 2), (1, 2)}
@@ -141,7 +141,7 @@ def test_leaf_negatives_come_from_other_leaves():
 
 
 def test_single_leaf_tree_warns_and_has_no_negatives():
-    tree = chain_tree(np.arange(6))
+    tree = hand_tree(np.arange(6))
     pairs = rptree_pairs(tree, np.random.default_rng(0))
     assert len(pairs.positives) == 15
     assert pairs.negatives.shape == (0, 2)
@@ -362,34 +362,25 @@ def test_unique_unordered_matches_np_unique(pairs):
     assert np.array_equal(got, want)
 
 
-def chain_tree(*leaf_members, degenerate=()):
-    """A right-leaning chain of splits whose leaves, left to right, hold
-    ``leaf_members``; the leaves numbered in ``degenerate`` are flagged."""
-    count = len(leaf_members)
-    sizes = np.array([len(m) for m in leaf_members], dtype=np.int64)
-    flags = np.zeros(count, dtype=bool)
+def hand_tree(*leaf_members, degenerate=()):
+    """A tree whose leaves, left to right, hold ``leaf_members``; the leaves
+    numbered in ``degenerate`` are flagged."""
+    flags = np.zeros(len(leaf_members), dtype=bool)
     flags[list(degenerate)] = True
-    # Split s sends leaf s left and the rest of the chain right.
-    children = np.array([[~s, s + 1] for s in range(count - 1)], dtype=np.int64).reshape(-1, 2)
-    if count > 1:
-        children[-1, 1] = ~(count - 1)
     return Tree(
         points=np.concatenate([np.asarray(m, dtype=np.int64) for m in leaf_members]),
-        leaf_sizes=sizes,
+        leaf_sizes=np.array([len(m) for m in leaf_members], dtype=np.int64),
         degenerate=flags,
-        directions=np.ones((count - 1, 1)),
-        thresholds=np.zeros(count - 1),
-        children=children,
     )
 
 
 HAND_TREES = {
-    "mixed-sizes": chain_tree([7, 2, 9], [4, 1], [3, 8, 5, 6, 10], [0, 11, 12]),
-    "size-1-leaves": chain_tree([3], [0, 2], [1], [4]),
-    "only-size-1": chain_tree([1], [0]),
-    "degenerate": chain_tree([0, 1], np.arange(2, 14)[::-1], [14], degenerate=[1]),
-    "single-leaf": chain_tree([5, 3, 0, 1, 4, 2]),
-    "single-point": chain_tree([0]),
+    "mixed-sizes": hand_tree([7, 2, 9], [4, 1], [3, 8, 5, 6, 10], [0, 11, 12]),
+    "size-1-leaves": hand_tree([3], [0, 2], [1], [4]),
+    "only-size-1": hand_tree([1], [0]),
+    "degenerate": hand_tree([0, 1], np.arange(2, 14)[::-1], [14], degenerate=[1]),
+    "single-leaf": hand_tree([5, 3, 0, 1, 4, 2]),
+    "single-point": hand_tree([0]),
 }
 
 
@@ -397,7 +388,7 @@ def test_two_leaf_tree_negatives_are_the_cross_product_once_each():
     # Two leaves always draw each other; their shared cross product is keyed
     # once, so the negatives fill their buffer with no repeat compacted out.
     left, right = [6, 0, 3], [5, 1, 7, 2, 4]
-    tree = chain_tree(left, right)
+    tree = hand_tree(left, right)
     for seed in range(3):
         negatives = rptree_pairs(tree, np.random.default_rng(seed)).negatives
         assert len(negatives) == 15

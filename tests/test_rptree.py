@@ -16,11 +16,11 @@ from rpspectral.rptree import (
     split_node,
 )
 
-TREE_FIELDS = ("points", "leaf_sizes", "degenerate", "directions", "thresholds", "children")
+TREE_FIELDS = ("points", "leaf_sizes", "degenerate")
 
 
 def same_tree(a, b):
-    """Whether two trees have identical structure, cuts and leaves."""
+    """Whether two trees have identical leaves."""
     return all(
         getattr(a, name).shape == getattr(b, name).shape
         and np.array_equal(getattr(a, name), getattr(b, name))
@@ -28,47 +28,17 @@ def same_tree(a, b):
     )
 
 
-def walk_and_check(tree, X, leaf_size):
-    """Re-derive the partition from stored directions/thresholds.
-
-    Verifies, per split: unit direction, threshold inside the middle band of
-    that node's projected range, and that its children hold exactly the
-    points on each side of the cut. Every leaf must be reached once, in
-    left-to-right order, holding the points that reach it. Returns the
-    number of splits on the deepest root-to-leaf path.
-    """
-    assert tree.points.dtype == tree.leaf_sizes.dtype == tree.children.dtype == np.int64
+def check_partition(tree, X, leaf_size):
+    """The leaves cover every row of ``X`` once; each leaf not flagged
+    degenerate is within ``leaf_size``, and each flagged one is a node that
+    was too large and froze."""
+    assert tree.points.dtype == tree.leaf_sizes.dtype == np.int64
+    assert tree.degenerate.dtype == bool
     assert np.array_equal(np.sort(tree.points), np.arange(len(X)))
     assert tree.leaf_sizes.sum() == len(X) and (tree.leaf_sizes >= 1).all()
     assert len(tree.degenerate) == len(tree.leaf_sizes)
-    assert len(tree.directions) == len(tree.thresholds) == len(tree.children)
-    parts = leaves(tree)
-    visited, depth = [], 0
-    root = 0 if len(tree.children) else ~0
-    stack = [(root, np.arange(len(X), dtype=np.int64), 0)]
-    while stack:
-        node, indices, level = stack.pop()
-        depth = max(depth, level)
-        if node < 0:
-            leaf = ~node
-            visited.append(leaf)
-            assert np.array_equal(np.sort(parts[leaf]), np.sort(indices))
-            if not tree.degenerate[leaf]:
-                assert len(indices) <= leaf_size
-            continue
-        direction = tree.directions[node]
-        assert abs(np.linalg.norm(direction) - 1.0) < 1e-9
-        projected = X[indices] @ direction
-        lo, hi = projected.min(), projected.max()
-        threshold = tree.thresholds[node]
-        assert lo + 0.25 * (hi - lo) <= threshold <= lo + 0.75 * (hi - lo)
-        mask = projected <= threshold
-        assert mask.any() and not mask.all()
-        left, right = tree.children[node]
-        stack.append((right, indices[~mask], level + 1))
-        stack.append((left, indices[mask], level + 1))
-    assert visited == list(range(len(tree.leaf_sizes)))
-    return depth
+    assert (tree.leaf_sizes[~tree.degenerate] <= leaf_size).all()
+    assert (tree.leaf_sizes[tree.degenerate] > leaf_size).all()
 
 
 def test_tree_partitions_all_points():
@@ -78,7 +48,7 @@ def test_tree_partitions_all_points():
     merged = np.concatenate(leaves(tree))
     assert np.array_equal(merged, tree.points)
     assert np.array_equal(np.sort(merged), np.arange(200))
-    walk_and_check(tree, X, leaf_size=10)
+    check_partition(tree, X, leaf_size=10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,24 +65,75 @@ def test_partition_invariant_property(n, dim, leaf_size, copies, strategy, seed)
     X = np.repeat(np.random.default_rng(seed).normal(size=(n, dim)), copies, axis=0)
     config = TreeConfig(leaf_size=leaf_size, strategy=strategy)
     tree = build_tree(X, config, rng=np.random.default_rng(seed))
-    walk_and_check(tree, X, leaf_size=leaf_size)
+    check_partition(tree, X, leaf_size=leaf_size)
 
 
-def test_chain_input_builds_one_level_per_point():
+@settings(max_examples=40, deadline=None)
+@given(
+    values=st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=150, unique=True
+    ),
+    leaf_size=st.integers(1, 20),
+    strategy=st.sampled_from(["random", "bestof:3", "pca"]),
+    seed=st.integers(0, 1000),
+)
+def test_leaves_of_distinct_1d_values_are_runs_of_the_sorted_values(
+    values, leaf_size, strategy, seed
+):
+    # On a line every cut is a threshold on the value, so each node, and each
+    # leaf, holds a run of the sorted values; a partition that sends a point
+    # to the wrong child breaks a run.
+    X = np.array(values)[:, None]
+    tree = build_tree(X, TreeConfig(leaf_size, strategy), rng=np.random.default_rng(seed))
+    check_partition(tree, X, leaf_size=leaf_size)
+    rank = np.argsort(np.argsort(X[:, 0]))
+    for leaf in leaves(tree):
+        assert rank[leaf].max() - rank[leaf].min() + 1 == len(leaf)
+
+
+def test_chain_input_builds_one_level_per_point(monkeypatch):
     # Each cut of 1.5**i sheds only the top few points, so the tree is about
-    # as deep as it has points.
+    # as deep as it has points. The build chooses directions once per depth.
+    depths = 0
+    choose = rptree.choose_directions
+
+    def counting(*args):
+        nonlocal depths
+        depths += 1
+        return choose(*args)
+
+    monkeypatch.setattr(rptree, "choose_directions", counting)
     X = 1.5 ** np.arange(600.0)[:, None]
     tree = build_tree(X, TreeConfig(leaf_size=1), rng=np.random.default_rng(0))
-    assert walk_and_check(tree, X, leaf_size=1) > 200
+    check_partition(tree, X, leaf_size=1)
+    assert depths > 200
     assert len(tree.leaf_sizes) == 600 and not tree.degenerate.any()
+
+
+def test_a_tree_with_l_leaves_was_cut_l_minus_1_times(monkeypatch):
+    cuts = []
+    cut_segments = rptree._cut_segments
+
+    def counting(*args):
+        result = cut_segments(*args)
+        cuts.append(int(result[3].sum()))
+        return result
+
+    monkeypatch.setattr(rptree, "_cut_segments", counting)
+    rng = np.random.default_rng(6)
+    X = np.vstack([rng.normal(size=(300, 3)), np.zeros((40, 3))])
+    for strategy in ("random", "bestof:3", "pca"):
+        for leaf_size in (1, 6, 20, 400):
+            cuts.clear()
+            tree = build_tree(X, TreeConfig(leaf_size, strategy), np.random.default_rng(leaf_size))
+            assert leaf_size_stats(tree).count - 1 == sum(cuts)
 
 
 def test_small_input_is_single_leaf():
     X = np.random.default_rng(1).normal(size=(10, 2))
     tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
-    assert tree.children.shape == (0, 2)
-    assert tree.directions.shape == (0, 2)
     assert tree.leaf_sizes.tolist() == [10]
+    assert tree.degenerate.tolist() == [False]
     assert tree.points.tolist() == list(range(10))
 
 
@@ -145,7 +166,6 @@ def test_duplicates_freeze_into_degenerate_leaf():
     for strategy in ("random", "bestof:3", "pca"):
         config = TreeConfig(leaf_size=8, strategy=strategy)
         tree = build_tree(X, config, rng=np.random.default_rng(0))
-        assert tree.children.shape == (0, 2)
         assert tree.degenerate.tolist() == [True]
         assert tree.leaf_sizes.tolist() == [40]  # exceeds the bound, flagged instead
 
@@ -154,10 +174,12 @@ def test_mixed_duplicates_still_partition():
     rng = np.random.default_rng(5)
     X = np.vstack([rng.normal(size=(30, 2)), np.zeros((30, 2))])
     tree = build_tree(X, TreeConfig(leaf_size=5), rng=np.random.default_rng(1))
-    walk_and_check(tree, X, leaf_size=5)
+    check_partition(tree, X, leaf_size=5)
     stats = leaf_size_stats(tree)
     assert stats.degenerate_count >= 1
     assert stats.max_size >= 30  # the duplicate block cannot be divided
+    frozen = [leaf for leaf, flag in zip(leaves(tree), tree.degenerate) if flag]
+    assert np.array_equal(np.sort(np.concatenate(frozen)), np.arange(30, 60))
 
 
 # --- directions ---
@@ -226,19 +248,24 @@ def test_best_of_picks_max_variance_candidate():
     rng = np.random.default_rng(11)
     parts = [rng.normal(size=(80, 2)) @ np.diag([5.0, 0.5]), rng.normal(size=(30, 2))]
     points, sizes = segments(*parts)
-    directions, scores = choose_directions(points, sizes, "bestof:8", rng)
+    directions = choose_directions(points, sizes, "bestof:8", np.random.default_rng(3))
+    # The same draw from a generator in the same state: each segment's 8
+    # candidates, in draw order.
+    candidates = random_directions((2, 8, 2), np.random.default_rng(3))
     assert directions.shape == (2, 2)
-    assert scores.shape == (2, 8)
-    for d, part, row in zip(directions, parts, scores):
-        assert np.isclose(np.var(part @ d), row.max())
+    for d, part, tries in zip(directions, parts, candidates):
+        variances = np.var(part @ tries.T, axis=0)
+        assert np.array_equal(d, tries[np.argmax(variances)])
+        assert np.isclose(np.var(part @ d), variances.max())
 
 
 def test_best_of_one_is_random_draw_for_draw():
     points, sizes = segments(*(np.random.default_rng(12).normal(size=(s, 3)) for s in (4, 9)))
-    a, _ = choose_directions(points, sizes, "random", np.random.default_rng(3))
-    b, scores = choose_directions(points, sizes, "bestof:1", np.random.default_rng(3))
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    a = choose_directions(points, sizes, "random", rng_a)
+    b = choose_directions(points, sizes, "bestof:1", rng_b)
     assert np.array_equal(a, b)
-    assert scores.shape == (2, 1)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 def test_best_of_beats_single_draw_on_average():
@@ -247,7 +274,7 @@ def test_best_of_beats_single_draw_on_average():
     points, sizes = segments(*([X] * 20))
     variances = {}
     for strategy in ("bestof:10", "random"):
-        directions, _ = choose_directions(points, sizes, strategy, rng)
+        directions = choose_directions(points, sizes, strategy, rng)
         variances[strategy] = np.var(X @ directions.T, axis=0)
     assert np.mean(variances["bestof:10"]) > np.mean(variances["random"])
 
@@ -261,6 +288,57 @@ def test_tree_config_takes_only_the_exact_strategy_spellings():
 
 
 # --- splitting ---
+
+
+class RecordingRng:
+    """A generator that logs the size of each draw ``_cut_segments`` makes."""
+
+    def __init__(self, seed):
+        self.rng, self.normal, self.uniform_sizes = np.random.default_rng(seed), [], []
+
+    def standard_normal(self, shape):
+        self.normal.append(shape)
+        return self.rng.standard_normal(shape)
+
+    def uniform(self, low, high, size):
+        self.uniform_sizes.append(size)
+        return self.rng.uniform(low, high, size)
+
+
+def test_cut_segments_cuts_inside_the_band_and_freezes_identical_points():
+    rng = np.random.default_rng(21)
+    parts = [
+        np.column_stack([np.linspace(0.0, 1.0, 12), np.zeros(12)]),  # flat in y
+        np.full((7, 2), 3.0),  # identical points
+        np.array([[0.0, 0.0], [1.0, 1.0]]),
+        *(rng.normal(size=(s, 2)) for s in (30, 5, 17, 9, 40, 3, 12, 25)),
+    ]
+    points, sizes = segments(*parts)
+    # The first segment's first direction sees none of its spread, so it
+    # splits only on a retry; the second never splits.
+    given_directions = np.vstack([[0.0, 1.0], [1.0, 0.0], random_directions((9, 2), rng)])
+    draws = RecordingRng(22)
+    left, thresholds, directions, split = rptree._cut_segments(
+        points, sizes, given_directions, draws
+    )
+    assert split.tolist() == [True, False] + [True] * 9
+    assert not np.array_equal(directions[0], given_directions[0])
+    bounds = np.cumsum(sizes) - sizes
+    for i, part in enumerate(parts):
+        side = left[bounds[i] : bounds[i] + sizes[i]]
+        if not split[i]:
+            assert not side.any()  # a frozen segment sends nothing left
+            continue
+        assert abs(np.linalg.norm(directions[i]) - 1.0) < 1e-9
+        projected = part @ directions[i]
+        lo, hi = projected.min(), projected.max()
+        assert lo + 0.25 * (hi - lo) <= thresholds[i] <= lo + 0.75 * (hi - lo)
+        assert np.array_equal(side, projected <= thresholds[i])
+        assert side.any() and not side.all()
+    # One cut per attempt; the identical points take part in every retry.
+    assert len(draws.uniform_sizes) == rptree._MAX_SPLIT_RETRIES + 1
+    assert draws.uniform_sizes[0] == len(parts) and draws.uniform_sizes[-1] >= 1
+    assert len(draws.normal) == rptree._MAX_SPLIT_RETRIES
 
 
 def test_split_two_points_threshold_band():
