@@ -35,18 +35,11 @@ from .harness import (
     run_pipeline,
     sweep,
 )
-from .mlp import Adam, Mlp, gradient_check
+from .mlp import Adam, Mlp
 from .pairing import PairSet, knn_pairs, rptree_pairs
-from .rptree import (
-    Tree,
-    TreeConfig,
-    build_tree,
-    leaf_size_stats,
-    leaves,
-)
+from .rptree import Tree, TreeConfig, build_tree, leaf_size_stats
 from .siamese import (
     SiameseConfig,
-    contrastive_loss,
     heat_kernel,
     pairwise_distances,
     select_bandwidth,
@@ -84,15 +77,12 @@ __all__ = [
     "build_tree",
     "config_from_dict",
     "config_to_dict",
-    "contrastive_loss",
     "embed",
     "generate_synthetic",
-    "gradient_check",
     "heat_kernel",
     "kmeans",
     "knn_pairs",
     "leaf_size_stats",
-    "leaves",
     "load_csv",
     "load_dataset",
     "mine_pairs",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import SyntheticSpec, generate_synthetic
-from .errors import BadGrid, ConfigError, RpSpectralError, StageError
+from .errors import ConfigError, RpSpectralError, StageError
 from .harness import (
     _split_timings,
     _write_results,
@@ -123,7 +123,7 @@ def _cmd_sweep(args):
     config = config_from_dict(read_json(args.config))
     grid = read_json(args.grid)
     if not isinstance(grid, dict):
-        raise BadGrid("grid file must be a JSON object of key -> values")
+        raise ConfigError("grid file must be a JSON object of key -> values")
     record = sweep(config, grid)
     report(record, args.outdir)
     failed = sum(

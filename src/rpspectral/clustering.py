@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KTooLarge, LengthMismatch, TooFewPoints, TooLarge
+from .errors import InputError
 from .siamese import heat_kernel, pairwise_distances, select_bandwidth
 
 _ORACLE_LIMIT = 2000  # dense eigendecomposition guard
@@ -102,7 +102,7 @@ def kmeans(points, n_clusters, rng):
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if n_clusters > n:
-        raise KTooLarge(f"k={n_clusters} exceeds the {n} available points")
+        raise InputError(f"k={n_clusters} exceeds the {n} available points")
 
     best = None
     for _ in range(_RESTARTS):
@@ -125,12 +125,12 @@ def ari(first, second):
     first = np.asarray(first).ravel()
     second = np.asarray(second).ravel()
     if len(first) != len(second):
-        raise LengthMismatch(
+        raise InputError(
             f"labelings have {len(first)} and {len(second)} points"
         )
     n = len(first)
     if n < 2:
-        raise TooFewPoints("need at least 2 points to form a pair")
+        raise InputError("need at least 2 points to form a pair")
 
     _, fi = np.unique(first, return_inverse=True)
     _, si = np.unique(second, return_inverse=True)
@@ -169,11 +169,11 @@ def spectral_oracle(X, n_clusters, bandwidth=None, seed=0):
     X = np.asarray(X, dtype=np.float64)
     n = len(X)
     if n > _ORACLE_LIMIT:
-        raise TooLarge(
+        raise InputError(
             f"reference pipeline is dense; {n} points exceed {_ORACLE_LIMIT}"
         )
     if n_clusters > n:
-        raise KTooLarge(f"n_clusters={n_clusters} exceeds {n} points")
+        raise InputError(f"n_clusters={n_clusters} exceeds {n} points")
 
     distances = pairwise_distances(X)
     if bandwidth is None:

@@ -11,14 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadSpec,
-    EmptyFile,
-    EmptyRequest,
-    IoError,
-    MissingLabelColumn,
-    ParseError,
-)
+from .errors import ConfigError, InputError, IoError
 
 SYNTHETIC_KINDS = ("blobs", "moons", "circles", "aniso-blobs")
 
@@ -50,22 +43,22 @@ class SyntheticSpec:
 
     def validate(self):
         if self.kind not in SYNTHETIC_KINDS:
-            raise BadSpec(f"unknown synthetic kind {self.kind!r}")
+            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.n == 0:
-            raise EmptyRequest("n = 0 points requested")
+            raise ConfigError("n = 0 points requested")
         if self.n < 0:
-            raise BadSpec(f"n must be positive, got {self.n}")
+            raise ConfigError(f"n must be positive, got {self.n}")
         if not self.noise >= 0:
-            raise BadSpec(f"noise must be nonnegative, got {self.noise}")
+            raise ConfigError(f"noise must be nonnegative, got {self.noise}")
         if self.kind in ("blobs", "aniso-blobs"):
             if self.centers == 0:
-                raise BadSpec("blobs need at least one center")
+                raise ConfigError("blobs need at least one center")
             if self.centers < 0:
-                raise BadSpec(f"centers must be positive, got {self.centers}")
+                raise ConfigError(f"centers must be positive, got {self.centers}")
             if self.n < self.centers:
-                raise BadSpec(f"n={self.n} is below the cluster count {self.centers}")
+                raise ConfigError(f"n={self.n} is below the cluster count {self.centers}")
         elif self.n < 2:
-            raise BadSpec(f"{self.kind} needs at least 2 points")
+            raise ConfigError(f"{self.kind} needs at least 2 points")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +159,11 @@ def load_csv(
     names = None
     if header:
         if not rows:
-            raise EmptyFile(f"{path} has no rows")
+            raise InputError(f"{path} has no rows")
         names = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
     if not rows:
-        raise EmptyFile(f"{path} has no data rows")
+        raise InputError(f"{path} has no data rows")
 
     width = len(rows[0])
     label_idx = _resolve_label_column(label_column, names, width)
@@ -179,9 +172,7 @@ def load_csv(
     raw_labels = []
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise ParseError(
-                f"row {r} has {len(row)} columns, expected {width}", row=r
-            )
+            raise InputError(f"row {r} has {len(row)} columns, expected {width}")
         raw_labels.append(row[label_idx].strip())
         dest = 0
         for c, cell in enumerate(row):
@@ -192,10 +183,8 @@ def load_csv(
             except ValueError:
                 value = np.nan
             if not np.isfinite(value):
-                raise ParseError(
-                    f"row {r}, column {c}: {cell.strip()!r} is not a finite number",
-                    row=r,
-                    column=c,
+                raise InputError(
+                    f"row {r}, column {c}: {cell.strip()!r} is not a finite number"
                 )
             features[r, dest] = value
             dest += 1
@@ -205,15 +194,15 @@ def load_csv(
 def _resolve_label_column(label_column, names, width):
     if isinstance(label_column, str):
         if names is None:
-            raise MissingLabelColumn(
+            raise InputError(
                 "label column given by name but the file has no header"
             )
         if label_column not in names:
-            raise MissingLabelColumn(f"no column named {label_column!r}")
+            raise InputError(f"no column named {label_column!r}")
         return names.index(label_column)
     idx = int(label_column)
     if not 0 <= idx < width:
-        raise MissingLabelColumn(f"label column index {idx} outside 0..{width - 1}")
+        raise InputError(f"label column index {idx} outside 0..{width - 1}")
     return idx
 
 

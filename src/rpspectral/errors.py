@@ -1,111 +1,39 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per way a caller acts.
+
+- ``RpSpectralError``, the base: ``cli.main`` prints any of them as
+  ``error: {message}`` and exits 2, the harness's ``_stage`` wraps one raised
+  inside a pipeline stage in ``StageError``, and the benchmark records one
+  as a failed operation.
+- ``ConfigError``: a setting is bad. ``ExperimentConfig.validate`` re-raises
+  a bad synthetic spec with the prefix "dataset: ", and ``sweep`` a bad grid
+  cell with "grid cell {...}: ".
+- ``InputError``: the data handed in is unusable, by shape, size, index or
+  value (a NaN or an infinity). The caller fixes its data.
+- ``NumericalError``: training diverged or a batch could not be whitened.
+  Each training loop re-raises it naming the step where it happened.
+- ``IoError``: a file could not be read or written; ``path`` names it.
+- ``StageError``: a pipeline stage failed; ``run_experiment`` records it as
+  a failed run and goes on, and the ``run`` verb exits 1.
+
+The message says what went wrong; no caller tells the failures of one class
+apart.
+"""
 
 
 class RpSpectralError(Exception):
     """Base class for all library errors."""
 
 
-# --- dataset errors ---------------------------------------------------------
-
-class EmptyRequest(RpSpectralError):
-    """A generator was asked for zero points."""
-
-
-class BadSpec(RpSpectralError):
-    """A synthetic dataset spec is internally inconsistent."""
-
-
-class ParseError(RpSpectralError):
-    """A CSV cell could not be parsed as a number."""
-
-    def __init__(self, message, row=None, column=None):
-        super().__init__(message)
-        self.row = row
-        self.column = column
-
-
-class MissingLabelColumn(RpSpectralError):
-    """The requested label column is not present in the file."""
-
-
-class EmptyFile(RpSpectralError):
-    """The CSV file holds no data rows."""
-
-
-# --- tree errors ------------------------------------------------------------
-
-class DegenerateSplit(RpSpectralError):
-    """Every candidate direction projected all points onto one value."""
-
-
-# --- pairing / clustering errors --------------------------------------------
-
-class KTooLarge(RpSpectralError):
-    """Requested neighbor or cluster count exceeds what the data allows."""
-
-
-class LengthMismatch(RpSpectralError):
-    """Two label vectors differ in length."""
-
-
-class TooFewPoints(RpSpectralError):
-    """At least two points are required."""
-
-
-class TooLarge(RpSpectralError):
-    """Input exceeds the dense-solver budget."""
-
-
-# --- network errors ---------------------------------------------------------
-
-class BadArchitecture(RpSpectralError):
-    """Layer size list is unusable."""
-
-
-class ShapeMismatch(RpSpectralError):
-    """Array shapes do not line up."""
-
-
-class EmptyPairSet(RpSpectralError):
-    """Training requested on a pair set with no pairs."""
-
-
-class MissingPolarity(RpSpectralError):
-    """Training requested without both positive and negative pairs."""
-
-
-class NonFiniteInput(RpSpectralError):
-    """Data or distances hold NaN, infinite or float32-overflowing values."""
-
-
-class IndexOutOfRange(RpSpectralError):
-    """A pair index points outside the data matrix."""
-
-
-class AllZeroDistances(RpSpectralError):
-    """Bandwidth selection needs at least one nonzero distance."""
-
-
-class BadSigma(RpSpectralError):
-    """Heat-kernel bandwidth must be positive."""
-
-
-class SingularGram(RpSpectralError):
-    """Batch outputs are rank deficient; whitening is impossible."""
-
-
-class BatchTooSmall(RpSpectralError):
-    """Batch size is smaller than the embedding dimension."""
-
-
-# --- harness errors ---------------------------------------------------------
-
 class ConfigError(RpSpectralError):
-    """Experiment configuration is invalid."""
+    """A config field, dataset spec or sweep grid is invalid."""
 
 
-class BadGrid(RpSpectralError):
-    """A parameter sweep was given an empty grid."""
+class InputError(RpSpectralError):
+    """Data has an unusable shape, size, index or value."""
+
+
+class NumericalError(RpSpectralError):
+    """Training diverged, or a batch's outputs could not be whitened."""
 
 
 class IoError(RpSpectralError):

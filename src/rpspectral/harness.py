@@ -26,15 +26,7 @@ import numpy as np
 
 from .clustering import ari, kmeans
 from .datasets import SyntheticSpec, generate_synthetic, load_csv, standardize
-from .errors import (
-    BadGrid,
-    BadSpec,
-    ConfigError,
-    EmptyRequest,
-    NonFiniteInput,
-    RpSpectralError,
-    StageError,
-)
+from .errors import ConfigError, NumericalError, RpSpectralError, StageError
 from .pairing import knn_pairs, rptree_pairs
 from .rptree import TreeConfig, build_tree
 from .serialize import section_from_dict, write_csv, write_json
@@ -129,7 +121,7 @@ class ExperimentConfig:
         if isinstance(self.dataset, SyntheticSpec):
             try:
                 self.dataset.validate()
-            except (BadSpec, EmptyRequest) as exc:
+            except ConfigError as exc:
                 raise ConfigError(f"dataset: {exc}") from exc
         if self.spectral_config.n_clusters != self.n_clusters:
             raise ConfigError("spectral config disagrees on n_clusters")
@@ -235,7 +227,7 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
         # One twin pass: the bandwidth, the affinity and twin features read it.
         Z = twin.predict(X)
         if not np.isfinite(Z).all():
-            raise NonFiniteInput("the twin embedding holds NaN or infinite values")
+            raise NumericalError("the twin embedding holds NaN or infinite values")
         bandwidth = select_bandwidth(siamese_distances(Z, pairs.positives))
     features = Z if config.spectral_config.features == "twin" else X
     with _stage("spectral", durations):
@@ -345,10 +337,10 @@ def sweep(base: ExperimentConfig, grid: dict) -> dict:
     Cells share the base seed so runs pair up across cells.
     """
     if not grid:
-        raise BadGrid("grid has no keys")
+        raise ConfigError("grid has no keys")
     for key, values in grid.items():
         if not isinstance(values, (list, tuple)) or len(values) == 0:
-            raise BadGrid(f"grid key {key!r} has no values")
+            raise ConfigError(f"grid key {key!r} has no values")
     keys = sorted(grid)
     combos = [
         dict(zip(keys, combo))
@@ -374,12 +366,12 @@ def _cell_config(base: ExperimentConfig, values) -> ExperimentConfig:
         section, _, name = key.rpartition(".")
         target = doc.get(section) if section else doc
         if not isinstance(target, dict) or name not in target:
-            raise BadGrid(f"unknown grid key {key!r}")
+            raise ConfigError(f"unknown grid key {key!r}")
         target[name] = value
     try:
         return config_from_dict(doc)
     except ConfigError as exc:
-        raise BadGrid(f"grid cell {values}: {exc}") from exc
+        raise ConfigError(f"grid cell {values}: {exc}") from exc
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -30,15 +30,13 @@ import math
 
 import numpy as np
 
-from .errors import BadArchitecture, NonFiniteInput, ShapeMismatch
+from .errors import InputError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 # Adam's moment decay rates and the denominator's guard.
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
-# Central-difference step of gradient_check.
-_GRADIENT_CHECK_EPS = 1e-5
 # Values per block in a pass over many rows: 512 rows of a 128-wide layer.
 # Every workload of at most 512 points runs predict as one block.
 _BLOCK_FLOATS = 1 << 16
@@ -101,14 +99,14 @@ def _layer_views(flat, layers):
 def finite_float32(values, what="input"):
     """``values`` cast to float32 for a float32 net to train on.
 
-    Raises NonFiniteInput, naming ``what``, if any value is NaN, infinite
+    Raises InputError, naming ``what``, if any value is NaN, infinite
     or beyond float32's range (about 3.4e38), where the cast overflows.
     """
     with np.errstate(over="ignore"):  # an overflowing value is reported below
         values = np.asarray(values, dtype=np.float32)
     bad = np.count_nonzero(~np.isfinite(values))
     if bad:
-        raise NonFiniteInput(
+        raise InputError(
             f"{bad} {what} value(s) are NaN, infinite or beyond float32 range"
         )
     return values
@@ -154,11 +152,11 @@ class Mlp:
         The uniform scale is sqrt(6 / (fan_in + fan_out)).
         """
         if len(layer_sizes) < 2:
-            raise BadArchitecture("need at least input and output sizes")
+            raise InputError("need at least input and output sizes")
         if any(s < 1 for s in layer_sizes):
-            raise BadArchitecture(f"zero-width layer in {layer_sizes}")
+            raise InputError(f"zero-width layer in {layer_sizes}")
         if activation not in ACTIVATIONS:
-            raise BadArchitecture(f"unknown activation {activation!r}")
+            raise InputError(f"unknown activation {activation!r}")
         rng = np.random.default_rng(seed)
         layers = []
         last = len(layer_sizes) - 2
@@ -195,7 +193,7 @@ class Mlp:
         """``batch`` cast to the weights' dtype, checked to feed the net."""
         batch = np.asarray(batch, dtype=self.dtype)
         if batch.ndim != 2 or batch.shape[1] != self.input_dim:
-            raise ShapeMismatch(
+            raise InputError(
                 f"batch shape {batch.shape} does not feed a {self.input_dim}-wide net"
             )
         return batch
@@ -269,7 +267,7 @@ class Mlp:
         """
         output_grad = np.asarray(output_grad, dtype=self.dtype)
         if output_grad.shape != cache[-1][1].shape:
-            raise ShapeMismatch(
+            raise InputError(
                 f"output grad {output_grad.shape} vs output {cache[-1][1].shape}"
             )
         if out is None:
@@ -327,7 +325,7 @@ class Adam:
         dtype's smallest normal number.
         """
         if net.params.shape != self._grad.shape:
-            raise ShapeMismatch(
+            raise InputError(
                 f"net has {net.params.size} parameters, optimizer {self._grad.size}"
             )
         self.step_count += 1
@@ -357,37 +355,3 @@ class Adam:
         b += _EPS
         a /= b
         net.params -= a
-
-
-def gradient_check(net, loss_fn, batch, sample_size=200, seed=0):
-    """Max relative error between backprop and central finite differences.
-
-    ``loss_fn`` maps the network output to (scalar loss, gradient wrt the
-    output). Every parameter is probed when the net has at most
-    ``sample_size`` of them, otherwise a seeded sample of that many.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    output, cache = net.forward(batch)
-    _, output_grad = loss_fn(output)
-    grads = net.backward(cache, output_grad)
-    flat_grad = np.concatenate([g.ravel() for pair in grads for g in pair])
-
-    positions = range(net.params.size)
-    if len(positions) > sample_size:
-        picker = np.random.default_rng(seed)
-        positions = picker.choice(len(positions), size=sample_size, replace=False)
-
-    params = net.params
-    worst = 0.0
-    for pos in positions:
-        original = params[pos]
-        params[pos] = original + _GRADIENT_CHECK_EPS
-        loss_plus, _ = loss_fn(net.forward(batch)[0])
-        params[pos] = original - _GRADIENT_CHECK_EPS
-        loss_minus, _ = loss_fn(net.forward(batch)[0])
-        params[pos] = original
-        numeric = (loss_plus - loss_minus) / (2.0 * _GRADIENT_CHECK_EPS)
-        analytic = flat_grad[pos]
-        scale = max(abs(numeric) + abs(analytic), 1e-8)
-        worst = max(worst, abs(numeric - analytic) / scale)
-    return worst

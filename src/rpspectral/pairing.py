@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import KTooLarge, NonFiniteInput
+from .errors import InputError
 from .rptree import check_finite
 from .serialize import write_csv
 
@@ -118,8 +118,8 @@ def knn_pairs(X, k, rng) -> PairSet:
     coordinate, ties broken toward the lower index) as positive pairs, and k
     uniform draws (without replacement) from the points it shares no positive
     pair with as negatives. The closure keeps the polarities disjoint even
-    when neighborhoods are not mutual. A NaN or an infinity in ``X`` raises
-    NonFiniteInput.
+    when neighborhoods are not mutual. An ``X`` that is not 2-D, a ``k``
+    outside ``1..n - 1`` and a NaN or an infinity in ``X`` raise InputError.
 
     A point's draw is a set of ranks among its candidates, mapped past its
     sorted excluded set (itself and its partners), so each point costs O(k)
@@ -127,9 +127,11 @@ def knn_pairs(X, k, rng) -> PairSet:
     ``_distinct_ranks``, k vectorised steps of Floyd's sampling algorithm.
     """
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise InputError("X must be a nonempty 2-D matrix")
     n = len(X)
     if not 1 <= k < n:
-        raise KTooLarge(f"k={k} needs 1 <= k < n={n}")
+        raise InputError(f"k={k} needs 1 <= k < n={n}")
     check_finite(X)
 
     points = np.arange(n)
@@ -205,7 +207,7 @@ def _knn_indices(X, k):
     (high intrinsic dimension, or k near n), that leaf's points are answered
     from Gram rows instead; see ``_gram_rows``. Every temporary stays within
     about ``_KNN_BLOCK`` entries. Points that are non-finite, or large
-    enough for a squared distance to overflow, raise NonFiniteInput.
+    enough for a squared distance to overflow, raise InputError.
     """
     n, dim = X.shape
     with np.errstate(over="ignore"):  # reported below
@@ -213,7 +215,7 @@ def _knn_indices(X, k):
         # norm, product or distance below exceeds 16 * dim * top**2.
         top = np.abs(X).max(initial=0.0)
         if not np.isfinite(16.0 * dim * top * top):
-            raise NonFiniteInput("squared distances are not all finite")
+            raise InputError("squared distances are not all finite")
     order, sizes = _kd_leaves(X)
     coords = np.ascontiguousarray(X[order].T)
     starts = np.cumsum(sizes) - sizes

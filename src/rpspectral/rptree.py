@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplit, NonFiniteInput
+from .errors import InputError
 
 _SPLIT_BAND = (0.25, 0.75)  # cut fraction drawn uniformly inside this band
 # Fresh random directions a node tries after a cut that leaves a side empty,
@@ -207,7 +207,7 @@ def split_node(indices, X, direction, rng):
     at a Uniform[0.25, 0.75] fraction of the projected range, points at or
     below it go left, and a cut with an empty side is retried with a fresh
     random direction up to ``_MAX_SPLIT_RETRIES`` (3) times before raising
-    DegenerateSplit.
+    InputError.
 
     Returns (left, right, threshold, direction_used).
     """
@@ -219,7 +219,7 @@ def split_node(indices, X, direction, rng):
         rng,
     )
     if not split[0]:
-        raise DegenerateSplit(
+        raise InputError(
             f"no separating direction found for {len(indices)} points "
             f"after {_MAX_SPLIT_RETRIES} retries"
         )
@@ -227,10 +227,10 @@ def split_node(indices, X, direction, rng):
 
 
 def check_finite(X):
-    """Raise NonFiniteInput if the float array ``X`` holds a NaN or an infinity."""
+    """Raise InputError if the float array ``X`` holds a NaN or an infinity."""
     if not np.isfinite(X).all():
         bad = np.count_nonzero(~np.isfinite(X))
-        raise NonFiniteInput(f"{bad} input value(s) are NaN or infinite")
+        raise InputError(f"{bad} input value(s) are NaN or infinite")
 
 
 def build_tree(X, config, rng):
@@ -242,11 +242,12 @@ def build_tree(X, config, rng):
     one depth are split together, so the draws go depth by depth: each
     depth's directions, then its cut fractions, then its retries'. The tree
     is deterministic given the generator's state. A NaN or an infinity in
-    ``X`` raises NonFiniteInput: no projection could order such a point.
+    ``X`` raises InputError: no projection could order such a point, and so
+    does an ``X`` that is not a 2-D matrix of at least one row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or len(X) < 1:
-        raise ValueError("X must be a nonempty 2-D matrix")
+        raise InputError("X must be a nonempty 2-D matrix")
     check_finite(X)
     n = len(X)
     points = np.arange(n, dtype=np.int64)
@@ -296,11 +297,6 @@ def build_tree(X, config, rng):
 
     starts = np.flatnonzero(leaf_start)
     return Tree(points=points, leaf_sizes=np.diff(starts, append=n), degenerate=frozen[starts])
-
-
-def leaves(tree):
-    """Left-to-right list of leaf index arrays (views into ``tree.points``)."""
-    return np.split(tree.points, np.cumsum(tree.leaf_sizes)[:-1])
 
 
 @dataclass(frozen=True)

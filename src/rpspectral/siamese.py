@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AllZeroDistances,
-    BadSigma,
-    EmptyPairSet,
-    IndexOutOfRange,
-    MissingPolarity,
-    NonFiniteInput,
-    ShapeMismatch,
-)
+from .errors import InputError, NumericalError
 from .mlp import Adam, Mlp, block_rows, finite_float32
 
 _MARGIN = 1.0  # distance past which a negative pair costs nothing
@@ -55,30 +47,6 @@ class SiameseConfig:
             raise ValueError("embedding_dim must be at least 1")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
-
-
-def contrastive_loss(z1, z2, is_positive):
-    """Loss and gradients for one embedded pair.
-
-    Positive pairs pay the squared distance; negative pairs pay
-    max(_MARGIN - distance, 0), with subgradient 0 at the hinge and a floored
-    norm at coincident points. Returns (loss, grad_z1, grad_z2).
-    """
-    z1 = np.asarray(z1, dtype=np.float64)
-    z2 = np.asarray(z2, dtype=np.float64)
-    if z1.shape != z2.shape:
-        raise ShapeMismatch(f"{z1.shape} vs {z2.shape}")
-    diff = z1 - z2
-    if is_positive:
-        loss = float(diff @ diff)
-        grad = 2.0 * diff
-        return loss, grad, -grad
-    distance = float(np.sqrt(diff @ diff))
-    if distance >= _MARGIN:
-        zero = np.zeros_like(diff)
-        return 0.0, zero, zero.copy()
-    grad = -diff / max(distance, _NORM_FLOOR)
-    return _MARGIN - distance, grad, -grad
 
 
 def _contrastive_batch(Z1, Z2, positive_mask):
@@ -135,7 +103,7 @@ def _twin_gradients(net, X, ends, positive_mask, slot, out=None):
 
 def _check_indices(index_pairs, n):
     if index_pairs.size and (index_pairs.min() < 0 or index_pairs.max() >= n):
-        raise IndexOutOfRange(f"pair indices outside 0..{n - 1}")
+        raise InputError(f"pair indices outside 0..{n - 1}")
 
 
 def train_siamese(X, pairs, config: SiameseConfig, rng):
@@ -152,9 +120,9 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     net is returned widened to float64, which is exact; ``X`` is expected at
     standardized scale (see the module docstring). Before training starts,
     a value of ``X`` that is NaN, infinite or beyond float32's range (about
-    3.4e38) raises NonFiniteInput, and pair indices outside
-    ``0..len(X) - 1`` raise IndexOutOfRange. A diverging twin raises
-    NonFiniteInput too, naming the step and epoch: at the first step whose
+    3.4e38) raises InputError, as do pair indices outside ``0..len(X) - 1``
+    and a pair set without both polarities. A diverging twin raises
+    NumericalError, naming the step and epoch: at the first step whose
     loss, gradient or Adam update overflows or produces a NaN (training runs
     under ``np.errstate(over="raise", invalid="raise")``), and otherwise at
     the first epoch whose mean loss is NaN or infinite, or after the last
@@ -165,10 +133,10 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
     n_pos = len(pairs.positives)
     n_neg = len(pairs.negatives)
     if n_pos + n_neg == 0:
-        raise EmptyPairSet("no pairs to train on")
+        raise InputError("no pairs to train on")
     if n_pos == 0 or n_neg == 0:
         missing = "positives" if n_pos == 0 else "negatives"
-        raise MissingPolarity(f"pair set has no {missing}")
+        raise InputError(f"pair set has no {missing}")
     _check_indices(pairs.positives, len(X))
     _check_indices(pairs.negatives, len(X))
 
@@ -213,19 +181,19 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                     )
                     optimizer.step(net)
                 except FloatingPointError as err:
-                    raise NonFiniteInput(
+                    raise NumericalError(
                         f"twin training diverged at step {step} of epoch {epoch} "
                         f"of {config.epochs}: {err}"
                     ) from None
                 batch_losses.append(loss)
             history.append(float(np.mean(batch_losses)))
             if not np.isfinite(history[-1]):
-                raise NonFiniteInput(
+                raise NumericalError(
                     f"twin loss is {history[-1]} in epoch {epoch} of {config.epochs}"
                 )
     net = net.astype(np.float64)
     if not np.isfinite(net.params).all():
-        raise NonFiniteInput(
+        raise NumericalError(
             f"twin weights are NaN or infinite after epoch {config.epochs}"
         )
     return net, history
@@ -237,7 +205,7 @@ def siamese_distances(Z, index_pairs):
     ``Z`` is an embedding, typically the twin's ``predict`` of the dataset.
     ``index_pairs`` must be an integer array of shape (k, 2); k = 0 gives an
     empty float64 array. Any other shape or a non-integer dtype raises
-    ShapeMismatch, and an index outside ``0..len(Z) - 1`` IndexOutOfRange.
+    InputError, as does an index outside ``0..len(Z) - 1``.
     The pairs are gathered and differenced in blocks of ``mlp.block_rows``
     of the embedding width, the same budget as ``Mlp.predict``'s row
     blocks, which gives the same bits as one pass over all of them, since
@@ -250,7 +218,7 @@ def siamese_distances(Z, index_pairs):
         or index_pairs.shape[1] != 2
         or not np.issubdtype(index_pairs.dtype, np.integer)
     ):
-        raise ShapeMismatch(
+        raise InputError(
             f"pair indices must be integers of shape (k, 2), got "
             f"{index_pairs.dtype} of shape {index_pairs.shape}"
         )
@@ -269,16 +237,16 @@ def select_bandwidth(distances):
     """Median heat-kernel bandwidth from a distance sample.
 
     Falls back to the smallest nonzero distance when the median is zero;
-    raises AllZeroDistances when nothing nonzero exists to set a scale, and
-    NonFiniteInput when the sample holds NaN or infinite distances (a
-    diverged twin), which would otherwise poison the median.
+    raises InputError when nothing nonzero exists to set a scale, or when
+    the sample holds NaN or infinite distances (a diverged twin), which
+    would otherwise poison the median.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.size == 0:
-        raise AllZeroDistances("empty distance sample")
+        raise InputError("empty distance sample")
     bad = distances.size - int(np.count_nonzero(np.isfinite(distances)))
     if bad:
-        raise NonFiniteInput(
+        raise InputError(
             f"{bad} of {distances.size} distance(s) are NaN or infinite"
         )
     median = float(np.median(distances))
@@ -286,7 +254,7 @@ def select_bandwidth(distances):
         return median
     nonzero = distances[distances > 0]
     if nonzero.size == 0:
-        raise AllZeroDistances("all distances are zero")
+        raise InputError("all distances are zero")
     return float(nonzero.min())
 
 
@@ -309,10 +277,10 @@ def heat_kernel(distances, bandwidth):
     a similarity kernel must do.
     """
     if bandwidth <= 0:
-        raise BadSigma(f"bandwidth must be positive, got {bandwidth}")
+        raise InputError(f"bandwidth must be positive, got {bandwidth}")
     distances = np.asarray(distances, dtype=np.float64)
     if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
-        raise ShapeMismatch(f"distance matrix must be square, got {distances.shape}")
+        raise InputError(f"distance matrix must be square, got {distances.shape}")
     A = np.exp(-(distances**2) / (2.0 * bandwidth**2))
     np.fill_diagonal(A, 0.0)
     return A

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BatchTooSmall, ShapeMismatch, SingularGram
+from .errors import InputError, NumericalError
 from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
@@ -84,7 +84,7 @@ def _whitening_map(gram, m):
     """sqrt(m) * L^-T from a Cholesky factor, jittering once if needed.
 
     When ``gram`` has no Cholesky factor, its diagonal is bumped once by
-    ``_JITTER`` times its mean eigenvalue before SingularGram is raised.
+    ``_JITTER`` times its mean eigenvalue before NumericalError is raised.
     """
     try:
         L = np.linalg.cholesky(gram)
@@ -94,7 +94,7 @@ def _whitening_map(gram, m):
         try:
             L = np.linalg.cholesky(gram + bump * np.eye(g))
         except np.linalg.LinAlgError:
-            raise SingularGram(
+            raise NumericalError(
                 "batch Gram matrix is singular even after jitter"
             ) from None
     return np.sqrt(m) * np.linalg.inv(L).T
@@ -121,7 +121,7 @@ def orthogonalize(Y_raw):
     (relative to its mean eigenvalue). A single whitening pass is refined
     with a second one when rounding (or the jitter itself) leaves the Gram
     residual above ``_ORTHO_TOL * m``; batches whose outputs are genuinely
-    rank-deficient cannot be whitened and raise SingularGram.
+    rank-deficient cannot be whitened and raise NumericalError.
     """
     Y, transform, _ = _orthogonalize(Y_raw)
     return Y, transform
@@ -132,7 +132,7 @@ def _orthogonalize(Y_raw):
     Y_raw = np.asarray(Y_raw, dtype=np.float64)
     m, g = Y_raw.shape
     if m < g:
-        raise BatchTooSmall(
+        raise InputError(
             f"need at least {g} points to orthogonalize {g} outputs, got {m}"
         )
     transform = _whitening_map(Y_raw.T @ Y_raw, m)
@@ -145,7 +145,7 @@ def _orthogonalize(Y_raw):
         Y = Y_raw @ transform
         residual = ortho_residual(Y, m)
         if not residual <= _ORTHO_TOL * m:
-            raise SingularGram(
+            raise NumericalError(
                 "batch outputs are rank-deficient or non-finite; whitening "
                 f"residual {residual:.3e} exceeds {_ORTHO_TOL * m:.3e}"
             )
@@ -165,13 +165,13 @@ def spectral_loss(affinity, Y, degrees=None):
     Y = np.asarray(Y, dtype=np.float64)
     m = Y.shape[0]
     if affinity.shape != (m, m):
-        raise ShapeMismatch(
+        raise InputError(
             f"affinity {affinity.shape} does not match batch of {m}"
         )
     if degrees is None:
         degrees = affinity.sum(axis=1)
     elif np.shape(degrees) != (m,):
-        raise ShapeMismatch(
+        raise InputError(
             f"degrees {np.shape(degrees)} do not match batch of {m}"
         )
     MY = degrees[:, None] * Y - affinity @ Y
@@ -215,7 +215,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     ``features`` is the (n, d) matrix the net reads. ``affinity(rows)``
     returns the (m, m) float64 affinity of the feature rows ``rows``, an
     integer index array; ``spectral_loss`` refuses one of another shape with
-    ShapeMismatch.
+    InputError.
 
     Each of the ``total_steps // 2`` steps (a step counts as one whitening
     plus one gradient update) takes one batch: every row in natural order
@@ -244,10 +244,10 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     net is widened to float64, exactly, and the stored map is fitted with it
     on the float64 features, so ``embed`` reproduces it. Features are
     expected at standardized scale; a value that is NaN, infinite or beyond
-    float32's range (about 3.4e38) raises NonFiniteInput before any
+    float32's range (about 3.4e38) raises InputError before any
     training. The steps run under ``np.errstate(over="raise",
     invalid="raise")``: a step that overflows or makes a NaN, or whose
-    outputs cannot be whitened, raises SingularGram naming the step (and
+    outputs cannot be whitened, raises NumericalError naming the step (and
     the restart, when there are several).
     """
     config.validate()
@@ -255,7 +255,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     n = features.shape[0]
     m = config.batch_size
     if n < m:
-        raise BatchTooSmall(f"dataset has {n} points, batch size is {m}")
+        raise InputError(f"dataset has {n} points, batch size is {m}")
     narrow = finite_float32(features)
 
     full_batch = m == n
@@ -296,11 +296,11 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
                     )
                     net.backward(cache, grad_out, out=optimizer.grads)
                     optimizer.step(net)
-                except (FloatingPointError, SingularGram) as err:
+                except (FloatingPointError, NumericalError) as err:
                     where = f"step {step + 1} of {half_steps}"
                     if config.restarts > 1:
                         where += f" of restart {restart + 1} of {config.restarts}"
-                    raise SingularGram(
+                    raise NumericalError(
                         f"spectral training failed at {where}: {err}"
                     ) from None
                 loss_history.append(loss)

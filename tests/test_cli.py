@@ -71,7 +71,7 @@ def test_generate_rejects_bad_spec(tmp_path, capsys):
     config = dataset_config(tmp_path, {"kind": "blobs", "n": 0})
     code = main(["generate", "--config", config, "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: dataset: n = 0 points requested\n"
 
 
 def test_generate_refuses_a_csv_dataset_config(tmp_path, capsys):
@@ -204,7 +204,7 @@ def test_run_verb_bad_config_exits_2(tmp_path, capsys):
         ["run", "--config", write_config(tmp_path, doc), "--outdir", str(tmp_path)]
     )
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: method.kind: unknown pairing method 'dbscan'\n"
 
 
 def test_knn_config_with_bad_tree_settings_exits_2(tmp_path, capsys):
@@ -305,7 +305,7 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys):
          "--outdir", str(tmp_path / "s")]
     )
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown grid key 'bogus.key'\n"
 
 
 def test_report_verb_round_trip(tmp_path):

@@ -7,13 +7,7 @@ from rpspectral.datasets import (
     load_csv,
     standardize,
 )
-from rpspectral.errors import (
-    BadSpec,
-    EmptyFile,
-    EmptyRequest,
-    MissingLabelColumn,
-    ParseError,
-)
+from rpspectral.errors import ConfigError, InputError
 
 
 def test_blobs_shapes_and_label_counts():
@@ -73,15 +67,15 @@ def test_blob_centers_are_separated():
 
 
 def test_spec_validation_errors():
-    with pytest.raises(BadSpec):
+    with pytest.raises(ConfigError, match="^unknown synthetic kind 'spiral'$"):
         generate_synthetic(SyntheticSpec(kind="spiral", n=10))
-    with pytest.raises(EmptyRequest):
+    with pytest.raises(ConfigError, match="^n = 0 points requested$"):
         generate_synthetic(SyntheticSpec(kind="blobs", n=0))
-    with pytest.raises(BadSpec):
+    with pytest.raises(ConfigError, match="^n must be positive, got -5$"):
         generate_synthetic(SyntheticSpec(kind="blobs", n=-5))
-    with pytest.raises(BadSpec):
+    with pytest.raises(ConfigError, match="^n=2 is below the cluster count 5$"):
         generate_synthetic(SyntheticSpec(kind="blobs", n=2, centers=5))
-    with pytest.raises(BadSpec):
+    with pytest.raises(ConfigError, match="^noise must be nonnegative, got -0.1$"):
         generate_synthetic(SyntheticSpec(kind="moons", n=30, noise=-0.1))
 
 
@@ -117,24 +111,25 @@ def test_load_csv_numeric_labels_sort_numerically(tmp_path):
 
 
 def test_load_csv_errors(tmp_path):
-    with pytest.raises(EmptyFile):
+    with pytest.raises(InputError, match="data.csv has no data rows$"):
         load_csv(_write(tmp_path, "a,label\n"), "label")
-    with pytest.raises(MissingLabelColumn):
+    with pytest.raises(InputError, match="^no column named 'label'$"):
         load_csv(_write(tmp_path, "a,b\n1,2\n"), "label")
-    with pytest.raises(MissingLabelColumn):
+    with pytest.raises(InputError, match=r"^label column index 5 outside 0\.\.1$"):
         load_csv(_write(tmp_path, "1,2\n"), 5, header=False)
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(InputError, match="^row 0, column 0: 'foo' is not a finite number$"):
         load_csv(_write(tmp_path, "a,label\nfoo,x\n"), "label")
-    assert "foo" in str(err.value)
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^row 0, column 0: 'nan' is not a finite number$"):
         load_csv(_write(tmp_path, "a,label\nnan,x\n"), "label")
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^row 1 has 2 columns, expected 3$"):
         load_csv(_write(tmp_path, "a,b,label\n1,2,x\n1,2\n"), "label")
 
 
 def test_load_csv_label_name_needs_header(tmp_path):
     path = _write(tmp_path, "1,2\n")
-    with pytest.raises(MissingLabelColumn):
+    with pytest.raises(
+        InputError, match="^label column given by name but the file has no header$"
+    ):
         load_csv(path, "label", header=False)
 
 

@@ -8,13 +8,7 @@ import pytest
 from rpspectral import harness
 from rpspectral.clustering import kmeans
 from rpspectral.datasets import SyntheticSpec
-from rpspectral.errors import (
-    BadGrid,
-    ConfigError,
-    NonFiniteInput,
-    SingularGram,
-    StageError,
-)
+from rpspectral.errors import ConfigError, InputError, NumericalError, StageError
 from rpspectral.mlp import Mlp
 from rpspectral.pairing import knn_pairs, rptree_pairs
 from rpspectral.rptree import TreeConfig, build_tree
@@ -149,6 +143,18 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         quick_config(spectral=SpectralConfig(n_clusters=3)).validate()
     quick_config().validate()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (SyntheticSpec(kind="blobs", n=0), "n = 0 points requested"),
+        (SyntheticSpec(kind="spiral", n=10), "unknown synthetic kind 'spiral'"),
+    ],
+)
+def test_a_bad_synthetic_spec_is_named_once_as_the_dataset(spec, message):
+    with pytest.raises(ConfigError, match=f"^dataset: {message}$"):
+        quick_config(dataset=spec).validate()
 
 
 @pytest.mark.parametrize(
@@ -348,7 +354,22 @@ def test_run_pipeline_names_non_finite_input_in_the_pairs_stage(route):
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == "pairs"
-    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert isinstance(caught.value.cause, InputError)
+    assert str(caught.value.cause) == "1 input value(s) are NaN or infinite"
+
+
+@pytest.mark.parametrize("X", [np.zeros(60), np.zeros((0, 2))], ids=["1-d", "no-rows"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_run_pipeline_names_a_malformed_input_in_the_pairs_stage(route, X):
+    config = quick_config(method=ROUTES[route])
+    with pytest.raises(StageError) as caught:
+        run_pipeline(X, None, config)
+    assert caught.value.stage == "pairs"
+    assert isinstance(caught.value.cause, InputError)
+    message = "X must be a nonempty 2-D matrix"
+    if route == "knn" and X.ndim == 2:
+        message = "k=3 needs 1 <= k < n=0"
+    assert str(caught.value.cause) == message
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -360,7 +381,7 @@ def test_run_pipeline_names_a_diverged_twin_in_the_siamese_stage():
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == "siamese"
-    assert isinstance(caught.value.cause, NonFiniteInput)
+    assert isinstance(caught.value.cause, NumericalError)
     assert "epoch 1 of 3" in str(caught.value.cause)
 
 
@@ -378,8 +399,10 @@ def test_run_pipeline_fails_a_diverging_twin_at_its_step(learning_rate):
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == "siamese"
-    assert isinstance(caught.value.cause, NonFiniteInput)
-    assert "at step 2 of epoch 1 of 3" in str(caught.value.cause)
+    assert isinstance(caught.value.cause, NumericalError)
+    assert str(caught.value.cause).startswith(
+        "twin training diverged at step 2 of epoch 1 of 3: "
+    )
 
 
 @pytest.mark.filterwarnings("error")
@@ -399,9 +422,9 @@ def test_run_pipeline_fails_a_diverging_spectral_net_at_its_step(batch_size, res
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == "spectral"
-    assert isinstance(caught.value.cause, SingularGram)
-    where = "at step 2 of 10" + (" of restart 1 of 2" if restarts > 1 else ":")
-    assert where in str(caught.value.cause)
+    assert isinstance(caught.value.cause, NumericalError)
+    where = "at step 2 of 10" + (" of restart 1 of 2" if restarts > 1 else "")
+    assert str(caught.value.cause).startswith(f"spectral training failed {where}: ")
 
 
 def nan_twin(monkeypatch):
@@ -432,8 +455,8 @@ def test_run_pipeline_names_a_non_finite_twin_embedding_in_the_bandwidth_stage(
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == "bandwidth"
-    assert isinstance(caught.value.cause, NonFiniteInput)
-    assert "twin embedding" in str(caught.value.cause)
+    assert isinstance(caught.value.cause, NumericalError)
+    assert str(caught.value.cause) == "the twin embedding holds NaN or infinite values"
 
 
 @pytest.mark.parametrize("features", ["raw", "twin"])
@@ -483,8 +506,8 @@ def test_run_pipeline_with_twin_features_checks_the_input(bad):
     with pytest.raises(StageError) as caught:
         run_pipeline(X, y, config)
     assert caught.value.stage == ("pairs" if bad == np.inf else "siamese")
-    assert isinstance(caught.value.cause, NonFiniteInput)
-    assert "1 input value" in str(caught.value.cause)
+    assert isinstance(caught.value.cause, InputError)
+    assert str(caught.value.cause).startswith("1 input value(s) are NaN")
 
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
@@ -524,19 +547,19 @@ def test_sweep_cross_product_order():
 
 def test_sweep_bad_grids():
     config = quick_config()
-    with pytest.raises(BadGrid):
+    with pytest.raises(ConfigError, match="^grid has no keys$"):
         sweep(config, {})
-    with pytest.raises(BadGrid):
+    with pytest.raises(ConfigError, match="^grid key 'method.leaf_size' has no values$"):
         sweep(config, {"method.leaf_size": []})
-    with pytest.raises(BadGrid):
+    with pytest.raises(ConfigError, match="^unknown grid key 'nonsense'$"):
         sweep(config, {"nonsense": [1]})
-    with pytest.raises(BadGrid):
+    with pytest.raises(ConfigError, match="^unknown grid key 'method.nonsense'$"):
         sweep(config, {"method.nonsense": [1]})
-    with pytest.raises(BadGrid):
+    with pytest.raises(ConfigError, match="^unknown grid key 'turbo.mode'$"):
         sweep(config, {"turbo.mode": [1]})
     # Settings of earlier versions, now constants.
     for key in ("kmeans.restarts", "method.max_split_retries", "spectral.jitter"):
-        with pytest.raises(BadGrid, match=f"unknown grid key '{key}'"):
+        with pytest.raises(ConfigError, match=f"^unknown grid key '{key}'$"):
             sweep(config, {key: [1]})
 
 
@@ -554,7 +577,26 @@ def test_sweep_refuses_a_wrong_typed_value_before_any_cell_runs(monkeypatch, gri
 
     monkeypatch.setattr(harness, "run_experiment", no_run)
     (key,) = grid
-    with pytest.raises(BadGrid, match=f"{key} must be"):
+    with pytest.raises(ConfigError, match=rf"^grid cell \{{.*\}}: bad .* config: {key} must be"):
+        sweep(quick_config(runs=1), grid)
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        (
+            {"method.leaf_size": [8, 1]},
+            r"^grid cell \{'method.leaf_size': 1\}: method\.leaf_size must be at least 2$",
+        ),
+        (
+            {"dataset.n": [0]},
+            r"^grid cell \{'dataset.n': 0\}: dataset: n = 0 points requested$",
+        ),
+    ],
+)
+def test_sweep_names_an_invalid_cell_once(monkeypatch, grid, message):
+    monkeypatch.setattr(harness, "run_experiment", lambda config: None)
+    with pytest.raises(ConfigError, match=message):
         sweep(quick_config(runs=1), grid)
 
 

@@ -4,19 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpspectral import rptree
-from rpspectral.errors import DegenerateSplit
+from rpspectral.errors import InputError
 from rpspectral.rptree import (
     TreeConfig,
     build_tree,
     choose_directions,
     leaf_size_stats,
-    leaves,
     principal_directions,
     random_directions,
     split_node,
 )
 
 TREE_FIELDS = ("points", "leaf_sizes", "degenerate")
+
+
+def leaves(tree):
+    """Left-to-right list of leaf index arrays (views into ``tree.points``)."""
+    return np.split(tree.points, np.cumsum(tree.leaf_sizes)[:-1])
 
 
 def same_tree(a, b):
@@ -367,12 +371,14 @@ def test_split_retries_recover_from_orthogonal_direction():
 def test_split_duplicates_raises():
     X = np.zeros((6, 2))
     rng = np.random.default_rng(0)
-    with pytest.raises(DegenerateSplit):
+    with pytest.raises(
+        InputError, match="^no separating direction found for 6 points after 3 retries$"
+    ):
         split_node(np.arange(6), X, np.array([1.0, 0.0]), rng)
 
 
 def test_tree_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^leaf_size must be >= 1$"):
         TreeConfig(leaf_size=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^X must be a nonempty 2-D matrix$"):
         build_tree(np.zeros((0, 2)), TreeConfig(leaf_size=5), rng=np.random.default_rng(0))

@@ -1,22 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from rpspectral.errors import (
-    AllZeroDistances,
-    BadSigma,
-    EmptyPairSet,
-    IndexOutOfRange,
-    MissingPolarity,
-    NonFiniteInput,
-    ShapeMismatch,
-)
+from rpspectral.errors import InputError
 from rpspectral.mlp import _BLOCK_FLOATS, Mlp, block_rows
 from rpspectral.pairing import PairSet
 from rpspectral.siamese import (
+    _MARGIN,
+    _NORM_FLOOR,
     SiameseConfig,
     _contrastive_batch,
     _twin_gradients,
-    contrastive_loss,
     heat_kernel,
     pairwise_distances,
     select_bandwidth,
@@ -31,6 +26,26 @@ def make_pairs(positives, negatives):
         negatives=np.asarray(negatives, dtype=np.int64).reshape(-1, 2),
         raw_positive_count=len(positives),
     )
+
+
+def contrastive_loss(z1, z2, is_positive):
+    """Per-pair reference for ``_contrastive_batch``: (loss, grad_z1, grad_z2).
+
+    Positive pairs pay the squared distance; negative pairs pay
+    max(_MARGIN - distance, 0), with subgradient 0 at the hinge and a floored
+    norm at coincident points.
+    """
+    diff = np.asarray(z1, dtype=np.float64) - np.asarray(z2, dtype=np.float64)
+    if is_positive:
+        loss = float(diff @ diff)
+        grad = 2.0 * diff
+        return loss, grad, -grad
+    distance = float(np.sqrt(diff @ diff))
+    if distance >= _MARGIN:
+        zero = np.zeros_like(diff)
+        return 0.0, zero, zero.copy()
+    grad = -diff / max(distance, _NORM_FLOOR)
+    return _MARGIN - distance, grad, -grad
 
 
 # --- contrastive loss ---
@@ -92,11 +107,6 @@ def test_contrastive_gradients_match_finite_differences():
             up = contrastive_loss(z1, z2 + bump, is_positive)[0]
             down = contrastive_loss(z1, z2 - bump, is_positive)[0]
             assert (up - down) / (2 * eps) == pytest.approx(g2[k], abs=1e-6)
-
-
-def test_contrastive_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        contrastive_loss(np.zeros(2), np.zeros(3), True)
 
 
 def batch_case(seed=2, m=12, scale=0.3):
@@ -270,9 +280,9 @@ def test_bandwidth_zero_median_falls_back_to_smallest_nonzero():
 
 
 def test_bandwidth_all_zero_raises():
-    with pytest.raises(AllZeroDistances):
+    with pytest.raises(InputError, match="^all distances are zero$"):
         select_bandwidth(np.zeros(5))
-    with pytest.raises(AllZeroDistances):
+    with pytest.raises(InputError, match="^empty distance sample$"):
         select_bandwidth(np.array([]))
 
 
@@ -286,7 +296,8 @@ def test_bandwidth_all_zero_raises():
     ],
 )
 def test_bandwidth_refuses_non_finite_distances(distances, bad):
-    with pytest.raises(NonFiniteInput, match=f"^{bad} of {len(distances)} distance"):
+    message = rf"^{bad} of {len(distances)} distance\(s\) are NaN or infinite$"
+    with pytest.raises(InputError, match=message):
         select_bandwidth(np.array(distances))
 
 
@@ -322,11 +333,11 @@ def test_heat_kernel_range_and_monotone():
 
 
 def test_heat_kernel_errors():
-    with pytest.raises(BadSigma):
+    with pytest.raises(InputError, match="^bandwidth must be positive, got 0.0$"):
         heat_kernel(np.zeros((2, 2)), 0.0)
-    with pytest.raises(BadSigma):
+    with pytest.raises(InputError, match="^bandwidth must be positive, got -1.0$"):
         heat_kernel(np.zeros((2, 2)), -1.0)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=r"^distance matrix must be square, got \(2, 3\)$"):
         heat_kernel(np.zeros((2, 3)), 1.0)
 
 
@@ -382,22 +393,23 @@ def test_training_rejects_values_float32_cannot_hold(bad):
     X, pairs = two_cluster_data()
     X[7, 1] = bad
     config = SiameseConfig(epochs=1, batch_size=16, hidden_sizes=(8,), embedding_dim=3)
-    with pytest.raises(NonFiniteInput, match="1 input value"):
+    message = r"^1 input value\(s\) are NaN, infinite or beyond float32 range$"
+    with pytest.raises(InputError, match=message):
         train_siamese(X, pairs, config, rng=np.random.default_rng(0))
     # Ahead of the pair-set checks: a bad value is named even when the pair
     # set is unusable too.
-    with pytest.raises(NonFiniteInput):
+    with pytest.raises(InputError, match=message):
         train_siamese(X, make_pairs([], []), config, rng=np.random.default_rng(0))
 
 
 def test_training_pair_set_errors():
     X = np.zeros((4, 2))
     config = SiameseConfig(epochs=1, batch_size=2)
-    with pytest.raises(EmptyPairSet):
+    with pytest.raises(InputError, match="^no pairs to train on$"):
         train_siamese(X, make_pairs([], []), config, rng=np.random.default_rng(0))
-    with pytest.raises(MissingPolarity):
+    with pytest.raises(InputError, match="^pair set has no negatives$"):
         train_siamese(X, make_pairs([(0, 1)], []), config, rng=np.random.default_rng(0))
-    with pytest.raises(MissingPolarity):
+    with pytest.raises(InputError, match="^pair set has no positives$"):
         train_siamese(X, make_pairs([], [(0, 1)]), config, rng=np.random.default_rng(0))
 
 
@@ -430,7 +442,7 @@ def test_training_leaves_rng_after_the_documented_draws():
 def test_training_rejects_out_of_range_pair_indices(positives, negatives):
     X = np.zeros((4, 2))
     config = SiameseConfig(epochs=1, batch_size=2)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match=r"^pair indices outside 0\.\.3$"):
         train_siamese(X, make_pairs(positives, negatives), config, rng=np.random.default_rng(0))
 
 
@@ -453,9 +465,9 @@ def test_siamese_distances_identity_net():
     X = np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 0.0]])
     d = siamese_distances(X, [(0, 1), (0, 2)])
     assert np.allclose(d, [5.0, 1.0])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match=r"^pair indices outside 0\.\.2$"):
         siamese_distances(X, [(0, 3)])
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InputError, match=r"^pair indices outside 0\.\.2$"):
         siamese_distances(X, [(-1, 1)])
 
 
@@ -475,7 +487,12 @@ def test_siamese_distances_identity_net():
 )
 def test_siamese_distances_rejects_malformed_pair_indices(index_pairs):
     Z = np.random.default_rng(0).normal(size=(5, 3))
-    with pytest.raises(ShapeMismatch):
+    array = np.asarray(index_pairs)
+    message = (
+        f"^pair indices must be integers of shape \\(k, 2\\), got {array.dtype} "
+        f"of shape {re.escape(str(array.shape))}$"
+    )
+    with pytest.raises(InputError, match=message):
         siamese_distances(Z, index_pairs)
 
 

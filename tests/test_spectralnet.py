@@ -5,12 +5,7 @@ import pytest
 
 from rpspectral import spectralnet
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
-from rpspectral.errors import (
-    BatchTooSmall,
-    NonFiniteInput,
-    ShapeMismatch,
-    SingularGram,
-)
+from rpspectral.errors import InputError, NumericalError
 from rpspectral.mlp import _BLOCK_FLOATS, Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
@@ -22,6 +17,12 @@ from rpspectral.spectralnet import (
     orthogonalize,
     spectral_loss,
     train_spectralnet,
+)
+
+# The message of a 20-row batch that cannot be whitened; {} is the residual.
+RESIDUAL_FAILURE = (
+    r"^batch outputs are rank-deficient or non-finite; whitening residual {} "
+    r"exceeds 2\.000e-05$"
 )
 
 
@@ -52,7 +53,9 @@ def test_orthogonalize_fixed_point():
 
 
 def test_orthogonalize_needs_enough_rows():
-    with pytest.raises(BatchTooSmall):
+    with pytest.raises(
+        InputError, match="^need at least 4 points to orthogonalize 4 outputs, got 2$"
+    ):
         orthogonalize(np.zeros((2, 4)))
 
 
@@ -62,7 +65,7 @@ def test_orthogonalize_rank_deficient_without_jitter():
     rng = np.random.default_rng(2)
     col = rng.normal(size=(20, 1))
     Y_raw = np.hstack([col, 2.0 * col, -col])  # rank 1
-    with pytest.raises(SingularGram):
+    with pytest.raises(NumericalError, match=RESIDUAL_FAILURE.format(r"2\.828e\+01")):
         orthogonalize(Y_raw)
 
 
@@ -71,7 +74,7 @@ def test_orthogonalize_rank_deficient_with_jitter_still_fails_residual():
     # residual check must reject the result rather than return a bad map.
     col = np.random.default_rng(3).normal(size=(20, 1))
     Y_raw = np.hstack([col, col])
-    with pytest.raises(SingularGram):
+    with pytest.raises(NumericalError, match=RESIDUAL_FAILURE.format(r"2\.000e\+01")):
         orthogonalize(Y_raw)
 
 
@@ -82,7 +85,7 @@ def test_orthogonalize_rejects_a_non_finite_batch(bad):
     # the guard must treat it as a failure, not a pass.
     Y_raw = np.random.default_rng(0).normal(size=(20, 3))
     Y_raw[4, 1] = bad
-    with pytest.raises(SingularGram):
+    with pytest.raises(NumericalError, match=RESIDUAL_FAILURE.format("nan")):
         orthogonalize(Y_raw)
 
 
@@ -161,9 +164,9 @@ def test_spectral_loss_zero_for_constant_embedding():
 
 
 def test_spectral_loss_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=r"^affinity \(3, 3\) does not match batch of 4$"):
         spectral_loss(np.zeros((3, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(InputError, match=r"^degrees \(4,\) do not match batch of 3$"):
         spectral_loss(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(4))
 
 
@@ -338,7 +341,7 @@ def test_full_batch_training_reaches_the_dense_optimum(
     # On whitened outputs (Y^T Y = n I) the loss is at least 2/n times the
     # sum of the bottom n_clusters eigenvalues of D - A; training on the
     # exact whitened gradient gets within 5% of it. Following the gradient
-    # through a frozen whitening map raised SingularGram on these moons and
+    # through a frozen whitening map raised NumericalError on these moons and
     # stalled 1.4-3.6x above the optimum on these blobs.
     n = 200
     X, _ = generate_synthetic(
@@ -363,7 +366,7 @@ def test_full_batch_training_reaches_the_dense_optimum(
 def test_training_rejects_undersized_dataset():
     X = np.zeros((10, 2))
     config = SpectralConfig(n_clusters=2, batch_size=32, total_steps=10)
-    with pytest.raises(BatchTooSmall):
+    with pytest.raises(InputError, match="^dataset has 10 points, batch size is 32$"):
         train_spectralnet(
             X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
         )
@@ -456,7 +459,7 @@ def test_an_affinity_of_the_wrong_shape_is_refused(full, shape):
         n_clusters=3, batch_size=len(X) if full else 32, total_steps=10,
         hidden_sizes=(8,),
     )
-    with pytest.raises(ShapeMismatch, match="affinity"):
+    with pytest.raises(InputError, match=r"^affinity \(.*\) does not match batch of \d+$"):
         train_spectralnet(
             X, lambda rows: np.zeros(shape(len(rows))), config,
             rng=np.random.default_rng(0),
@@ -570,7 +573,10 @@ def test_outputs_that_cannot_be_whitened_fail_at_their_step(full):
         n_clusters=3, batch_size=len(X) if full else 32, total_steps=10,
         hidden_sizes=(8,),
     )
-    with pytest.raises(SingularGram, match="at step 1 of 5: batch Gram"):
+    with pytest.raises(
+        NumericalError,
+        match="^spectral training failed at step 1 of 5: batch Gram matrix is singular",
+    ):
         train_spectralnet(
             X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
         )
@@ -601,7 +607,7 @@ def test_an_overflowing_bias_sum_fails_at_its_step(monkeypatch):
         return loss, grad_out, residual
 
     monkeypatch.setattr(spectralnet, "_whitened_loss", overflowing_on_step_3)
-    with pytest.raises(SingularGram, match="at step 3 of 5: "):
+    with pytest.raises(NumericalError, match="^spectral training failed at step 3 of 5: "):
         train_spectralnet(
             features, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
         )
@@ -778,7 +784,9 @@ def test_training_rejects_values_float32_cannot_hold(bad, full):
         hidden_sizes=(8,),
     )
     affinity, calls = counting_affinity(X, 0.5)
-    with pytest.raises(NonFiniteInput, match="1 input value"):
+    with pytest.raises(
+        InputError, match=r"^1 input value\(s\) are NaN, infinite or beyond float32 range$"
+    ):
         train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
     assert calls == []
 
