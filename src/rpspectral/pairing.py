@@ -8,11 +8,12 @@ Each polarity is built inside the array it is returned in. Every pair is
 written straight into one int64 key ``min * width + max``; the keys are
 sorted in place, repeats are compacted forward, and each key decodes into the
 int32 (lo, hi) row that occupies its own 8 bytes, so no (rows, 2)
-intermediate or second copy is built. The tree route writes each pair once,
-so its keys are exactly its output; the k-nn route's n * k keys shrink in
-place to its output. Past that, the tree route holds one group of raw pairs
-(one leaf size, or one partner-leaf size) at a time, and the decode one
-block of ``_KEY_BLOCK`` keys.
+intermediate or second copy is built. The width is a power of two (see
+``_key_width``), so a key decodes by a shift and a mask, not a division.
+The tree route writes each pair once, so its keys are exactly its output;
+the k-nn route's n * k keys shrink in place to its output. Past that, the
+tree route holds one group of raw pairs (one leaf size, or one partner-leaf
+size) at a time, and the decode one block of ``_KEY_BLOCK`` keys.
 
 The k-nn search is exact without scanning all n^2 distances: kd leaves with
 bounding boxes prune the points that cannot be a neighbor (Friedman, Bentley
@@ -127,7 +128,7 @@ def knn_pairs(X, k, rng) -> PairSet:
     ``_distinct_ranks``, k vectorised steps of Floyd's sampling algorithm.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
+    if X.ndim != 2 or X.shape[1] < 1:
         raise InputError("X must be a nonempty 2-D matrix")
     n = len(X)
     if not 1 <= k < n:
@@ -135,9 +136,10 @@ def knn_pairs(X, k, rng) -> PairSet:
     check_finite(X)
 
     points = np.arange(n)
+    width = _key_width(n)
     keys = np.empty(n * k, dtype=np.int64)
-    _write_keys(np.repeat(points, k), _knn_indices(X, k).reshape(-1), n, keys)
-    positives = _pairs_from_keys(keys, n)
+    _write_keys(np.repeat(points, k), _knn_indices(X, k).reshape(-1), width, keys)
+    positives = _pairs_from_keys(keys, width)
 
     # Point i's excluded set is excluded[bounds[i]:bounds[i + 1]], sorted.
     owner = np.concatenate([positives[:, 0], positives[:, 1], points])
@@ -157,10 +159,10 @@ def knn_pairs(X, k, rng) -> PairSet:
     owners = np.repeat(points, takes)
     drawn = ranks + np.searchsorted(below, owners * n + ranks, side="right") - bounds[owners]
     keys = np.empty(len(drawn), dtype=np.int64)
-    _write_keys(owners, drawn, n, keys)
+    _write_keys(owners, drawn, width, keys)
     return PairSet(
         positives=positives,
-        negatives=_pairs_from_keys(keys, n),
+        negatives=_pairs_from_keys(keys, width),
         raw_positive_count=n * k,
     )
 
@@ -217,7 +219,7 @@ def _knn_indices(X, k):
         if not np.isfinite(16.0 * dim * top * top):
             raise InputError("squared distances are not all finite")
     order, sizes = _kd_leaves(X)
-    coords = np.ascontiguousarray(X[order].T)
+    coords = np.ascontiguousarray(np.take(X, order, axis=0).T)
     starts = np.cumsum(sizes) - sizes
     lo = np.minimum.reduceat(coords, starts, axis=1)
     hi = np.maximum.reduceat(coords, starts, axis=1)
@@ -264,7 +266,7 @@ def _kd_leaves(X):
     order = np.arange(n)
     sizes = np.array([n])
     while sizes.max() > _KNN_LEAF:
-        points = X[order]
+        points = np.take(X, order, axis=0)
         starts = np.cumsum(sizes) - sizes
         widths = np.maximum.reduceat(points, starts) - np.minimum.reduceat(points, starts)
         axis = widths.argmax(axis=1)
@@ -361,8 +363,8 @@ def _pruned_candidates(coords, starts, sizes, lo, hi, bound, leaves, near):
     a, b = np.nonzero(near)
     i = _members(starts[leaves[a]], sizes[leaves[a]])
     b = np.repeat(b, sizes[leaves[a]])
-    x = coords[:, i]
-    keep = _box_gaps(x, x, lo[:, b], hi[:, b]) <= bound[i]
+    x = np.take(coords, i, axis=1)
+    keep = _box_gaps(x, x, np.take(lo, b, axis=1), np.take(hi, b, axis=1)) <= bound[i]
     i, b = i[keep], b[keep]
     return np.repeat(i, sizes[b]), _members(starts[b], sizes[b])
 
@@ -462,7 +464,7 @@ def rptree_pairs(tree, rng) -> PairSet:
     # Ordered-with-self convention of the estimate.
     raw_count = int((sizes * sizes).sum())
     starts = np.cumsum(sizes) - sizes
-    width = int(members.max(initial=0)) + 1
+    width = _key_width(int(members.max(initial=0)) + 1)
 
     positives = _pairs_from_keys(_positive_keys(members, sizes, starts, width), width)
     warning = None
@@ -484,7 +486,7 @@ def _positive_keys(members, sizes, starts, width):
     """The key of every within-leaf pair: one (leaves, s) block per leaf size s."""
     keys = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.int64)
     filled = 0
-    for s in np.unique(sizes[sizes >= 2]).tolist():
+    for s in _distinct_sizes(sizes, 2):
         # Each block row sorted, column a < b holds the smaller index.
         block = np.sort(members[starts[sizes == s][:, None] + np.arange(s)], axis=1)
         a, b = np.triu_indices(s, k=1)
@@ -509,7 +511,7 @@ def _negative_keys(members, sizes, starts, partner, width):
     partner_start = np.repeat(starts[partner], sizes)
     keys = np.empty(int(partner_size.sum()), dtype=np.int64)
     filled = 0
-    for t in np.unique(partner_size[partner_size > 0]).tolist():
+    for t in _distinct_sizes(partner_size, 1):
         group = np.flatnonzero(partner_size == t)
         theirs = members[(partner_start[group, None] + np.arange(t)).reshape(-1)]
         own = np.repeat(members[group], t)
@@ -518,10 +520,32 @@ def _negative_keys(members, sizes, starts, partner, width):
     return keys
 
 
+def _distinct_sizes(sizes, least):
+    """The distinct values of ``sizes`` from ``least`` on, ascending, as ints.
+
+    Counted with ``np.bincount``, whose length is the largest size plus one:
+    at most n + 1, as a degenerate leaf can hold all n points. (``np.unique``
+    would import ``numpy.ma`` on its first call in a process.)
+    """
+    return (np.flatnonzero(np.bincount(sizes)[least:]) + least).tolist()
+
+
 def _partner_leaves(count, rng):
     """For each of ``count`` leaves, one other leaf drawn uniformly, in one draw."""
     other = rng.integers(0, count - 1, size=count)
     return other + (other >= np.arange(count))
+
+
+def _key_width(count):
+    """The key width for indices in ``range(count)``.
+
+    Up to ``_INT32_WIDTH`` it is the least power of two not below ``count``,
+    so a key decodes by shift and mask; past it, ``count`` itself, since a
+    power of two could take ``width**2`` past the int64 range.
+    """
+    if count > _INT32_WIDTH:
+        return count
+    return 1 << max(count - 1, 0).bit_length()
 
 
 def _write_keys(a, b, width, out):
@@ -540,9 +564,10 @@ def _pairs_from_keys(keys, width):
     ``np.unique`` with ``axis=0`` on the (lo, hi) rows. The result is built
     in ``keys``, which this takes over, so no other array may view it: it is
     sorted in place, its distinct keys are moved to its front, and up to
-    ``_INT32_WIDTH`` each decodes into the int32 row that occupies its own 8
-    bytes. The result is then a view that fills ``keys``; a wider range
-    decodes into a separate int64 array.
+    ``_INT32_WIDTH``, where ``width`` is a power of two (see ``_key_width``),
+    each decodes by shift and mask into the int32 row that occupies its own
+    8 bytes. The result is then a view that fills ``keys``; a wider range
+    decodes by ``divmod`` into a separate int64 array.
     """
     if not len(keys):
         return _EMPTY_PAIRS
@@ -558,11 +583,16 @@ def _pairs_from_keys(keys, width):
         # names ``keys``; there are none.
         keys.resize(count, refcheck=False)
     out = keys.view(np.int32).reshape(count, 2)
+    shift = width.bit_length() - 1
+    # The rows share their bytes with the keys they decode, so each block of
+    # keys is copied out first, into one block-sized buffer.
+    copy = np.empty(min(count, _KEY_BLOCK), dtype=np.int64)
     for start in range(0, count, _KEY_BLOCK):
         rows = out[start : start + _KEY_BLOCK]
-        # The rows share their bytes with the keys they decode, so numpy
-        # decodes from a copy of the keys: in blocks, a block-sized copy.
-        np.divmod(keys[start : start + len(rows)], width, out=(rows[:, 0], rows[:, 1]))
+        block = copy[: len(rows)]
+        np.copyto(block, keys[start : start + len(rows)])
+        np.right_shift(block, shift, out=rows[:, 0])
+        np.bitwise_and(block, width - 1, out=rows[:, 1])
     return out
 
 
@@ -571,7 +601,8 @@ def _drop_repeats(keys):
 
     A forward compaction, ``_KEY_BLOCK`` keys at a time: a key is kept when
     it differs from the one before it, which for a block's first key is the
-    last key kept so far.
+    last key kept so far. Until the first repeat every block is kept whole
+    where it already is, and is not written.
     """
     count = 0
     for start in range(0, len(keys), _KEY_BLOCK):
@@ -579,6 +610,9 @@ def _drop_repeats(keys):
         keep = np.empty(len(block), dtype=bool)
         keep[0] = count == 0 or block[0] != keys[count - 1]
         np.not_equal(block[1:], block[:-1], out=keep[1:])
+        if count == start and keep.all():
+            count += len(block)
+            continue
         kept = block[keep]
         keys[count : count + len(kept)] = kept
         count += len(kept)

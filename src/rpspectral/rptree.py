@@ -192,7 +192,10 @@ def _cut_segments(points, sizes, directions, rng):
         thresholds[todo] = cut
         split[todo[ok]] = True
         done = np.repeat(ok, todo_sizes)
-        left[rows[done]] = below[done]
+        if attempt:
+            left[rows[done]] = below[done]
+        else:  # every point takes part, each in its own row
+            np.logical_and(below, done, out=left)
         todo = todo[~ok]
         if not len(todo):
             break
@@ -243,10 +246,11 @@ def build_tree(X, config, rng):
     depth's directions, then its cut fractions, then its retries'. The tree
     is deterministic given the generator's state. A NaN or an infinity in
     ``X`` raises InputError: no projection could order such a point, and so
-    does an ``X`` that is not a 2-D matrix of at least one row.
+    does an ``X`` that is not a 2-D matrix of at least one row and one
+    column.
     """
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or len(X) < 1:
+    if X.ndim != 2 or len(X) < 1 or X.shape[1] < 1:
         raise InputError("X must be a nonempty 2-D matrix")
     check_finite(X)
     n = len(X)
@@ -267,21 +271,25 @@ def build_tree(X, config, rng):
     start, size = np.zeros(1, np.int64), np.array([n])
     ids = points.copy() if admit(start, size)[0] else points[:0]
     while len(ids):
-        local = X[ids]
+        local = np.take(X, ids, axis=0)
         directions = choose_directions(local, size, config.strategy, rng)
         left, _, _, ok = _cut_segments(local, size, directions, rng)
         leaf_start[start[~ok]] = frozen[start[~ok]] = True
 
         # Stable partition inside each segment, left side first; a frozen
-        # segment has no left side, so it keeps its order.
+        # segment has no left side, so it keeps its order. The level's j-th
+        # left point lands at j plus the right sides of the segments before
+        # its own; its j-th right point at j plus the left sides of the
+        # segments up to its own.
         n_left = np.add.reduceat(left, _starts(size))
         n_right = size - n_left
-        left_before = np.cumsum(left) - left
-        dest = np.where(
-            left,
-            np.repeat(_starts(n_right), size) + left_before,
-            np.repeat(np.cumsum(n_left), size) + np.arange(len(left)) - left_before,
-        )
+        dest = np.empty_like(ids)
+        for side, count, shift in (
+            (left, n_left, _starts(n_right)),
+            (~left, n_right, np.cumsum(n_left)),
+        ):
+            at = np.flatnonzero(side)
+            dest[at] = np.arange(len(at)) + np.repeat(shift, count)
         ids_after = np.empty_like(ids)
         ids_after[dest] = ids
         points[dest + np.repeat(start - _starts(size), size)] = ids

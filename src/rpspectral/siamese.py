@@ -166,8 +166,8 @@ def train_siamese(X, pairs, config: SiameseConfig, rng):
                 if n_neg == major
                 else rng.integers(0, n_neg, size=major)
             )
-            pos_rows = pairs.positives[pos_order]
-            neg_rows = pairs.negatives[neg_order]
+            pos_rows = np.take(pairs.positives, pos_order, axis=0)
+            neg_rows = np.take(pairs.negatives, neg_order, axis=0)
             batch_losses = []
             for step, start in enumerate(range(0, major, half), 1):
                 pos_batch = pos_rows[start : start + half]

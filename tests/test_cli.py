@@ -229,6 +229,20 @@ def test_run_verb_stage_failure_exits_1(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+def test_run_on_a_csv_holding_only_its_labels_fails_at_the_pairs_stage(tmp_path, capsys):
+    # Fifty rows and no feature column: load_csv returns X of shape (50, 0),
+    # in which no tree direction has a nonzero length to normalize.
+    data = tmp_path / "labels-only.csv"
+    data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(50)), encoding="utf-8")
+    doc = quick_config_doc()
+    doc["dataset"] = {"path": str(data), "label_column": "label"}
+    code = main(["run", "--config", write_config(tmp_path, doc), "--outdir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "run failed: stage 'pairs' failed: X must be a nonempty 2-D matrix\n"
+    )
+
+
 def test_experiment_verb(tmp_path, capsys):
     outdir = tmp_path / "exp"
     code = main(

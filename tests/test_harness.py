@@ -358,7 +358,9 @@ def test_run_pipeline_names_non_finite_input_in_the_pairs_stage(route):
     assert str(caught.value.cause) == "1 input value(s) are NaN or infinite"
 
 
-@pytest.mark.parametrize("X", [np.zeros(60), np.zeros((0, 2))], ids=["1-d", "no-rows"])
+@pytest.mark.parametrize(
+    "X", [np.zeros(60), np.zeros((0, 2)), np.zeros((60, 0))], ids=["1-d", "no-rows", "no-columns"]
+)
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_run_pipeline_names_a_malformed_input_in_the_pairs_stage(route, X):
     config = quick_config(method=ROUTES[route])
@@ -367,7 +369,7 @@ def test_run_pipeline_names_a_malformed_input_in_the_pairs_stage(route, X):
     assert caught.value.stage == "pairs"
     assert isinstance(caught.value.cause, InputError)
     message = "X must be a nonempty 2-D matrix"
-    if route == "knn" and X.ndim == 2:
+    if route == "knn" and X.ndim == 2 and X.shape[1]:
         message = "k=3 needs 1 <= k < n=0"
     assert str(caught.value.cause) == message
 

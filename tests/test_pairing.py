@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from rpspectral.pairing import (
     _KEY_BLOCK,
     PairSet,
     _distinct_ranks,
+    _key_width,
     _knn_indices,
     _pairs_from_keys,
     _partner_leaves,
@@ -229,12 +233,17 @@ def reference_unique_unordered(pairs):
 
 def reference_knn_indices(X, k):
     """Full stable argsort of every direct-form distance row, first k columns
-    kept: squared coordinate differences summed in coordinate order."""
-    d2 = np.zeros((len(X), len(X)))
-    for c in range(X.shape[1]):
-        d2 += (X[:, None, c] - X[None, :, c]) ** 2
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    kept: squared coordinate differences summed in coordinate order. Rows
+    are independent, so they are done 256 at a time to bound memory."""
+    blocks = []
+    for start in range(0, len(X), 256):
+        rows = np.arange(start, min(start + 256, len(X)))
+        d2 = np.zeros((len(rows), len(X)))
+        for c in range(X.shape[1]):
+            d2 += (X[rows, None, c] - X[None, :, c]) ** 2
+        d2[np.arange(len(rows)), rows] = np.inf
+        blocks.append(np.argsort(d2, axis=1, kind="stable")[:, :k].copy())
+    return np.concatenate(blocks)
 
 
 def reference_distinct_ranks(available, takes, rng):
@@ -260,17 +269,17 @@ def reference_knn_pairs(X, k, rng):
     for i, j in positives.tolist():
         partner[i].add(j)
         partner[j].add(i)
-    candidates = []
-    mask = np.empty(n, dtype=bool)
-    for i in range(n):
-        mask[:] = True
+
+    def candidates(i):
+        mask = np.ones(n, dtype=bool)
         mask[i] = False
         mask[list(partner[i])] = False
-        candidates.append(np.flatnonzero(mask))
-    available = np.array([len(c) for c in candidates], dtype=np.int64)
+        return np.flatnonzero(mask)
+
+    available = np.array([n - 1 - len(partner[i]) for i in range(n)], dtype=np.int64)
     ranks = reference_distinct_ranks(available, np.minimum(k, available), rng)
     negative_rows = [
-        np.stack([np.full(len(r), i), candidates[i][r]], axis=1)
+        np.stack([np.full(len(r), i), candidates(i)[r]], axis=1)
         for i, r in enumerate(ranks)
         if r
     ]
@@ -356,7 +365,7 @@ def rows_repeating_across_key_blocks(first, stop):
 )
 def test_unique_unordered_matches_np_unique(pairs):
     # Keyed as the mining routes key their rows, deduplicated from the keys.
-    width = int(pairs.max(initial=0)) + 1
+    width = _key_width(int(pairs.max(initial=0)) + 1)
     keys = np.empty(len(pairs), dtype=np.int64)
     _write_keys(pairs[:, 0].copy(), pairs[:, 1], width, keys)
     got = _pairs_from_keys(keys, width)
@@ -365,6 +374,18 @@ def test_unique_unordered_matches_np_unique(pairs):
     assert got.dtype == (np.int32 if width <= 2**31 else np.int64)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "count", [1, 2, 3, 10, 255, 256, 257, 2**31 - 1, 2**31, 2**31 + 1, 2**40 + 5]
+)
+def test_key_width_is_a_power_of_two_up_to_int32_indices(count):
+    width = _key_width(count)
+    if count > 2**31:
+        assert width == count
+    else:
+        assert width >= count and width & (width - 1) == 0
+        assert width == 1 or width // 2 < count
 
 
 def hand_tree(*leaf_members, degenerate=()):
@@ -455,6 +476,62 @@ def test_rptree_pairs_property_reference_agreement(n, leaf_size, copies, seed):
     assert_same_pairs(
         rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
     )
+
+
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 4096, 4097])
+def test_both_routes_match_their_references_at_power_of_two_boundaries(n):
+    # The key width is the least power of two from n on: n = 256 keys at
+    # width 256, n = 257 at 512.
+    X = np.random.default_rng(n).normal(size=(n, 2))
+    tree = build_tree(X, TreeConfig(leaf_size=8), rng=np.random.default_rng(0))
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    assert_same_pairs(
+        rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+    )
+    k = min(2, n - 1)
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    assert_same_pairs(
+        knn_pairs(X, k, got_rng), reference_knn_pairs(X, k, want_rng), got_rng, want_rng
+    )
+
+
+@pytest.mark.parametrize("bits", [1, 8, 12])
+def test_rptree_pairs_match_reference_when_the_largest_index_is_a_power_of_two_less_one(bits):
+    # Members of a subset of range(2**bits) that holds its top index, so the
+    # keys are exactly 2**bits wide and the top index fills every low bit.
+    rng = np.random.default_rng(bits)
+    top = 2**bits - 1
+    members = rng.permutation(np.union1d(rng.choice(top, size=top // 2 + 1, replace=False), [top]))
+    cuts = np.sort(rng.choice(np.arange(1, len(members)), size=len(members) // 8 + 1, replace=False))
+    tree = hand_tree(*np.split(members, cuts))
+    assert int(tree.points.max()) == top
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_pairs(
+            rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+        )
+
+
+def test_pair_mining_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call in a process (numpy 2.4),
+    # which costs about 1.6 MiB of resident memory; mining has no use for it.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from rpspectral import TreeConfig, build_tree, knn_pairs, rptree_pairs\n"
+        "X = np.random.default_rng(0).normal(size=(500, 2))\n"
+        "rng = np.random.default_rng(1)\n"
+        "rptree_pairs(build_tree(X, TreeConfig(leaf_size=10), rng=rng), rng)\n"
+        "knn_pairs(X, 3, rng)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pairing.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def integer_grid(side):

@@ -291,6 +291,92 @@ def test_tree_config_takes_only_the_exact_strategy_spellings():
             TreeConfig(leaf_size=4, strategy=strategy)
 
 
+def reference_build(X, config, rng):
+    """build_tree with each level's partition done node by node in plain loops.
+
+    The draws are build_tree's: per level, choose_directions then
+    _cut_segments on all nodes still to split, in left-to-right order. Each
+    node's ids are then split into its left ids, then its right ids.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    points = np.arange(len(X), dtype=np.int64)
+    leaf_list = []  # (start, size, frozen)
+    nodes = []  # (start, ids) of the nodes still to split, left to right
+
+    def admit(start, ids):
+        points[start : start + len(ids)] = ids
+        if len(ids) <= config.leaf_size:
+            leaf_list.append((start, len(ids), False))
+        else:
+            nodes.append((start, ids))
+
+    admit(0, points.copy())
+    while nodes:
+        level, nodes = nodes, []
+        sizes = np.array([len(ids) for _, ids in level])
+        local = X[np.concatenate([ids for _, ids in level])]
+        directions = rptree.choose_directions(local, sizes, config.strategy, rng)
+        left, _, _, split = rptree._cut_segments(local, sizes, directions, rng)
+        offset = 0
+        for (start, ids), size, ok in zip(level, sizes.tolist(), split.tolist()):
+            side = left[offset : offset + size].tolist()
+            offset += size
+            if not ok:
+                leaf_list.append((start, size, True))
+                continue
+            left_ids = [i for i, goes_left in zip(ids.tolist(), side) if goes_left]
+            right_ids = [i for i, goes_left in zip(ids.tolist(), side) if not goes_left]
+            admit(start, np.array(left_ids, dtype=np.int64))
+            admit(start + len(left_ids), np.array(right_ids, dtype=np.int64))
+    leaf_list.sort()
+    return rptree.Tree(
+        points=points,
+        leaf_sizes=np.array([size for _, size, _ in leaf_list], dtype=np.int64),
+        degenerate=np.array([frozen for _, _, frozen in leaf_list], dtype=bool),
+    )
+
+
+def vertical_directions(points, sizes, strategy, rng):
+    """Direction (0, 1) for every node: flat-in-y points all project to 0."""
+    return np.tile([0.0, 1.0], (len(sizes), 1))
+
+
+REFERENCE_INPUTS = {
+    "blobs": lambda rng: rng.normal(size=(700, 3)) + rng.integers(0, 3, size=(700, 1)) * 4.0,
+    "duplicates": lambda rng: np.vstack(
+        [np.repeat(rng.normal(size=(1, 2)), 40, axis=0), rng.normal(size=(200, 2))]
+    )[rng.permutation(240)],
+}
+
+
+@pytest.mark.parametrize("strategy", ["random", "bestof:3", "pca"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_build_tree_matches_the_per_node_reference(strategy, name, seed):
+    X = REFERENCE_INPUTS[name](np.random.default_rng(seed))
+    config = TreeConfig(leaf_size=6, strategy=strategy)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = build_tree(X, config, rng=got_rng), reference_build(X, config, want_rng)
+    assert same_tree(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if name == "duplicates":
+        assert got.degenerate.any()  # the 40 copies freeze
+
+
+def test_build_tree_matches_the_per_node_reference_when_nodes_split_on_a_retry(monkeypatch):
+    # Every node's first direction sees none of the spread, so every node
+    # splits on a retry or, past the retries, freezes.
+    monkeypatch.setattr(rptree, "choose_directions", vertical_directions)
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(size=300), np.zeros(300)])
+    config = TreeConfig(leaf_size=5)
+    got_rng, want_rng = np.random.default_rng(6), np.random.default_rng(6)
+    got, want = build_tree(X, config, rng=got_rng), reference_build(X, config, want_rng)
+    assert same_tree(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert len(got.leaf_sizes) > 30
+
+
 # --- splitting ---
 
 
