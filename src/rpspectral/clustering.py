@@ -1,4 +1,4 @@
-"""K-means, agreement scoring, and a dense spectral reference pipeline.
+"""K-means, agreement scoring, and a dense spectral reference.
 
 The k-means here is deliberately plain Lloyd iteration with distance-weighted
 seeding; every tie is broken toward the lower index so runs are reproducible
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .siamese import heat_kernel, pairwise_distances, select_bandwidth
 
 _ORACLE_LIMIT = 2000  # dense eigendecomposition guard
 # Lloyd runs per kmeans call (the lowest scatter wins), the iteration cap of
@@ -152,35 +151,24 @@ def ari(first, second):
     return numerator / denominator
 
 
-def spectral_oracle(X, n_clusters, bandwidth=None, seed=0):
-    """Reference clustering by dense Laplacian eigenvectors.
+def spectral_oracle(affinity, n_clusters):
+    """Dense eigensolver reference for the spectral net.
 
-    Builds the heat-kernel affinity on raw pairwise distances, takes the
-    n_clusters smallest eigenvectors of the unnormalized Laplacian, and
-    k-means them. Restricted to small inputs; exists to cross-check the
-    trained pipeline, so it shares no training code with it.
-
-    The default bandwidth is the median of all pairwise distances — a
-    global scale. When clusters sit far apart that median is dominated by
-    between-cluster distances and oversmooths the kernel, so pass a local
-    scale (a median nearest-neighbor distance works well) explicitly in
-    that situation.
+    Solves the exact (n, n) ``affinity`` it is handed, with no graph of its
+    own: returns all n eigenvalues of the unnormalized Laplacian
+    diag(row sums) - affinity, ascending, and the bottom ``n_clusters``
+    eigenvectors as columns. Labels are one ``kmeans`` call away. Restricted
+    to small inputs, since the decomposition is dense.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = len(X)
+    affinity = np.asarray(affinity, dtype=np.float64)
+    if affinity.ndim != 2 or affinity.shape[0] != affinity.shape[1]:
+        raise InputError(f"affinity must be a square matrix, got {affinity.shape}")
+    n = len(affinity)
     if n > _ORACLE_LIMIT:
-        raise InputError(
-            f"reference pipeline is dense; {n} points exceed {_ORACLE_LIMIT}"
-        )
-    if n_clusters > n:
-        raise InputError(f"n_clusters={n_clusters} exceeds {n} points")
+        raise InputError(f"the oracle is dense; {n} points exceed {_ORACLE_LIMIT}")
+    if not 1 <= n_clusters <= n:
+        raise InputError(f"n_clusters={n_clusters} is outside 1..{n}")
 
-    distances = pairwise_distances(X)
-    if bandwidth is None:
-        off_diag = distances[np.triu_indices(n, k=1)]
-        bandwidth = select_bandwidth(off_diag)
-    affinity = heat_kernel(distances, bandwidth)
     laplacian = np.diag(affinity.sum(axis=1)) - affinity
-    _, vectors = np.linalg.eigh(laplacian)
-    embedding = vectors[:, :n_clusters]
-    return kmeans(embedding, n_clusters, np.random.default_rng(seed)).labels
+    eigenvalues, vectors = np.linalg.eigh(laplacian)
+    return eigenvalues, vectors[:, :n_clusters]

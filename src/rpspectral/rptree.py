@@ -88,8 +88,11 @@ def random_directions(shape, rng):
     """Directions uniform on the unit sphere, normalized Gaussian draws.
 
     ``shape`` ends with the dimension; one ``standard_normal`` call draws them
-    all, and any draw too short to normalize is drawn again.
+    all, and any draw too short to normalize is drawn again. A dimension
+    below 1 has no unit vector to draw and raises InputError.
     """
+    if shape[-1] < 1:
+        raise InputError(f"directions need a dimension of at least 1, got {shape[-1]}")
     v = rng.standard_normal(shape)
     norms = np.linalg.norm(v, axis=-1)
     short = norms <= 1e-12

@@ -15,6 +15,7 @@ from rpspectral.clustering import (
 )
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import InputError
+from rpspectral.siamese import heat_kernel, pairwise_distances, select_bandwidth
 
 
 def enumerate_confusion(first, second):
@@ -179,25 +180,67 @@ def test_kmeans_errors():
 # --- dense spectral reference ---
 
 
+def raw_heat_graph(X, bandwidth=None):
+    """Heat kernel on raw distances; the bandwidth defaults to the median
+    over all pairs."""
+    distances = pairwise_distances(X)
+    if bandwidth is None:
+        bandwidth = select_bandwidth(distances[np.triu_indices(len(X), k=1)])
+    return heat_kernel(distances, bandwidth)
+
+
+def oracle_labels(A, n_clusters):
+    _, vectors = spectral_oracle(A, n_clusters)
+    return kmeans(vectors, n_clusters, np.random.default_rng(0)).labels
+
+
 def test_oracle_recovers_blobs():
     X, y = generate_synthetic(SyntheticSpec(kind="blobs", n=150, noise=0.05, seed=1))
-    labels = spectral_oracle(X, 3)
-    assert ari(y, labels) == 1.0
+    assert ari(y, oracle_labels(raw_heat_graph(X), 3)) == 1.0
 
 
 def test_oracle_is_deterministic():
     X, _ = generate_synthetic(SyntheticSpec(kind="blobs", n=90, noise=0.1, seed=2))
-    assert np.array_equal(spectral_oracle(X, 3, seed=4), spectral_oracle(X, 3, seed=4))
+    A = raw_heat_graph(X)
+    first, second = spectral_oracle(A, 3), spectral_oracle(A, 3)
+    assert np.array_equal(first[0], second[0])
+    assert np.array_equal(first[1], second[1])
 
 
 def test_oracle_size_guards():
-    with pytest.raises(InputError, match="^reference pipeline is dense; 2001 points exceed 2000$"):
-        spectral_oracle(np.zeros((2001, 2)), 2)
-    with pytest.raises(InputError, match="^n_clusters=6 exceeds 5 points$"):
-        spectral_oracle(np.zeros((5, 2)), 6)
+    with pytest.raises(InputError, match="^the oracle is dense; 2001 points exceed 2000$"):
+        spectral_oracle(np.broadcast_to(0.0, (2001, 2001)), 2)
+    with pytest.raises(InputError, match=r"^n_clusters=6 is outside 1\.\.5$"):
+        spectral_oracle(np.zeros((5, 5)), 6)
+    with pytest.raises(InputError, match=r"^affinity must be a square matrix, got \(5, 2\)$"):
+        spectral_oracle(np.zeros((5, 2)), 2)
 
 
-def test_oracle_accepts_explicit_bandwidth():
+def test_oracle_recovers_blobs_at_an_explicit_bandwidth():
     X, y = generate_synthetic(SyntheticSpec(kind="blobs", n=120, noise=0.05, seed=3))
-    labels = spectral_oracle(X, 3, bandwidth=0.5)
-    assert ari(y, labels) == 1.0
+    assert ari(y, oracle_labels(raw_heat_graph(X, bandwidth=0.5), 3)) == 1.0
+
+
+def test_oracle_on_disconnected_blocks_is_exact():
+    # A graph of g components has g zero Laplacian eigenvalues, and their
+    # eigenvectors span the g component indicators.
+    rng = np.random.default_rng(5)
+    sizes = [7, 12, 4, 9]
+    n, g = sum(sizes), len(sizes)
+    A = np.zeros((n, n))
+    indicators = np.zeros((n, g))
+    start = 0
+    for c, size in enumerate(sizes):
+        block = rng.uniform(0.1, 1.0, size=(size, size))
+        A[start : start + size, start : start + size] = block + block.T
+        indicators[start : start + size, c] = 1.0
+        start += size
+    np.fill_diagonal(A, 0.0)
+
+    eigenvalues, vectors = spectral_oracle(A, g)
+    assert eigenvalues.shape == (n,) and vectors.shape == (n, g)
+    assert np.all(np.diff(eigenvalues) >= 0)
+    assert np.abs(eigenvalues[:g]).max() < 1e-12
+    assert eigenvalues[g] > 0.1
+    # Projecting the indicators onto the returned columns leaves them whole.
+    assert np.allclose(vectors @ (vectors.T @ indicators), indicators, atol=1e-12)

@@ -197,6 +197,13 @@ def test_random_direction_is_unit():
         assert np.allclose(np.linalg.norm(d, axis=-1), 1.0, atol=1e-9)
 
 
+def test_zero_length_directions_are_refused():
+    # Every draw on a zero-length axis has norm 0, so redrawing short ones
+    # would never end.
+    with pytest.raises(InputError, match="^directions need a dimension of at least 1, got 0$"):
+        random_directions((2, 0), np.random.default_rng(0))
+
+
 def segments(*parts):
     """The rows of ``parts`` laid end to end, and their sizes."""
     return np.concatenate(parts), np.array([len(p) for p in parts])
@@ -461,6 +468,13 @@ def test_split_duplicates_raises():
         InputError, match="^no separating direction found for 6 points after 3 retries$"
     ):
         split_node(np.arange(6), X, np.array([1.0, 0.0]), rng)
+
+
+def test_split_without_coordinates_raises():
+    # The zero-length direction splits nothing, and a retry has no direction
+    # to draw.
+    with pytest.raises(InputError, match="^directions need a dimension of at least 1, got 0$"):
+        split_node(np.arange(3), np.zeros((3, 0)), np.empty(0), np.random.default_rng(0))
 
 
 def test_tree_config_validation():
