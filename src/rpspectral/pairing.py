@@ -4,16 +4,23 @@ Pairs are unordered, deduplicated, and self-pair free. The raw directed count
 (before merging) is kept alongside: n*k for k-nn, the sum of squared leaf
 sizes for tree leaves.
 
-Each polarity is built inside the array it is returned in. Every pair is
-written straight into one int64 key ``min * width + max``; the keys are
-sorted in place, repeats are compacted forward, and each key decodes into the
-int32 (lo, hi) row that occupies its own 8 bytes, so no (rows, 2)
-intermediate or second copy is built. The width is a power of two (see
-``_key_width``), so a key decodes by a shift and a mask, not a division.
-The tree route writes each pair once, so its keys are exactly its output;
-the k-nn route's n * k keys shrink in place to its output. Past that, the
-tree route holds one group of raw pairs (one leaf size, or one partner-leaf
-size) at a time, and the decode one block of ``_KEY_BLOCK`` keys.
+The tree route sorts no pair keys. A built tree lists each leaf's members
+in ascending order (see ``Tree``), so a point's partners above it are the
+tail of one sorted list: its own leaf for positives, the union of the leaves
+its leaf meets for negatives. Building those unions takes one sort of about
+2n keys, and the rows are then written point by point in their final order,
+``_KEY_BLOCK`` rows at a time, straight into the returned array. At n=40k
+(leaf size 20, 0.76M pairs, 5.8 MiB of int32 rows) its traced peak is the
+output plus 1.7 MiB.
+
+The k-nn route builds each polarity inside the array it is returned in.
+Every pair is written straight into one int64 key ``min * width + max``; the
+keys are sorted in place, repeats are compacted forward, and each key
+decodes into the int32 (lo, hi) row that occupies its own 8 bytes, so no
+(rows, 2) intermediate or second copy is built. The width is a power of two
+(see ``_key_width``), so a key decodes by a shift and a mask, not a
+division. Its n * k keys shrink in place to its output, and past them the
+decode holds one block of ``_KEY_BLOCK`` keys.
 
 The k-nn search is exact without scanning all n^2 distances: kd leaves with
 bounding boxes prune the points that cannot be a neighbor (Friedman, Bentley
@@ -39,8 +46,9 @@ _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int32)
 # pair sets (the benchmark keeps every operation's) holds half the bytes of
 # int64: 5.9 instead of 11.8 MiB per n=40k rptree pair set.
 _INT32_WIDTH = 1 << 31
-# Keys per block of the forward compaction and the in-place decode: each
-# block's temporaries (the kept keys, the decode's copy of its input) stay
+# Keys per block of the forward compaction and the in-place decode, and rows
+# per block of the tree route's emitter: each block's temporaries (the kept
+# keys, the decode's copy of its input, the emitter's row sources) stay
 # within 256 KiB whatever the number of pairs.
 _KEY_BLOCK = 1 << 15
 # Entries per temporary in _knn_indices: 2 MiB of float64, so the Gram
@@ -142,10 +150,13 @@ def knn_pairs(X, k, rng) -> PairSet:
     positives = _pairs_from_keys(keys, width)
 
     # Point i's excluded set is excluded[bounds[i]:bounds[i + 1]], sorted.
-    owner = np.concatenate([positives[:, 0], positives[:, 1], points])
-    excluded = np.concatenate([positives[:, 1], positives[:, 0], points])
-    order = np.lexsort((excluded, owner))
-    owner, excluded = owner[order], excluded[order]
+    # The (owner, excluded) rows are distinct, so one sort of their keys
+    # orders them as a lexsort would.
+    keys = np.concatenate([positives[:, 0], positives[:, 1], points])
+    keys *= width
+    keys += np.concatenate([positives[:, 1], positives[:, 0], points])
+    keys.sort()
+    owner, excluded = _split_keys(keys, width)
     bounds = np.searchsorted(owner, np.arange(n + 1))
     # Subtracting each excluded point's rank within its set leaves the number
     # of candidates below it, so candidate rank r is r plus the count of
@@ -456,24 +467,69 @@ def rptree_pairs(tree, rng) -> PairSet:
     single leaf there is nothing to pair against; negatives come back empty
     with a warning attached.
 
-    Both polarities are keyed from ``tree.points``, every leaf's members laid
-    out leaf after leaf, and each pair is keyed once: see ``_positive_keys``
-    and ``_negative_keys``.
+    No key is sorted: both polarities are written point by point in their
+    final order, ascending points each followed by its ascending partners
+    above it (see ``_emit_rows``). Those partners are the tail of one sorted
+    list: the point's own leaf for positives, and for negatives the union of
+    the leaves its leaf meets (see ``_met_keys``). Rows hold int32 indices
+    up to index 2^31 - 1, int64 past it.
     """
-    members, sizes = tree.points, tree.leaf_sizes
+    sizes = tree.leaf_sizes
     # Ordered-with-self convention of the estimate.
     raw_count = int((sizes * sizes).sum())
     starts = np.cumsum(sizes) - sizes
-    width = _key_width(int(members.max(initial=0)) + 1)
+    n = len(tree.points)
+    # Each leaf's members ascending, as ``build_tree`` lays them out (see
+    # ``Tree``); a tree built otherwise is sorted within its leaves first.
+    members = tree.points
+    leaf = np.repeat(np.arange(len(sizes)), sizes)
+    if not ((members[1:] > members[:-1]) | (leaf[1:] != leaf[:-1])).all():
+        members = members[np.lexsort((members, leaf))]
+    del leaf
+    top = int(members.max(initial=0))
+    dtype = np.int32 if top < _INT32_WIDTH else np.int64
+    # The positions of the points in ascending index order, the order their
+    # rows are written in.
+    if top + 1 == n:
+        order = np.empty(n, dtype=np.int64)
+        order[members] = np.arange(n)
+    else:
+        order = np.argsort(members)
+    firsts = np.take(members, order).astype(dtype)
 
-    positives = _pairs_from_keys(_positive_keys(members, sizes, starts, width), width)
+    # A point's positives are the members after it in its leaf.
+    begin = order + 1
+    counts = np.take(np.repeat(starts + sizes, sizes), order)
+    counts -= begin
+    positives = _emit_rows(firsts, begin, counts, members.astype(dtype))
+    del begin, counts
     warning = None
     if len(sizes) < 2:
         negatives = _EMPTY_PAIRS
         warning = "tree has a single leaf; no negative pairs generated"
     else:
-        partner = _partner_leaves(len(sizes), rng)
-        negatives = _pairs_from_keys(_negative_keys(members, sizes, starts, partner, width), width)
+        # A point's negatives are the members above it in its leaf's union.
+        width = _key_width(top + 1)
+        met = _met_keys(members, sizes, starts, _partner_leaves(len(sizes), rng), width)
+        leaf_keys = np.arange(len(sizes)) * width
+        # The queries ascend in tree order, which searchsorted walks several
+        # times faster than queries in random order.
+        queries = np.repeat(leaf_keys, sizes)
+        queries += members
+        begin = np.take(np.searchsorted(met, queries, side="right"), order)
+        del queries
+        counts = np.take(np.repeat(np.searchsorted(met, leaf_keys + width), sizes), order)
+        counts -= begin
+        # Each key decodes in place to its member (see ``_split_keys``). The
+        # keys and ``order`` go before the output is made, so that past it
+        # the emitter holds only its inputs and one block.
+        if width & (width - 1):
+            met %= width
+        else:
+            met &= width - 1
+        met = met.astype(dtype)
+        del order
+        negatives = _emit_rows(firsts, begin, counts, met)
     return PairSet(
         positives=positives,
         negatives=negatives,
@@ -482,52 +538,56 @@ def rptree_pairs(tree, rng) -> PairSet:
     )
 
 
-def _positive_keys(members, sizes, starts, width):
-    """The key of every within-leaf pair: one (leaves, s) block per leaf size s."""
-    keys = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.int64)
-    filled = 0
-    for s in _distinct_sizes(sizes, 2):
-        # Each block row sorted, column a < b holds the smaller index.
-        block = np.sort(members[starts[sizes == s][:, None] + np.arange(s)], axis=1)
-        a, b = np.triu_indices(s, k=1)
-        out = keys[filled : filled + len(block) * len(a)].reshape(len(block), len(a))
-        np.multiply(block[:, a], width, out=out)
-        out += block[:, b]
-        filled += out.size
+def _met_keys(members, sizes, starts, partner, width):
+    """Keys ``leaf * width + member`` of the members each leaf meets, sorted.
+
+    A leaf meets its partner leaf when it contributes their cross product,
+    and every leaf that drew it and contributes theirs. Two leaves that drew
+    each other share one cross product, which only the lower-numbered of
+    them contributes; no other two leaves' products meet, so no negative is
+    met twice. Leaf x's run of keys is therefore its ascending union.
+    """
+    ids = np.arange(len(sizes))
+    gives = (partner[partner] != ids) | (ids < partner)
+    givers = np.flatnonzero(gives)
+    drawn = partner[givers]
+    # A giver meets its partner's members, and the partner the giver's.
+    keys = np.concatenate(
+        [
+            np.repeat(givers * width, sizes[drawn])
+            + members[_members(starts[drawn], sizes[drawn])],
+            np.repeat(drawn * width, sizes[givers]) + members[np.repeat(gives, sizes)],
+        ]
+    )
+    keys.sort()
     return keys
 
 
-def _negative_keys(members, sizes, starts, partner, width):
-    """The key of every pair across a leaf and its partner leaf, each once.
+def _emit_rows(firsts, begin, counts, source):
+    """Rows ``(firsts[t], source[begin[t] + r])`` for ``r < counts[t]``, t ascending.
 
-    Two leaves that drew each other share one cross product, which only the
-    lower-numbered of them contributes; no other two leaves' products meet.
-    Every member meets each member of its leaf's partner leaf; members whose
-    partner leaf has t members form one (members, t) block.
+    Written into one (count, 2) array of ``source``'s dtype, block by block:
+    a block holds up to ``_KEY_BLOCK`` points and about as many rows (more
+    only where one point has more rows), so that past the output the
+    temporaries stay block-sized. ``begin`` and ``counts`` are taken over.
     """
-    leaf = np.arange(len(sizes))
-    gives = (partner[partner] != leaf) | (leaf < partner)
-    partner_size = np.repeat(np.where(gives, sizes[partner], 0), sizes)
-    partner_start = np.repeat(starts[partner], sizes)
-    keys = np.empty(int(partner_size.sum()), dtype=np.int64)
-    filled = 0
-    for t in _distinct_sizes(partner_size, 1):
-        group = np.flatnonzero(partner_size == t)
-        theirs = members[(partner_start[group, None] + np.arange(t)).reshape(-1)]
-        own = np.repeat(members[group], t)
-        _write_keys(own, theirs, width, keys[filled : filled + len(own)])
-        filled += len(own)
-    return keys
-
-
-def _distinct_sizes(sizes, least):
-    """The distinct values of ``sizes`` from ``least`` on, ascending, as ints.
-
-    Counted with ``np.bincount``, whose length is the largest size plus one:
-    at most n + 1, as a degenerate leaf can hold all n points. (``np.unique``
-    would import ``numpy.ma`` on its first call in a process.)
-    """
-    return (np.flatnonzero(np.bincount(sizes)[least:]) + least).tolist()
+    # Row r of point t reads source[r + begin[t] - (first row of t)].
+    begin += counts
+    row_ends = np.cumsum(counts, out=counts)
+    begin -= row_ends
+    out = np.empty((int(row_ends[-1]) if len(row_ends) else 0, 2), dtype=source.dtype)
+    first = row = 0
+    while row < len(out):
+        last = int(np.searchsorted(row_ends, row + _KEY_BLOCK, side="right"))
+        last = min(max(first + 1, last), first + _KEY_BLOCK)
+        stop = int(row_ends[last - 1])
+        taken = np.diff(row_ends[first:last], prepend=row)
+        out[row:stop, 0] = np.repeat(firsts[first:last], taken)
+        at = np.repeat(begin[first:last], taken)
+        at += np.arange(row, stop)
+        out[row:stop, 1] = np.take(source, at)
+        first, row = last, stop
+    return out
 
 
 def _partner_leaves(count, rng):
@@ -546,6 +606,14 @@ def _key_width(count):
     if count > _INT32_WIDTH:
         return count
     return 1 << max(count - 1, 0).bit_length()
+
+
+def _split_keys(keys, width):
+    """The (key // width, key % width) parts of ``keys``, by shift and mask
+    when ``width`` is a power of two."""
+    if width & (width - 1):
+        return np.divmod(keys, width)
+    return keys >> (width.bit_length() - 1), keys & (width - 1)
 
 
 def _write_keys(a, b, width, out):

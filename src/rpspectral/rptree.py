@@ -67,6 +67,11 @@ class Tree:
     flags the leaves frozen because no direction could separate their points
     (duplicates); those may exceed the leaf size bound. A tree with L leaves
     was cut L - 1 times; the cuts themselves are not kept.
+
+    ``build_tree`` lists each leaf's members in ascending index order: it
+    starts from ``arange(n)`` and every partition it makes is stable.
+    ``rptree_pairs`` emits its pairs in order from that layout, and sorts
+    the leaves of a tree laid out otherwise first.
     """
 
     points: np.ndarray  # (n,) int64

@@ -47,7 +47,9 @@ class SpectralConfig:
     learning_rate: float = 1e-3
     learning_rate_schedule: str = "constant"  # or "cosine" (decay to zero)
     restarts: int = 1  # train this many nets, keep the lowest-loss one
-    features: str = "raw"  # or "twin": the pipeline feeds the twin embedding
+    # Or "twin". Only run_pipeline reads it: there "twin" feeds the net the
+    # twin embedding. train_spectralnet trains on the features it is given.
+    features: str = "raw"
 
     def validate(self):
         if self.n_clusters < 1:
@@ -212,10 +214,12 @@ _SELECTION_TAIL = 10  # gradient losses averaged when ranking restarts
 def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     """Train on the whitened Laplacian loss, one batch per step.
 
-    ``features`` is the (n, d) matrix the net reads. ``affinity(rows)``
-    returns the (m, m) float64 affinity of the feature rows ``rows``, an
-    integer index array; ``spectral_loss`` refuses one of another shape with
-    InputError.
+    ``features`` is the (n, d) matrix the net reads; ``config.features`` is
+    not read here. Only ``run_pipeline`` acts on ``"twin"``, by passing the
+    twin embedding, so a direct call trains on the features it is given.
+    ``affinity(rows)`` returns the (m, m) float64 affinity of the feature
+    rows ``rows``, an integer index array; ``spectral_loss`` refuses one of
+    another shape with InputError.
 
     Each of the ``total_steps // 2`` steps (a step counts as one whitening
     plus one gradient update) takes one batch: every row in natural order

@@ -407,12 +407,14 @@ HAND_TREES = {
     "degenerate": hand_tree([0, 1], np.arange(2, 14)[::-1], [14], degenerate=[1]),
     "single-leaf": hand_tree([5, 3, 0, 1, 4, 2]),
     "single-point": hand_tree([0]),
+    "empty-leaves": hand_tree([7, 2], [], [4, 1, 0, 3], []),
+    "no-points": hand_tree([]),
 }
 
 
 def test_two_leaf_tree_negatives_are_the_cross_product_once_each():
-    # Two leaves always draw each other; their shared cross product is keyed
-    # once, so the negatives fill their buffer with no repeat compacted out.
+    # Two leaves always draw each other; their shared cross product is
+    # written once, so the negatives fill their own array with no repeat.
     left, right = [6, 0, 3], [5, 1, 7, 2, 4]
     tree = hand_tree(left, right)
     for seed in range(3):
@@ -430,6 +432,81 @@ def test_rptree_pairs_match_reference_loop(name, seed):
     assert_same_pairs(
         rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
     )
+
+
+def seed_drawing(count, holds):
+    """The least seed whose partner draw over ``count`` leaves satisfies ``holds``."""
+    return next(s for s in range(1000) if holds(_partner_leaves(count, np.random.default_rng(s))))
+
+
+def drawn_by_two(partner):
+    return np.bincount(partner, minlength=len(partner)).max() >= 2
+
+
+def has_mutual_pair(partner):
+    return (partner[partner] == np.arange(len(partner))).any()
+
+
+def any_draw(partner):
+    return True
+
+
+# Hand trees laid out as build_tree lays them out, each leaf ascending, with
+# the partner draw each needs.
+ASCENDING_TREES = {
+    "a-leaf-drawn-by-two": (
+        hand_tree([1, 4, 9], [0, 6], [2, 3, 7, 11], [5, 8, 10]),
+        drawn_by_two,
+    ),
+    "a-mutual-pair": (hand_tree([0, 5], [1, 2, 7], [3, 6], [4, 8, 9]), has_mutual_pair),
+    "size-1-leaves": (hand_tree([4], [0, 2, 5], [1], [3], [6]), any_draw),
+    "degenerate-above-the-leaf-size": (
+        hand_tree([3, 9], np.arange(10, 40), [0, 1, 2, 4, 5], [6, 7, 8], degenerate=[1]),
+        any_draw,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASCENDING_TREES))
+def test_rptree_pairs_match_reference_on_ascending_hand_trees(name):
+    tree, holds = ASCENDING_TREES[name]
+    assert all((np.diff(leaf) > 0).all() for leaf in leaves(tree))
+    seed = seed_drawing(len(tree.leaf_sizes), holds)
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_pairs(
+        rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 16])
+def test_rptree_pairs_match_reference_in_small_emitter_blocks(block, monkeypatch):
+    # Blocks end mid-leaf, one point can hold more rows than a block, and
+    # runs of points with no positives can fill a block's point budget.
+    monkeypatch.setattr(pairing, "_KEY_BLOCK", block)
+    X = np.random.default_rng(8).normal(size=(150, 2))
+    X = np.vstack([X, np.repeat(X[:1], 12, axis=0)])
+    trees = [
+        build_tree(X, TreeConfig(leaf_size=4), rng=np.random.default_rng(8)),
+        hand_tree(*([i] for i in range(0, 40, 2)), list(range(1, 40, 2))),
+    ]
+    for tree in trees:
+        got_rng, want_rng = np.random.default_rng(9), np.random.default_rng(9)
+        assert_same_pairs(
+            rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng), got_rng, want_rng
+        )
+
+
+def test_rptree_pairs_past_int32_indices_come_back_int64():
+    # Indices from 2^31 on, spread over fewer points than the top index.
+    base = 2**31 - 4
+    tree = hand_tree(base + np.array([1, 9]), base + np.array([0, 4, 5]), base + np.array([2, 13]))
+    for seed in range(3):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng)
+        for name in ("positives", "negatives"):
+            assert getattr(got, name).dtype == np.int64
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_partner_leaves_are_other_leaves_drawn_uniformly():

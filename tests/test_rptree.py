@@ -384,6 +384,33 @@ def test_build_tree_matches_the_per_node_reference_when_nodes_split_on_a_retry(m
     assert len(got.leaf_sizes) > 30
 
 
+def ascending_leaves(tree):
+    """Whether every leaf lists its members in ascending index order."""
+    return all((np.diff(leaf) > 0).all() for leaf in leaves(tree))
+
+
+@pytest.mark.parametrize("strategy", ["random", "bestof:3", "pca"])
+@pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_leaf_lists_its_members_in_ascending_order(strategy, name, seed):
+    # rptree_pairs writes its rows in order from this layout.
+    X = REFERENCE_INPUTS[name](np.random.default_rng(seed))
+    config = TreeConfig(leaf_size=6, strategy=strategy)
+    tree = build_tree(X, config, rng=np.random.default_rng(seed))
+    assert ascending_leaves(tree)
+    if name == "duplicates":
+        assert tree.degenerate.any()  # the 40 copies freeze, in order too
+
+
+def test_each_leaf_lists_its_members_in_ascending_order_when_nodes_split_on_a_retry(monkeypatch):
+    monkeypatch.setattr(rptree, "choose_directions", vertical_directions)
+    rng = np.random.default_rng(5)
+    X = np.column_stack([rng.normal(size=300), np.zeros(300)])
+    tree = build_tree(X, TreeConfig(leaf_size=5), rng=np.random.default_rng(6))
+    assert ascending_leaves(tree)
+    assert len(tree.leaf_sizes) > 30
+
+
 # --- splitting ---
 
 
