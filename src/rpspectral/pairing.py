@@ -9,18 +9,15 @@ in ascending order (see ``Tree``), so a point's partners above it are the
 tail of one sorted list: its own leaf for positives, the union of the leaves
 its leaf meets for negatives. Building those unions takes one sort of about
 2n keys, and the rows are then written point by point in their final order,
-``_KEY_BLOCK`` rows at a time, straight into the returned array. At n=40k
+``_ROW_BLOCK`` rows at a time, straight into the returned array. At n=40k
 (leaf size 20, 0.76M pairs, 5.8 MiB of int32 rows) its traced peak is the
 output plus 1.7 MiB.
 
-The k-nn route builds each polarity inside the array it is returned in.
-Every pair is written straight into one int64 key ``min * width + max``; the
-keys are sorted in place, repeats are compacted forward, and each key
-decodes into the int32 (lo, hi) row that occupies its own 8 bytes, so no
-(rows, 2) intermediate or second copy is built. The width is a power of two
-(see ``_key_width``), so a key decodes by a shift and a mask, not a
-division. Its n * k keys shrink in place to its output, and past them the
-decode holds one block of ``_KEY_BLOCK`` keys.
+The k-nn route keys each pair ``min * width + max`` in one int64, sorts
+the keys, keeps the first of each run of equal keys and decodes the kept
+ones by a shift and a mask into int32 rows (see ``_unique_pairs``); the
+width is a power of two (see ``_key_width``). Mined rows are int32 on both
+routes, and point ids from 2^31 on are refused with InputError.
 
 The k-nn search is exact without scanning all n^2 distances: kd leaves with
 bounding boxes prune the points that cannot be a neighbor (Friedman, Bentley
@@ -42,15 +39,13 @@ from .rptree import check_finite
 from .serialize import write_csv
 
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.int32)
-# Widest index range whose pairs come back as int32. A caller that keeps many
-# pair sets (the benchmark keeps every operation's) holds half the bytes of
-# int64: 5.9 instead of 11.8 MiB per n=40k rptree pair set.
+# Point ids the int32 rows of a mined pair set can hold. A caller that keeps
+# many pair sets (the benchmark keeps every operation's) holds half the bytes
+# of int64 rows: 5.9 instead of 11.8 MiB per n=40k rptree pair set.
 _INT32_WIDTH = 1 << 31
-# Keys per block of the forward compaction and the in-place decode, and rows
-# per block of the tree route's emitter: each block's temporaries (the kept
-# keys, the decode's copy of its input, the emitter's row sources) stay
-# within 256 KiB whatever the number of pairs.
-_KEY_BLOCK = 1 << 15
+# Rows per block of the tree route's emitter: each block's temporaries (its
+# row sources) stay within 256 KiB whatever the number of pairs.
+_ROW_BLOCK = 1 << 15
 # Entries per temporary in _knn_indices: 2 MiB of float64, so the Gram
 # fallback's two reused block buffers, np.partition's copy and the <= mask,
 # and each group of candidate pairs, stay a few MiB at any n.
@@ -70,7 +65,7 @@ _VALIDATE_WIDTH = 1 << 31
 class PairSet:
     """Positive and negative index pairs, each row (i, j) with i < j.
 
-    Mined pair sets hold int32 indices (int64 from 2^31 points on).
+    Mined pair sets hold int32 indices; point ids from 2^31 on are refused.
     """
 
     positives: np.ndarray
@@ -145,9 +140,7 @@ def knn_pairs(X, k, rng) -> PairSet:
 
     points = np.arange(n)
     width = _key_width(n)
-    keys = np.empty(n * k, dtype=np.int64)
-    _write_keys(np.repeat(points, k), _knn_indices(X, k).reshape(-1), width, keys)
-    positives = _pairs_from_keys(keys, width)
+    positives = _unique_pairs(np.repeat(points, k), _knn_indices(X, k).reshape(-1), width)
 
     # Point i's excluded set is excluded[bounds[i]:bounds[i + 1]], sorted.
     # The (owner, excluded) rows are distinct, so one sort of their keys
@@ -169,11 +162,9 @@ def knn_pairs(X, k, rng) -> PairSet:
     ranks = ranks[np.arange(ranks.shape[1]) < takes[:, None]]
     owners = np.repeat(points, takes)
     drawn = ranks + np.searchsorted(below, owners * n + ranks, side="right") - bounds[owners]
-    keys = np.empty(len(drawn), dtype=np.int64)
-    _write_keys(owners, drawn, width, keys)
     return PairSet(
         positives=positives,
-        negatives=_pairs_from_keys(keys, width),
+        negatives=_unique_pairs(owners, drawn, width),
         raw_positive_count=n * k,
     )
 
@@ -471,8 +462,9 @@ def rptree_pairs(tree, rng) -> PairSet:
     final order, ascending points each followed by its ascending partners
     above it (see ``_emit_rows``). Those partners are the tail of one sorted
     list: the point's own leaf for positives, and for negatives the union of
-    the leaves its leaf meets (see ``_met_keys``). Rows hold int32 indices
-    up to index 2^31 - 1, int64 past it.
+    the leaves its leaf meets (see ``_met_keys``). Rows hold int32 indices;
+    a tree with a point id from 2^31 on raises InputError before any row is
+    written.
     """
     sizes = tree.leaf_sizes
     # Ordered-with-self convention of the estimate.
@@ -487,7 +479,7 @@ def rptree_pairs(tree, rng) -> PairSet:
         members = members[np.lexsort((members, leaf))]
     del leaf
     top = int(members.max(initial=0))
-    dtype = np.int32 if top < _INT32_WIDTH else np.int64
+    width = _key_width(top + 1)
     # The positions of the points in ascending index order, the order their
     # rows are written in.
     if top + 1 == n:
@@ -495,13 +487,13 @@ def rptree_pairs(tree, rng) -> PairSet:
         order[members] = np.arange(n)
     else:
         order = np.argsort(members)
-    firsts = np.take(members, order).astype(dtype)
+    firsts = np.take(members, order).astype(np.int32)
 
     # A point's positives are the members after it in its leaf.
     begin = order + 1
     counts = np.take(np.repeat(starts + sizes, sizes), order)
     counts -= begin
-    positives = _emit_rows(firsts, begin, counts, members.astype(dtype))
+    positives = _emit_rows(firsts, begin, counts, members.astype(np.int32))
     del begin, counts
     warning = None
     if len(sizes) < 2:
@@ -509,7 +501,6 @@ def rptree_pairs(tree, rng) -> PairSet:
         warning = "tree has a single leaf; no negative pairs generated"
     else:
         # A point's negatives are the members above it in its leaf's union.
-        width = _key_width(top + 1)
         met = _met_keys(members, sizes, starts, _partner_leaves(len(sizes), rng), width)
         leaf_keys = np.arange(len(sizes)) * width
         # The queries ascend in tree order, which searchsorted walks several
@@ -520,14 +511,11 @@ def rptree_pairs(tree, rng) -> PairSet:
         del queries
         counts = np.take(np.repeat(np.searchsorted(met, leaf_keys + width), sizes), order)
         counts -= begin
-        # Each key decodes in place to its member (see ``_split_keys``). The
-        # keys and ``order`` go before the output is made, so that past it
-        # the emitter holds only its inputs and one block.
-        if width & (width - 1):
-            met %= width
-        else:
-            met &= width - 1
-        met = met.astype(dtype)
+        # A key's low bits are its member, decoded in place. The keys and
+        # ``order`` go before the output is made, so that past it the
+        # emitter holds only its inputs and one block.
+        met &= width - 1
+        met = met.astype(np.int32)
         del order
         negatives = _emit_rows(firsts, begin, counts, met)
     return PairSet(
@@ -567,7 +555,7 @@ def _emit_rows(firsts, begin, counts, source):
     """Rows ``(firsts[t], source[begin[t] + r])`` for ``r < counts[t]``, t ascending.
 
     Written into one (count, 2) array of ``source``'s dtype, block by block:
-    a block holds up to ``_KEY_BLOCK`` points and about as many rows (more
+    a block holds up to ``_ROW_BLOCK`` points and about as many rows (more
     only where one point has more rows), so that past the output the
     temporaries stay block-sized. ``begin`` and ``counts`` are taken over.
     """
@@ -578,8 +566,8 @@ def _emit_rows(firsts, begin, counts, source):
     out = np.empty((int(row_ends[-1]) if len(row_ends) else 0, 2), dtype=source.dtype)
     first = row = 0
     while row < len(out):
-        last = int(np.searchsorted(row_ends, row + _KEY_BLOCK, side="right"))
-        last = min(max(first + 1, last), first + _KEY_BLOCK)
+        last = int(np.searchsorted(row_ends, row + _ROW_BLOCK, side="right"))
+        last = min(max(first + 1, last), first + _ROW_BLOCK)
         stop = int(row_ends[last - 1])
         taken = np.diff(row_ends[first:last], prepend=row)
         out[row:stop, 0] = np.repeat(firsts[first:last], taken)
@@ -597,94 +585,39 @@ def _partner_leaves(count, rng):
 
 
 def _key_width(count):
-    """The key width for indices in ``range(count)``.
+    """The least power of two not below ``count``, for point ids in ``range(count)``.
 
-    Up to ``_INT32_WIDTH`` it is the least power of two not below ``count``,
-    so a key decodes by shift and mask; past it, ``count`` itself, since a
-    power of two could take ``width**2`` past the int64 range.
+    A key ``lo * width + hi`` then decodes by a shift and a mask (see
+    ``_split_keys``). Ids from ``_INT32_WIDTH`` on do not fit the int32 rows
+    mining returns, so a ``count`` above it raises InputError.
     """
     if count > _INT32_WIDTH:
-        return count
+        raise InputError(f"point ids reach {count - 1}; pair mining takes ids below 2^31")
     return 1 << max(count - 1, 0).bit_length()
 
 
 def _split_keys(keys, width):
-    """The (key // width, key % width) parts of ``keys``, by shift and mask
-    when ``width`` is a power of two."""
-    if width & (width - 1):
-        return np.divmod(keys, width)
+    """The (key // width, key % width) parts of ``keys``; ``width`` is a power of two."""
     return keys >> (width.bit_length() - 1), keys & (width - 1)
 
 
-def _write_keys(a, b, width, out):
-    """Write each row's key ``min * width + max`` into ``out``; ``a`` is overwritten."""
-    np.minimum(a, b, out=out)
-    np.maximum(a, b, out=a)
-    out *= width
-    out += a
+def _unique_pairs(a, b, width):
+    """The distinct unordered pairs {a[t], b[t]} as sorted (lo, hi) int32 rows.
 
-
-def _pairs_from_keys(keys, width):
-    """The distinct rows (key // width, key % width) of ``keys``, sorted.
-
-    With keys ``lo * width + hi`` (indices nonnegative, ``width`` above every
-    ``hi``) key order is lexicographic row order, so the result equals
-    ``np.unique`` with ``axis=0`` on the (lo, hi) rows. The result is built
-    in ``keys``, which this takes over, so no other array may view it: it is
-    sorted in place, its distinct keys are moved to its front, and up to
-    ``_INT32_WIDTH``, where ``width`` is a power of two (see ``_key_width``),
-    each decodes by shift and mask into the int32 row that occupies its own
-    8 bytes. The result is then a view that fills ``keys``; a wider range
-    decodes by ``divmod`` into a separate int64 array.
+    Each pair is keyed ``lo * width + hi``, so with ``width`` from
+    ``_key_width`` key order is row order: the first key of each run of
+    equal sorted keys is kept and decoded into a fresh (count, 2) array.
+    The same rows as ``np.unique`` with ``axis=0``, which would import
+    ``numpy.ma``.
     """
-    if not len(keys):
-        return _EMPTY_PAIRS
+    keys = np.minimum(a, b) * width + np.maximum(a, b)
     keys.sort()
-    count = _drop_repeats(keys)
-    if width > _INT32_WIDTH:
-        out = np.empty((count, 2), dtype=np.int64)
-        np.divmod(keys[:count], width, out=(out[:, 0], out[:, 1]))
-        return out
-    if count < len(keys):
-        # Shrunk in place, so that a kept pair set holds no bytes of its
-        # repeats. The check for other views is skipped, as the caller still
-        # names ``keys``; there are none.
-        keys.resize(count, refcheck=False)
-    out = keys.view(np.int32).reshape(count, 2)
-    shift = width.bit_length() - 1
-    # The rows share their bytes with the keys they decode, so each block of
-    # keys is copied out first, into one block-sized buffer.
-    copy = np.empty(min(count, _KEY_BLOCK), dtype=np.int64)
-    for start in range(0, count, _KEY_BLOCK):
-        rows = out[start : start + _KEY_BLOCK]
-        block = copy[: len(rows)]
-        np.copyto(block, keys[start : start + len(rows)])
-        np.right_shift(block, shift, out=rows[:, 0])
-        np.bitwise_and(block, width - 1, out=rows[:, 1])
-    return out
-
-
-def _drop_repeats(keys):
-    """Move the distinct values of sorted ``keys`` to its front; return their count.
-
-    A forward compaction, ``_KEY_BLOCK`` keys at a time: a key is kept when
-    it differs from the one before it, which for a block's first key is the
-    last key kept so far. Until the first repeat every block is kept whole
-    where it already is, and is not written.
-    """
-    count = 0
-    for start in range(0, len(keys), _KEY_BLOCK):
-        block = keys[start : start + _KEY_BLOCK]
-        keep = np.empty(len(block), dtype=bool)
-        keep[0] = count == 0 or block[0] != keys[count - 1]
-        np.not_equal(block[1:], block[:-1], out=keep[1:])
-        if count == start and keep.all():
-            count += len(block)
-            continue
-        kept = block[keep]
-        keys[count : count + len(kept)] = kept
-        count += len(kept)
-    return count
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    rows = np.empty((int(keep.sum()), 2), dtype=np.int32)
+    rows[:, 0], rows[:, 1] = _split_keys(keys[keep], width)
+    return rows
 
 
 def save_pairs_csv(pairs: PairSet, positives_path, negatives_path):

@@ -118,19 +118,14 @@ def ortho_residual(Y, m):
 def orthogonalize(Y_raw):
     """Whiten a batch of raw outputs so the result satisfies Y^T Y = m I.
 
-    Returns (Y_ortho, transform), where ``Y_raw @ transform`` is Y_ortho. A
-    Gram matrix without a Cholesky factor is jittered once by ``_JITTER``
-    (relative to its mean eigenvalue). A single whitening pass is refined
-    with a second one when rounding (or the jitter itself) leaves the Gram
-    residual above ``_ORTHO_TOL * m``; batches whose outputs are genuinely
-    rank-deficient cannot be whitened and raise NumericalError.
+    Returns (Y_ortho, transform, residual), where ``Y_raw @ transform`` is
+    Y_ortho and ``residual`` is its ``ortho_residual``. A Gram matrix
+    without a Cholesky factor is jittered once by ``_JITTER`` (relative to
+    its mean eigenvalue). A single whitening pass is refined with a second
+    one when rounding (or the jitter itself) leaves the Gram residual above
+    ``_ORTHO_TOL * m``; batches whose outputs are genuinely rank-deficient
+    cannot be whitened and raise NumericalError.
     """
-    Y, transform, _ = _orthogonalize(Y_raw)
-    return Y, transform
-
-
-def _orthogonalize(Y_raw):
-    """``orthogonalize``, also returning ``ortho_residual`` of its output."""
     Y_raw = np.asarray(Y_raw, dtype=np.float64)
     m, g = Y_raw.shape
     if m < g:
@@ -202,7 +197,7 @@ def _whitened_loss(out, affinity, degrees=None):
     (4/m)(M out G^-1 - out G^-1 P G^-1) because T T^T = m G^-1.
     Returns (loss, grad_out, whitening residual).
     """
-    Y, transform, residual = _orthogonalize(out)
+    Y, transform, residual = orthogonalize(out)
     loss, grad_Y = spectral_loss(affinity, Y, degrees)
     grad_out = (grad_Y - Y @ (Y.T @ grad_Y) / Y.shape[0]) @ transform.T
     return loss, grad_out, residual
@@ -225,7 +220,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
     plus one gradient update) takes one batch: every row in natural order
     when the batch size equals the dataset size, otherwise m distinct rows
     drawn from ``rng``. It runs the net once over the batch, whitens that
-    output (``_orthogonalize``), takes ``spectral_loss`` on the batch
+    output (``orthogonalize``), takes ``spectral_loss`` on the batch
     affinity and backpropagates the exact gradient of the whitened loss,
     whitening map included (``_whitened_loss``). When the batch is the whole
     dataset, ``affinity`` is called once, on ``np.arange(n)``, and every
@@ -313,7 +308,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
         # The last update left the stored map stale; refit it once more, with
         # the float64 net that embed() will run, on every point it will map.
         net = net.astype(np.float64)
-        _, transform, residual = _orthogonalize(net.predict(features))
+        _, transform, residual = orthogonalize(net.predict(features))
         ortho_residuals.append(residual)
         return net, transform, loss_history, ortho_residuals
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -12,14 +13,12 @@ from rpspectral import pairing
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import InputError
 from rpspectral.pairing import (
-    _KEY_BLOCK,
     PairSet,
     _distinct_ranks,
     _key_width,
     _knn_indices,
-    _pairs_from_keys,
     _partner_leaves,
-    _write_keys,
+    _unique_pairs,
     knn_pairs,
     rptree_pairs,
     save_pairs_csv,
@@ -67,8 +66,8 @@ def test_knn_raw_count_and_dedup_bounds():
 
 
 def test_knn_pair_arrays_hold_no_bytes_of_their_repeats():
-    # Mutual neighbours key one pair twice; the compacted keys shrink to the
-    # rows returned, so a kept pair set holds nothing past them.
+    # Mutual neighbours key one pair twice; the distinct keys decode into a
+    # fresh array, so a kept pair set holds nothing past its rows.
     X = np.random.default_rng(2).normal(size=(300, 2))
     pairs = knn_pairs(X, 5, np.random.default_rng(0))
     assert len(pairs.positives) < 300 * 5
@@ -329,13 +328,16 @@ def assert_same_pairs(got, want, got_rng, want_rng):
     got.validate()
 
 
+BLOCK = 1 << 15
+
+
 def rows_repeating_across_key_blocks(first, stop):
-    """Distinct canonical rows, three key blocks long, in random order,
-    except that the rows sorted to positions ``first`` to ``stop - 1`` all
-    repeat one row."""
+    """Distinct canonical rows, three blocks of ``BLOCK`` long, in random
+    order, except that the rows sorted to positions ``first`` to
+    ``stop - 1`` all repeat one row."""
     rng = np.random.default_rng(3)
     width = 3_000
-    count = 3 * _KEY_BLOCK
+    count = 3 * BLOCK
     keys = np.unique(rng.integers(0, width * width, size=3 * count))
     keys = keys[keys // width < keys % width][:count]
     keys[first:stop] = keys[first]
@@ -349,9 +351,8 @@ def rows_repeating_across_key_blocks(first, stop):
         np.array([[4, 1]]),
         np.array([[5, 0], [3, 2], [9, 7], [2, 3], [0, 5]]),
         np.random.default_rng(0).integers(0, 6, size=(400, 2)),
-        rows_repeating_across_key_blocks(_KEY_BLOCK - 3, _KEY_BLOCK + 4),
-        rows_repeating_across_key_blocks(_KEY_BLOCK - 5, 2 * _KEY_BLOCK + 5),
-        np.array([[2**31, 0], [5, 2**31 - 1], [0, 2**31], [2**31 - 2, 2**31], [7, 3]]),
+        rows_repeating_across_key_blocks(BLOCK - 3, BLOCK + 4),
+        rows_repeating_across_key_blocks(BLOCK - 5, 2 * BLOCK + 5),
     ],
     ids=[
         "empty",
@@ -360,18 +361,14 @@ def rows_repeating_across_key_blocks(first, stop):
         "heavy-duplicates",
         "repeats-straddle-a-block-boundary",
         "repeats-span-a-block",
-        "indices-past-int32",
     ],
 )
 def test_unique_unordered_matches_np_unique(pairs):
-    # Keyed as the mining routes key their rows, deduplicated from the keys.
+    # Keyed as the k-nn route keys its rows, deduplicated from the keys.
     width = _key_width(int(pairs.max(initial=0)) + 1)
-    keys = np.empty(len(pairs), dtype=np.int64)
-    _write_keys(pairs[:, 0].copy(), pairs[:, 1], width, keys)
-    got = _pairs_from_keys(keys, width)
+    got = _unique_pairs(pairs[:, 0], pairs[:, 1], width)
     want = reference_unique_unordered(pairs)
-    # Indices from 2^31 on do not fit the int32 rows the keys' bytes hold.
-    assert got.dtype == (np.int32 if width <= 2**31 else np.int64)
+    assert got.dtype == np.int32
     assert got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -380,12 +377,13 @@ def test_unique_unordered_matches_np_unique(pairs):
     "count", [1, 2, 3, 10, 255, 256, 257, 2**31 - 1, 2**31, 2**31 + 1, 2**40 + 5]
 )
 def test_key_width_is_a_power_of_two_up_to_int32_indices(count):
-    width = _key_width(count)
     if count > 2**31:
-        assert width == count
-    else:
-        assert width >= count and width & (width - 1) == 0
-        assert width == 1 or width // 2 < count
+        with pytest.raises(InputError, match="below 2\\^31"):
+            _key_width(count)
+        return
+    width = _key_width(count)
+    assert width >= count and width & (width - 1) == 0
+    assert width == 1 or width // 2 < count
 
 
 def hand_tree(*leaf_members, degenerate=()):
@@ -482,7 +480,7 @@ def test_rptree_pairs_match_reference_on_ascending_hand_trees(name):
 def test_rptree_pairs_match_reference_in_small_emitter_blocks(block, monkeypatch):
     # Blocks end mid-leaf, one point can hold more rows than a block, and
     # runs of points with no positives can fill a block's point budget.
-    monkeypatch.setattr(pairing, "_KEY_BLOCK", block)
+    monkeypatch.setattr(pairing, "_ROW_BLOCK", block)
     X = np.random.default_rng(8).normal(size=(150, 2))
     X = np.vstack([X, np.repeat(X[:1], 12, axis=0)])
     trees = [
@@ -496,17 +494,16 @@ def test_rptree_pairs_match_reference_in_small_emitter_blocks(block, monkeypatch
         )
 
 
-def test_rptree_pairs_past_int32_indices_come_back_int64():
-    # Indices from 2^31 on, spread over fewer points than the top index.
+def test_rptree_pairs_refuse_point_ids_past_int32():
+    # Ids from 2^31 on, spread over fewer points than the top id, do not fit
+    # int32 rows: the tree is refused before any draw or row.
     base = 2**31 - 4
     tree = hand_tree(base + np.array([1, 9]), base + np.array([0, 4, 5]), base + np.array([2, 13]))
-    for seed in range(3):
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, want = rptree_pairs(tree, got_rng), reference_rptree_pairs(tree, want_rng)
-        for name in ("positives", "negatives"):
-            assert getattr(got, name).dtype == np.int64
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match=f"point ids reach {base + 13}"):
+        rptree_pairs(tree, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_partner_leaves_are_other_leaves_drawn_uniformly():
@@ -609,6 +606,71 @@ def test_pair_mining_leaves_numpy_ma_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# --- pinned bytes ---
+
+
+def pair_digest(pairs, rng):
+    """SHA-256 of both polarities (dtype, shape and bytes), the raw count,
+    the warning and the end state of ``rng``."""
+    digest = hashlib.sha256()
+    for array in (pairs.positives, pairs.negatives):
+        digest.update(f"{array.dtype.str} {array.shape}".encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(f"{pairs.raw_positive_count} {pairs.warning}".encode())
+    digest.update(repr(rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
+def synthetic(kind, n, **spec):
+    return generate_synthetic(SyntheticSpec(kind=kind, n=n, seed=1, **spec))[0]
+
+
+def mined_rptree(X, leaf_size, seed):
+    rng = np.random.default_rng(seed)
+    tree = build_tree(X, TreeConfig(leaf_size=leaf_size, strategy="random"), rng=rng)
+    return pair_digest(rptree_pairs(tree, rng), rng)
+
+
+def mined_knn(X, k, seed):
+    rng = np.random.default_rng(seed)
+    return pair_digest(knn_pairs(X, k, rng), rng)
+
+
+DUPLICATED = np.repeat(np.random.default_rng(7).normal(size=(100, 2)), 3, axis=0)
+MINED_CASES = {
+    "rptree-blobs-40k-leaf-20": lambda: mined_rptree(
+        synthetic("blobs", 40_000, noise=0.05, centers=5), 20, 1000
+    ),
+    "knn-blobs-5k-k-2": lambda: mined_knn(
+        synthetic("blobs", 5_000, noise=0.05, centers=5), 2, 1001
+    ),
+    "knn-moons-300-k-1": lambda: mined_knn(synthetic("moons", 300, noise=0.06), 1, 1),
+    "knn-moons-300-k-5": lambda: mined_knn(synthetic("moons", 300, noise=0.06), 5, 5),
+    "knn-moons-300-k-10": lambda: mined_knn(synthetic("moons", 300, noise=0.06), 10, 10),
+    "rptree-duplicated-points": lambda: mined_rptree(DUPLICATED, 5, 2),
+    "knn-duplicated-points": lambda: mined_knn(DUPLICATED, 5, 3),
+}
+# Measured with numpy 2.4.
+PINNED_DIGESTS = {
+    "rptree-blobs-40k-leaf-20": "67590e4e325e0ed8bf71ddb2325bccee9f956b7c7f0c9b2158a2456697903cbc",
+    "knn-blobs-5k-k-2": "fcc73c5760d71a3687c72faa935980a2579c13fa0b80959f6067737400f99057",
+    "knn-moons-300-k-1": "8d5376e5d10c6fac6e1f78d1ee6c579bb8657bdcbcc8936e1c30759a593fe07d",
+    "knn-moons-300-k-5": "c55bf1b546868cdf33ccf192632c96b5cc2bd5cb507178ba95ae0da62fda58c2",
+    "knn-moons-300-k-10": "fae67fc3580b5afa6a5fb840db025132f3db67955f6e075ad5f9a517ae98bd4f",
+    "rptree-duplicated-points": "c36eb86faecbdc2309e17e0eba139bf1a5843aeb055ce3bb79ba9341d5f439fa",
+    "knn-duplicated-points": "0734d5719c0a6521f440c013c0113fe372bbb1840b5f75ca0d03035c741b936c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINED_CASES))
+def test_mined_pairs_keep_their_pinned_bytes(name):
+    assert MINED_CASES[name]() == PINNED_DIGESTS[name], (
+        f"{name}: the mined pairs, their dtypes or the generator's end state "
+        "changed. Only a change in numpy's Generator streams may justify new "
+        "digests, never a change to the code."
+    )
 
 
 def integer_grid(side):
@@ -725,9 +787,11 @@ def test_both_routes_reject_non_finite_points(bad):
 
 def test_rptree_pairs_peak_memory_is_output_plus_4_mib(peak_traced_bytes):
     # A 40k-point tree gives ~0.26M positives and ~0.5M negatives: 5.8 MiB of
-    # int32 output. Each polarity is built in its own key array, so the peak
-    # adds only the grouped temporaries to it. A second copy of the
-    # negatives' keys, or the keys apart from the output, would fail.
+    # int32 output. Both polarities are written point by point straight into
+    # the returned arrays, so past them the peak holds the ~2n sorted keys of
+    # the leaves' unions, a few per-point index arrays and one emitter block
+    # (1.7 MiB traced). An int64 key per negative row, or a second copy of
+    # the negatives (3.8 MiB either), would fail.
     X = np.random.default_rng(14).normal(size=(40_000, 2))
     tree = build_tree(X, TreeConfig(leaf_size=20), rng=np.random.default_rng(0))
     mined = []

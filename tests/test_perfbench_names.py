@@ -151,8 +151,10 @@ def traced_op(name):
 @pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)
 def test_the_spectral_stage_traces_each_affinity_and_loss(workload):
     # One affinity for the whole run when the batch is the dataset, one per
-    # update when it is drawn, and one loss per update: the calls behind
-    # spectral.affinity_s, spectral.affinity_calls and spectral.grad_steps.
+    # update when it is drawn, one loss per update, and one whitening per
+    # update plus each restart's final refit: the calls behind
+    # spectral.affinity_s, spectral.affinity_calls, spectral.grad_steps and
+    # spectral.orthogonalize_s.
     inputs, _, table = traced_op(workload.name)
     spectral = inputs["config"].spectral_config
     updates = spectral.restarts * spectral.total_steps // 2
@@ -160,6 +162,8 @@ def test_the_spectral_stage_traces_each_affinity_and_loss(workload):
     for name in ("siamese.pairwise_distances", "siamese.heat_kernel"):
         assert table.count[("spectral", name)] == affinities, name
     assert table.count[("spectral", "spectralnet.spectral_loss")] == updates
+    whitenings = spectral.restarts * (spectral.total_steps // 2 + 1)
+    assert table.count[("spectral", "spectralnet.orthogonalize")] == whitenings
 
 
 @pytest.mark.parametrize("workload", PIPELINE_WORKLOADS, ids=lambda w: w.name)

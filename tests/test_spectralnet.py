@@ -37,8 +37,8 @@ def heat_affinity(Z, bandwidth):
 def test_orthogonalize_random_batch():
     rng = np.random.default_rng(0)
     Y_raw = rng.normal(size=(32, 4))
-    Y, transform = orthogonalize(Y_raw)
-    assert ortho_residual(Y, 32) <= 1e-6 * 32
+    Y, transform, residual = orthogonalize(Y_raw)
+    assert residual == ortho_residual(Y, 32) <= 1e-6 * 32
     # the map is what whitened the batch
     assert np.allclose(Y_raw @ transform, Y)
 
@@ -46,8 +46,8 @@ def test_orthogonalize_random_batch():
 def test_orthogonalize_fixed_point():
     # A batch that is already white should come back essentially unchanged.
     rng = np.random.default_rng(1)
-    Y, _ = orthogonalize(rng.normal(size=(40, 3)))
-    again, transform = orthogonalize(Y)
+    Y, _, _ = orthogonalize(rng.normal(size=(40, 3)))
+    again, transform, _ = orthogonalize(Y)
     assert np.abs(again - Y).max() < 1e-8 * 40
     assert np.abs(transform - np.eye(3)).max() < 1e-8
 
@@ -93,7 +93,7 @@ def test_orthogonalize_near_singular_recovers_via_jitter():
     rng = np.random.default_rng(4)
     base = rng.normal(size=(50, 2))
     Y_raw = np.hstack([base, base[:, :1] + 1e-9 * rng.normal(size=(50, 1))])
-    Y, _ = orthogonalize(Y_raw)
+    Y, _, _ = orthogonalize(Y_raw)
     assert ortho_residual(Y, 50) <= 1e-6 * 50
 
 
@@ -182,8 +182,8 @@ def test_loss_and_whitening_ignore_row_order():
     loss_p, grad_p = spectral_loss(A[np.ix_(p, p)], Y[p])
     assert abs(loss_p - loss) <= 1e-12 * max(1.0, abs(loss))
     assert np.abs(grad_p - grad[p]).max() <= 1e-12
-    _, transform = orthogonalize(Y)
-    _, transform_p = orthogonalize(Y[p])
+    _, transform, _ = orthogonalize(Y)
+    _, transform_p, _ = orthogonalize(Y[p])
     assert np.abs(transform_p - transform).max() <= 1e-12
 
 
@@ -288,7 +288,7 @@ def test_sampled_training_refits_the_map_on_every_point():
     for _ in range(config.total_steps // 2):
         replay.choice(n, size=32, replace=False)
     assert rng.bit_generator.state == replay.bit_generator.state
-    Y, transform = orthogonalize(model.net.predict(X))
+    Y, transform, _ = orthogonalize(model.net.predict(X))
     assert transform.tobytes() == model.transform.tobytes()
     assert np.array_equal(embed(model, X), Y)
 
