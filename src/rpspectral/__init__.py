@@ -47,6 +47,7 @@ from .siamese import (
     train_siamese,
 )
 from .spectralnet import (
+    Laplacian,
     SpectralConfig,
     SpectralModel,
     embed,
@@ -62,6 +63,7 @@ __all__ = [
     "CsvSource",
     "ExperimentConfig",
     "KmeansResult",
+    "Laplacian",
     "MethodConfig",
     "Mlp",
     "PairSet",

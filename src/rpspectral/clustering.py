@@ -151,24 +151,20 @@ def ari(first, second):
     return numerator / denominator
 
 
-def spectral_oracle(affinity, n_clusters):
+def spectral_oracle(laplacian, n_clusters):
     """Dense eigensolver reference for the spectral net.
 
-    Solves the exact (n, n) ``affinity`` it is handed, with no graph of its
-    own: returns all n eigenvalues of the unnormalized Laplacian
-    diag(row sums) - affinity, ascending, and the bottom ``n_clusters``
-    eigenvectors as columns. Labels are one ``kmeans`` call away. Restricted
-    to small inputs, since the decomposition is dense.
+    Solves the ``Laplacian`` it is handed, such as the one the net trained
+    on, with no graph of its own: its dense matrix is ``apply`` on the
+    identity. Returns all n eigenvalues, ascending, and the bottom
+    ``n_clusters`` eigenvectors as columns. Labels are one ``kmeans`` call
+    away. Restricted to small inputs, since the decomposition is dense.
     """
-    affinity = np.asarray(affinity, dtype=np.float64)
-    if affinity.ndim != 2 or affinity.shape[0] != affinity.shape[1]:
-        raise InputError(f"affinity must be a square matrix, got {affinity.shape}")
-    n = len(affinity)
+    n = len(laplacian.degrees)
     if n > _ORACLE_LIMIT:
         raise InputError(f"the oracle is dense; {n} points exceed {_ORACLE_LIMIT}")
     if not 1 <= n_clusters <= n:
         raise InputError(f"n_clusters={n_clusters} is outside 1..{n}")
 
-    laplacian = np.diag(affinity.sum(axis=1)) - affinity
-    eigenvalues, vectors = np.linalg.eigh(laplacian)
+    eigenvalues, vectors = np.linalg.eigh(laplacian.apply(np.eye(n)))
     return eigenvalues, vectors[:, :n_clusters]

@@ -38,7 +38,7 @@ from .siamese import (
     siamese_distances,
     train_siamese,
 )
-from .spectralnet import SpectralConfig, SpectralModel, embed, train_spectralnet
+from .spectralnet import Laplacian, SpectralConfig, SpectralModel, embed, train_spectralnet
 
 # Stage ids feed the per-stage SeedSequence spawn keys. Reordering or
 # renumbering them changes every result, so they are frozen here.
@@ -233,7 +233,7 @@ def run_pipeline(X, y, config: ExperimentConfig, run_index=0) -> PipelineRun:
     with _stage("spectral", durations):
         model = train_spectralnet(
             features,
-            lambda rows: heat_kernel(pairwise_distances(Z[rows]), bandwidth),
+            lambda rows: Laplacian(heat_kernel(pairwise_distances(Z[rows]), bandwidth)),
             config.spectral_config,
             rng=_stage_rng(run_seed, _STAGE_SPECTRAL),
         )

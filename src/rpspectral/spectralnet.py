@@ -2,8 +2,8 @@
 
 The network maps feature rows to a g-dimensional embedding trained to
 minimize the graph Laplacian quadratic form over batch affinities, subject
-to the batch outputs being orthonormal. The affinity is an input: a callable
-that returns the affinity matrix of any set of rows, so the graph the net
+to the batch outputs being orthonormal. The graph is an input: a callable
+that returns the ``Laplacian`` of any set of rows, so the graph the net
 trains on is chosen by the caller, not here. Each training step whitens the
 raw outputs of one batch with a Cholesky factor of their Gram matrix and
 follows the exact gradient of the whitened loss, whitening map included,
@@ -12,7 +12,7 @@ back into the network weights.
 The network body trains in float32: its forward pass, backward pass and
 Adam update. Each step's raw output is widened to float64 before whitening,
 so the Gram matrix, the Cholesky whitening and its residual check, the loss
-on the float64 affinity and the gradient through the whitening map are all
+on the float64 Laplacian and the gradient through the whitening map are all
 float64. The trained net is handed back widened to float64, exactly, and the
 stored whitening map is fitted with it on every row of the features, so
 their embedding is white. Float32 keeps about seven significant digits, so
@@ -149,29 +149,33 @@ def orthogonalize(Y_raw):
     return Y, transform, residual
 
 
-def spectral_loss(affinity, Y, degrees=None):
+class Laplacian:
+    """M = diag(degrees) - A, degrees the row sums of a square float64 A; apply(Y) = M Y."""
+
+    def __init__(self, affinity):
+        affinity = np.asarray(affinity, dtype=np.float64)
+        if affinity.ndim != 2 or affinity.shape[0] != affinity.shape[1]:
+            raise InputError(f"affinity must be a square matrix, got {affinity.shape}")
+        self.affinity = affinity
+        self.degrees = affinity.sum(axis=1)
+
+    def apply(self, Y):
+        return self.degrees[:, None] * Y - self.affinity @ Y
+
+
+def spectral_loss(laplacian, Y):
     """Laplacian quadratic form (1/m^2) sum_ij a_ij ||y_i - y_j||^2.
 
-    Computed in trace form with M = diag(row sums) - A:
+    Computed in trace form with the batch ``Laplacian`` M:
     loss = (2/m^2) tr(Y^T M Y), gradient (4/m^2) M Y.
-    ``degrees``, the row sums ``affinity.sum(axis=1)``, are computed here
-    unless a caller that reuses one affinity passes them in.
     Returns (loss, grad_Y).
     """
-    affinity = np.asarray(affinity, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     m = Y.shape[0]
-    if affinity.shape != (m, m):
-        raise InputError(
-            f"affinity {affinity.shape} does not match batch of {m}"
-        )
-    if degrees is None:
-        degrees = affinity.sum(axis=1)
-    elif np.shape(degrees) != (m,):
-        raise InputError(
-            f"degrees {np.shape(degrees)} do not match batch of {m}"
-        )
-    MY = degrees[:, None] * Y - affinity @ Y
+    size = len(laplacian.degrees)
+    if size != m:
+        raise InputError(f"affinity ({size}, {size}) does not match batch of {m}")
+    MY = laplacian.apply(Y)
     loss = max(float((Y * MY).sum()) * 2.0 / (m * m), 0.0)
     grad = (4.0 / (m * m)) * MY
     return loss, grad
@@ -187,18 +191,18 @@ class SpectralModel:
     selected_restart: int = 0
 
 
-def _whitened_loss(out, affinity, degrees=None):
+def _whitened_loss(out, laplacian):
     """Loss of the whitened batch output and its exact gradient in ``out``.
 
     With Y = out @ T whitened so that Y^T Y = m I, the loss equals
     (2/m) tr(G^-1 P) for G = out^T out, P = out^T M out and the batch
-    Laplacian M = diag(row sums) - A, whatever the choice of T. Its gradient
+    ``laplacian`` M, whatever the choice of T. Its gradient
     in ``out`` is (grad_Y - Y (Y^T grad_Y) / m) T^T, which equals
     (4/m)(M out G^-1 - out G^-1 P G^-1) because T T^T = m G^-1.
     Returns (loss, grad_out, whitening residual).
     """
     Y, transform, residual = orthogonalize(out)
-    loss, grad_Y = spectral_loss(affinity, Y, degrees)
+    loss, grad_Y = spectral_loss(laplacian, Y)
     grad_out = (grad_Y - Y @ (Y.T @ grad_Y) / Y.shape[0]) @ transform.T
     return loss, grad_out, residual
 
@@ -206,26 +210,26 @@ def _whitened_loss(out, affinity, degrees=None):
 _SELECTION_TAIL = 10  # gradient losses averaged when ranking restarts
 
 
-def train_spectralnet(features, affinity, config: SpectralConfig, rng):
+def train_spectralnet(features, graph, config: SpectralConfig, rng):
     """Train on the whitened Laplacian loss, one batch per step.
 
     ``features`` is the (n, d) matrix the net reads; ``config.features`` is
     not read here. Only ``run_pipeline`` acts on ``"twin"``, by passing the
     twin embedding, so a direct call trains on the features it is given.
-    ``affinity(rows)`` returns the (m, m) float64 affinity of the feature
-    rows ``rows``, an integer index array; ``spectral_loss`` refuses one of
-    another shape with InputError.
+    ``graph(rows)`` returns the ``Laplacian`` of the feature rows ``rows``,
+    an integer index array; ``spectral_loss`` refuses one of another size
+    with InputError.
 
     Each of the ``total_steps // 2`` steps (a step counts as one whitening
     plus one gradient update) takes one batch: every row in natural order
     when the batch size equals the dataset size, otherwise m distinct rows
     drawn from ``rng``. It runs the net once over the batch, whitens that
     output (``orthogonalize``), takes ``spectral_loss`` on the batch
-    affinity and backpropagates the exact gradient of the whitened loss,
+    Laplacian and backpropagates the exact gradient of the whitened loss,
     whitening map included (``_whitened_loss``). When the batch is the whole
-    dataset, ``affinity`` is called once, on ``np.arange(n)``, and every
-    step reuses that matrix and its row sums; otherwise it is called once
-    per step, on the drawn rows. A final whitening after the last update
+    dataset, ``graph`` is called once, on ``np.arange(n)``, and every step
+    reuses that Laplacian; otherwise it is called once per step, on the
+    drawn rows. A final whitening after the last update
     fits the stored map to the trained weights on all n rows, the rows
     ``embed`` maps, so their embedding is white.
 
@@ -257,11 +261,7 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
         raise InputError(f"dataset has {n} points, batch size is {m}")
     narrow = finite_float32(features)
 
-    full_batch = m == n
-    if full_batch:
-        affinity_full = affinity(np.arange(n))
-        # Any shape sums here; spectral_loss then refuses a wrong one.
-        degrees_full = np.sum(affinity_full, axis=-1)
+    whole = graph(np.arange(n)) if m == n else None
 
     sizes = [features.shape[1], *config.hidden_sizes, config.n_clusters]
     half_steps = config.total_steps // 2
@@ -283,15 +283,15 @@ def train_spectralnet(features, affinity, config: SpectralConfig, rng):
                         * 0.5
                         * (1.0 + np.cos(np.pi * step / half_steps))
                     )
-                if full_batch:
-                    batch, A, degrees = narrow, affinity_full, degrees_full
+                if whole is not None:
+                    batch, laplacian = narrow, whole
                 else:
                     idx = run_rng.choice(n, size=m, replace=False)
-                    batch, A, degrees = narrow[idx], affinity(idx), None
+                    batch, laplacian = narrow[idx], graph(idx)
                 try:
                     out, cache = net.forward(batch)
                     loss, grad_out, residual = _whitened_loss(
-                        out.astype(np.float64), A, degrees
+                        out.astype(np.float64), laplacian
                     )
                     net.backward(cache, grad_out, out=optimizer.grads)
                     optimizer.step(net)

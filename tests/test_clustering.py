@@ -16,6 +16,7 @@ from rpspectral.clustering import (
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.errors import InputError
 from rpspectral.siamese import heat_kernel, pairwise_distances, select_bandwidth
+from rpspectral.spectralnet import Laplacian
 
 
 def enumerate_confusion(first, second):
@@ -190,7 +191,7 @@ def raw_heat_graph(X, bandwidth=None):
 
 
 def oracle_labels(A, n_clusters):
-    _, vectors = spectral_oracle(A, n_clusters)
+    _, vectors = spectral_oracle(Laplacian(A), n_clusters)
     return kmeans(vectors, n_clusters, np.random.default_rng(0)).labels
 
 
@@ -202,18 +203,18 @@ def test_oracle_recovers_blobs():
 def test_oracle_is_deterministic():
     X, _ = generate_synthetic(SyntheticSpec(kind="blobs", n=90, noise=0.1, seed=2))
     A = raw_heat_graph(X)
-    first, second = spectral_oracle(A, 3), spectral_oracle(A, 3)
+    first, second = spectral_oracle(Laplacian(A), 3), spectral_oracle(Laplacian(A), 3)
     assert np.array_equal(first[0], second[0])
     assert np.array_equal(first[1], second[1])
 
 
 def test_oracle_size_guards():
     with pytest.raises(InputError, match="^the oracle is dense; 2001 points exceed 2000$"):
-        spectral_oracle(np.broadcast_to(0.0, (2001, 2001)), 2)
+        spectral_oracle(Laplacian(np.broadcast_to(0.0, (2001, 2001))), 2)
     with pytest.raises(InputError, match=r"^n_clusters=6 is outside 1\.\.5$"):
-        spectral_oracle(np.zeros((5, 5)), 6)
+        spectral_oracle(Laplacian(np.zeros((5, 5))), 6)
     with pytest.raises(InputError, match=r"^affinity must be a square matrix, got \(5, 2\)$"):
-        spectral_oracle(np.zeros((5, 2)), 2)
+        spectral_oracle(Laplacian(np.zeros((5, 2))), 2)
 
 
 def test_oracle_recovers_blobs_at_an_explicit_bandwidth():
@@ -221,9 +222,8 @@ def test_oracle_recovers_blobs_at_an_explicit_bandwidth():
     assert ari(y, oracle_labels(raw_heat_graph(X, bandwidth=0.5), 3)) == 1.0
 
 
-def test_oracle_on_disconnected_blocks_is_exact():
-    # A graph of g components has g zero Laplacian eigenvalues, and their
-    # eigenvectors span the g component indicators.
+def disconnected_blocks():
+    """A symmetric affinity of 4 components, and their indicators as columns."""
     rng = np.random.default_rng(5)
     sizes = [7, 12, 4, 9]
     n, g = sum(sizes), len(sizes)
@@ -236,11 +236,34 @@ def test_oracle_on_disconnected_blocks_is_exact():
         indicators[start : start + size, c] = 1.0
         start += size
     np.fill_diagonal(A, 0.0)
+    return A, indicators
 
-    eigenvalues, vectors = spectral_oracle(A, g)
+
+def test_oracle_on_disconnected_blocks_is_exact():
+    # A graph of g components has g zero Laplacian eigenvalues, and their
+    # eigenvectors span the g component indicators.
+    A, indicators = disconnected_blocks()
+    n, g = indicators.shape
+    eigenvalues, vectors = spectral_oracle(Laplacian(A), g)
     assert eigenvalues.shape == (n,) and vectors.shape == (n, g)
     assert np.all(np.diff(eigenvalues) >= 0)
     assert np.abs(eigenvalues[:g]).max() < 1e-12
     assert eigenvalues[g] > 0.1
     # Projecting the indicators onto the returned columns leaves them whole.
     assert np.allclose(vectors @ (vectors.T @ indicators), indicators, atol=1e-12)
+
+
+@pytest.mark.parametrize("graph", ["heat", "blocks"])
+def test_oracle_solves_the_dense_laplacian_bit_for_bit(graph):
+    # The oracle's matrix is Laplacian.apply on the identity; it must give
+    # exactly the eigenpairs of diag(row sums) - A written out.
+    if graph == "heat":
+        X, _ = generate_synthetic(SyntheticSpec(kind="moons", n=300, noise=0.06, seed=4))
+        A, g = raw_heat_graph(X), 2
+    else:
+        A, indicators = disconnected_blocks()
+        g = indicators.shape[1]
+    eigenvalues, vectors = spectral_oracle(Laplacian(A), g)
+    want_values, want_vectors = np.linalg.eigh(np.diag(A.sum(axis=1)) - A)
+    assert eigenvalues.tobytes() == want_values.tobytes()
+    assert vectors.tobytes() == want_vectors[:, :g].tobytes()

@@ -22,7 +22,13 @@ from rpspectral.datasets import SyntheticSpec, generate_synthetic
 from rpspectral.harness import ExperimentConfig, run_pipeline
 from rpspectral.rptree import TreeConfig, build_tree
 from rpspectral.siamese import SiameseConfig, heat_kernel, pairwise_distances
-from rpspectral.spectralnet import SpectralConfig, embed, spectral_loss, train_spectralnet
+from rpspectral.spectralnet import (
+    Laplacian,
+    SpectralConfig,
+    embed,
+    spectral_loss,
+    train_spectralnet,
+)
 
 N = 300
 MAX_ANGLE_DEG = 5.0
@@ -46,26 +52,25 @@ TWIN = SiameseConfig(
 )
 
 
-def agreement(Y, A, g):
+def agreement(Y, laplacian, g):
     """(largest principal angle in degrees, excess over the gap, λ_g, λ_{g+1}).
 
     The angle is between the column spans of ``Y`` and of the bottom ``g``
-    eigenvectors of the Laplacian of ``A``. The excess is the loss of the
-    white ``Y`` above the least loss (2/n)(λ_1 + … + λ_g), over (2/n)(λ_{g+1}
-    - λ_g).
+    eigenvectors of ``laplacian``. The excess is the loss of the white ``Y``
+    above the least loss (2/n)(λ_1 + … + λ_g), over (2/n)(λ_{g+1} - λ_g).
     """
-    n = len(A)
-    eigenvalues, vectors = spectral_oracle(A, g)
+    n = len(laplacian.degrees)
+    eigenvalues, vectors = spectral_oracle(laplacian, g)
     cosines = np.linalg.svd(np.linalg.qr(Y)[0].T @ vectors, compute_uv=False)
     angle = float(np.degrees(np.arccos(np.clip(cosines.min(), -1.0, 1.0))))
-    loss, _ = spectral_loss(A, Y)
+    loss, _ = spectral_loss(laplacian, Y)
     least = 2.0 / n * eigenvalues[:g].sum()
     excess = (loss - least) / (2.0 / n * (eigenvalues[g] - eigenvalues[g - 1]))
     return angle, float(excess), float(eigenvalues[g - 1]), float(eigenvalues[g])
 
 
-def assert_agrees(Y, A, g):
-    angle, excess, low, high = agreement(Y, A, g)
+def assert_agrees(Y, laplacian, g):
+    angle, excess, low, high = agreement(Y, laplacian, g)
     where = f"angle {angle:.2f} deg, excess {excess:.4f}, lambda_g {low:.3e}, lambda_g+1 {high:.3e}"
     assert high >= MIN_GAP_RATIO * low, f"no clear eigengap: {where}"
     assert angle <= MAX_ANGLE_DEG, where
@@ -98,21 +103,21 @@ def test_net_agrees_with_the_oracle_on_a_forest_graph(noise, seed):
     X, _ = generate_synthetic(SyntheticSpec(kind="moons", n=N, noise=noise, seed=seed))
     A = forest_graph(X, np.random.default_rng(seed))
     model = train_spectralnet(
-        X, lambda rows: A[np.ix_(rows, rows)], NET, np.random.default_rng(seed)
+        X, lambda rows: Laplacian(A[np.ix_(rows, rows)]), NET, np.random.default_rng(seed)
     )
-    assert_agrees(embed(model, X), A, NET.n_clusters)
+    assert_agrees(embed(model, X), Laplacian(A), NET.n_clusters)
 
 
 @pytest.mark.parametrize("seed", [21, 25, 26, 27])
 def test_net_agrees_with_the_oracle_on_the_pipelines_graph(seed, monkeypatch):
-    # The affinity callable is caught on its way into the spectral stage, so
-    # the oracle solves exactly the matrix the net trained on.
+    # The graph callable is caught on its way into the spectral stage, so
+    # the oracle solves exactly the Laplacian the net trained on.
     caught = []
     original = harness.train_spectralnet
 
-    def catching(features, affinity, config, rng):
-        caught.append(affinity)
-        return original(features, affinity, config, rng)
+    def catching(features, graph, config, rng):
+        caught.append(graph)
+        return original(features, graph, config, rng)
 
     monkeypatch.setattr(harness, "train_spectralnet", catching)
     config = ExperimentConfig(
@@ -125,5 +130,5 @@ def test_net_agrees_with_the_oracle_on_the_pipelines_graph(seed, monkeypatch):
     )
     X, y = generate_synthetic(config.dataset)
     run = run_pipeline(X, y, config, 0)
-    (affinity,) = caught
-    assert_agrees(run.embedding, affinity(np.arange(N)), NET.n_clusters)
+    (graph,) = caught
+    assert_agrees(run.embedding, graph(np.arange(N)), NET.n_clusters)

@@ -9,6 +9,7 @@ from rpspectral.errors import InputError, NumericalError
 from rpspectral.mlp import _BLOCK_FLOATS, Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
+    Laplacian,
     SpectralConfig,
     SpectralModel,
     _whitened_loss,
@@ -26,9 +27,9 @@ RESIDUAL_FAILURE = (
 )
 
 
-def heat_affinity(Z, bandwidth):
-    """The affinity of rows of ``Z``: the heat kernel of their distances."""
-    return lambda rows: heat_kernel(pairwise_distances(Z[rows]), bandwidth)
+def heat_graph(Z, bandwidth):
+    """The Laplacian of rows of ``Z``: of the heat kernel of their distances."""
+    return lambda rows: Laplacian(heat_kernel(pairwise_distances(Z[rows]), bandwidth))
 
 
 # --- orthogonalization ---
@@ -103,7 +104,7 @@ def test_orthogonalize_near_singular_recovers_via_jitter():
 def test_spectral_loss_hand_case():
     affinity = np.array([[0.0, 1.0], [1.0, 0.0]])
     Y = np.array([[0.0, 0.0], [1.0, 0.0]])
-    loss, grad = spectral_loss(affinity, Y)
+    loss, grad = spectral_loss(Laplacian(affinity), Y)
     assert loss == pytest.approx(0.5, abs=1e-15)
     assert grad.shape == (2, 2)
 
@@ -116,10 +117,7 @@ def test_spectral_loss_equals_double_sum():
         A = 0.5 * (A + A.T)
         np.fill_diagonal(A, 0.0)
         Y = rng.normal(size=(m, g))
-        loss, grad = spectral_loss(A, Y)
-        # Row sums passed in by the caller give the same bits.
-        given = spectral_loss(A, Y, A.sum(axis=1))
-        assert given[0] == loss and np.array_equal(given[1], grad)
+        loss, grad = spectral_loss(Laplacian(A), Y)
         brute = sum(
             A[i, j] * np.sum((Y[i] - Y[j]) ** 2)
             for i in range(m)
@@ -133,8 +131,8 @@ def test_spectral_loss_scale_covariance():
     A = rng.uniform(size=(8, 8))
     A = 0.5 * (A + A.T)
     Y = rng.normal(size=(8, 3))
-    base, _ = spectral_loss(A, Y)
-    scaled, _ = spectral_loss(A, 2.5 * Y)
+    base, _ = spectral_loss(Laplacian(A), Y)
+    scaled, _ = spectral_loss(Laplacian(A), 2.5 * Y)
     assert scaled == pytest.approx(2.5**2 * base, rel=1e-12)
 
 
@@ -144,7 +142,7 @@ def test_spectral_loss_gradient_matches_finite_differences():
     A = 0.5 * (A + A.T)
     np.fill_diagonal(A, 0.0)
     Y = rng.normal(size=(6, 2))
-    _, grad = spectral_loss(A, Y)
+    _, grad = spectral_loss(Laplacian(A), Y)
     eps = 1e-6
     for i in range(6):
         for k in range(2):
@@ -152,22 +150,22 @@ def test_spectral_loss_gradient_matches_finite_differences():
             up[i, k] += eps
             down = Y.copy()
             down[i, k] -= eps
-            numeric = (spectral_loss(A, up)[0] - spectral_loss(A, down)[0]) / (2 * eps)
+            numeric = (
+                spectral_loss(Laplacian(A), up)[0] - spectral_loss(Laplacian(A), down)[0]
+            ) / (2 * eps)
             assert numeric == pytest.approx(grad[i, k], abs=1e-8)
 
 
 def test_spectral_loss_zero_for_constant_embedding():
     A = np.random.default_rng(8).uniform(size=(5, 5))
-    loss, grad = spectral_loss(A, np.ones((5, 2)))
+    loss, grad = spectral_loss(Laplacian(A), np.ones((5, 2)))
     assert loss == 0.0
     assert np.abs(grad).max() < 1e-15
 
 
 def test_spectral_loss_shape_mismatch():
     with pytest.raises(InputError, match=r"^affinity \(3, 3\) does not match batch of 4$"):
-        spectral_loss(np.zeros((3, 3)), np.zeros((4, 2)))
-    with pytest.raises(InputError, match=r"^degrees \(4,\) do not match batch of 3$"):
-        spectral_loss(np.zeros((3, 3)), np.zeros((3, 2)), np.zeros(4))
+        spectral_loss(Laplacian(np.zeros((3, 3))), np.zeros((4, 2)))
 
 
 def test_loss_and_whitening_ignore_row_order():
@@ -178,8 +176,8 @@ def test_loss_and_whitening_ignore_row_order():
     A = 0.5 * (A + A.T)
     Y = rng.normal(size=(30, 3))
     p = rng.permutation(30)
-    loss, grad = spectral_loss(A, Y)
-    loss_p, grad_p = spectral_loss(A[np.ix_(p, p)], Y[p])
+    loss, grad = spectral_loss(Laplacian(A), Y)
+    loss_p, grad_p = spectral_loss(Laplacian(A[np.ix_(p, p)]), Y[p])
     assert abs(loss_p - loss) <= 1e-12 * max(1.0, abs(loss))
     assert np.abs(grad_p - grad[p]).max() <= 1e-12
     _, transform, _ = orthogonalize(Y)
@@ -198,9 +196,9 @@ def test_whitened_gradient_matches_finite_differences():
     O = rng.normal(size=(m, g)) + rng.normal(size=g)
 
     def whitened(raw):
-        return spectral_loss(A, orthogonalize(raw)[0])[0]
+        return spectral_loss(Laplacian(A), orthogonalize(raw)[0])[0]
 
-    loss, grad, residual = _whitened_loss(O, A)
+    loss, grad, residual = _whitened_loss(O, Laplacian(A))
     assert loss == whitened(O)
     assert residual <= 1e-6 * m
     eps = 1e-5
@@ -235,7 +233,7 @@ def test_training_progress_and_orthogonality():
         learning_rate=1e-4,
     )
     model = train_spectralnet(
-        X, heat_affinity(X, 0.5), config=config, rng=np.random.default_rng(0)
+        X, heat_graph(X, 0.5), config=config, rng=np.random.default_rng(0)
     )
     assert len(model.loss_history) == 200  # one per gradient step
     assert len(model.ortho_residuals) == 201  # plus the trailing refit
@@ -248,9 +246,9 @@ def test_training_is_deterministic():
     config = SpectralConfig(
         n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    affinity = heat_affinity(X, 0.5)
-    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(3))
-    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(3))
+    graph = heat_graph(X, 0.5)
+    a = train_spectralnet(X, graph, config, rng=np.random.default_rng(3))
+    b = train_spectralnet(X, graph, config, rng=np.random.default_rng(3))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert a.transform.tobytes() == b.transform.tobytes()
@@ -262,7 +260,7 @@ def test_embedding_shape_and_dataset_whiteness():
         n_clusters=3, batch_size=48, total_steps=100, hidden_sizes=(8, 8)
     )
     model = train_spectralnet(
-        X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(1)
+        X, heat_graph(X, 0.5), config, rng=np.random.default_rng(1)
     )
     Y = embed(model, X)
     assert Y.shape == (len(X), 3)
@@ -282,7 +280,7 @@ def test_sampled_training_refits_the_map_on_every_point():
         n_clusters=3, batch_size=32, total_steps=30, hidden_sizes=(8,)
     )
     rng = np.random.default_rng(5)
-    model = train_spectralnet(X, heat_affinity(X, 0.5), config, rng=rng)
+    model = train_spectralnet(X, heat_graph(X, 0.5), config, rng=rng)
     replay = np.random.default_rng(5)
     replay.integers(0, 2**63 - 1)
     for _ in range(config.total_steps // 2):
@@ -303,7 +301,7 @@ def test_sampled_training_builds_no_dataset_affinity(peak_traced_bytes):
     )
     peak = peak_traced_bytes(
         lambda: train_spectralnet(
-            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+            X, heat_graph(X, 0.5), config, rng=np.random.default_rng(0)
         )
     )
     assert peak < n * n * 8 // 10
@@ -320,9 +318,9 @@ def test_full_batch_training(restarts):
         hidden_sizes=(8,),
         restarts=restarts,
     )
-    affinity = heat_affinity(X, 0.5)
-    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(4))
-    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(4))
+    graph = heat_graph(X, 0.5)
+    a = train_spectralnet(X, graph, config, rng=np.random.default_rng(4))
+    b = train_spectralnet(X, graph, config, rng=np.random.default_rng(4))
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
     assert ortho_residual(embed(a, X), n) <= 1e-6 * n
@@ -358,7 +356,8 @@ def test_full_batch_training_reaches_the_dense_optimum(
         learning_rate=1e-2,
     )
     model = train_spectralnet(
-        X, lambda rows: A[np.ix_(rows, rows)], config, rng=np.random.default_rng(seed)
+        X, lambda rows: Laplacian(A[np.ix_(rows, rows)]), config,
+        rng=np.random.default_rng(seed),
     )
     assert np.mean(model.loss_history[-10:]) <= 1.05 * optimum
 
@@ -368,7 +367,7 @@ def test_training_rejects_undersized_dataset():
     config = SpectralConfig(n_clusters=2, batch_size=32, total_steps=10)
     with pytest.raises(InputError, match="^dataset has 10 points, batch size is 32$"):
         train_spectralnet(
-            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+            X, heat_graph(X, 0.5), config, rng=np.random.default_rng(0)
         )
 
 
@@ -394,19 +393,19 @@ def test_config_validation():
     SpectralConfig(n_clusters=2).validate()
 
 
-# --- the affinity callable ---
+# --- the graph callable ---
 
 
-def counting_affinity(Z, bandwidth):
-    """``heat_affinity`` that also keeps the rows of every call."""
+def counting_graph(Z, bandwidth):
+    """``heat_graph`` that also keeps the rows of every call."""
     calls = []
-    inner = heat_affinity(Z, bandwidth)
+    inner = heat_graph(Z, bandwidth)
 
-    def affinity(rows):
+    def graph(rows):
         calls.append(np.array(rows))
         return inner(rows)
 
-    return affinity, calls
+    return graph, calls
 
 
 def test_full_batch_asks_for_the_affinity_once():
@@ -415,13 +414,13 @@ def test_full_batch_asks_for_the_affinity_once():
     config = SpectralConfig(
         n_clusters=3, batch_size=n, total_steps=20, hidden_sizes=(8,), restarts=2
     )
-    affinity, calls = counting_affinity(X, 0.5)
-    model = train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+    graph, calls = counting_graph(X, 0.5)
+    model = train_spectralnet(X, graph, config, rng=np.random.default_rng(0))
     assert len(calls) == 1
     assert np.array_equal(calls[0], np.arange(n))
-    # the same bits as an affinity built for every step
+    # the same bits as a graph built for every step
     fresh = train_spectralnet(
-        X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+        X, heat_graph(X, 0.5), config, rng=np.random.default_rng(0)
     )
     assert model.loss_history == fresh.loss_history
 
@@ -431,7 +430,7 @@ def test_drawn_batches_ask_for_the_affinity_of_the_rows_the_net_sees(monkeypatch
     config = SpectralConfig(
         n_clusters=3, batch_size=32, total_steps=20, hidden_sizes=(8,)
     )
-    affinity, calls = counting_affinity(X, 0.5)
+    graph, calls = counting_graph(X, 0.5)
     forward = Mlp.forward
     batches = []
 
@@ -440,28 +439,38 @@ def test_drawn_batches_ask_for_the_affinity_of_the_rows_the_net_sees(monkeypatch
         return forward(net, batch)
 
     monkeypatch.setattr(Mlp, "forward", spy_forward)
-    train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+    train_spectralnet(X, graph, config, rng=np.random.default_rng(0))
     assert len(calls) == len(batches) == config.total_steps // 2
     for rows, batch in zip(calls, batches):
         assert len(np.unique(rows)) == config.batch_size
         assert np.array_equal(X[rows].astype(np.float32), batch)
 
 
+# A square affinity of the wrong size fails in spectral_loss; a flat one
+# fails when its Laplacian is built.
+MISSIZED = r"^affinity \(.*\) does not match batch of \d+$"
+NOT_SQUARE = r"^affinity must be a square matrix, got \(\d+,\)$"
+
+
 @pytest.mark.parametrize("full", [True, False], ids=["full", "sampled"])
 @pytest.mark.parametrize(
-    "shape",
-    [lambda m: (m + 1, m + 1), lambda m: (m - 1, m - 1), lambda m: (m,)],
+    "shape, message",
+    [
+        (lambda m: (m + 1, m + 1), MISSIZED),
+        (lambda m: (m - 1, m - 1), MISSIZED),
+        (lambda m: (m,), NOT_SQUARE),
+    ],
     ids=["larger", "smaller", "flat"],
 )
-def test_an_affinity_of_the_wrong_shape_is_refused(full, shape):
+def test_an_affinity_of_the_wrong_shape_is_refused(full, shape, message):
     X, _ = blobs_case()
     config = SpectralConfig(
         n_clusters=3, batch_size=len(X) if full else 32, total_steps=10,
         hidden_sizes=(8,),
     )
-    with pytest.raises(InputError, match=r"^affinity \(.*\) does not match batch of \d+$"):
+    with pytest.raises(InputError, match=message):
         train_spectralnet(
-            X, lambda rows: np.zeros(shape(len(rows))), config,
+            X, lambda rows: Laplacian(np.zeros(shape(len(rows)))), config,
             rng=np.random.default_rng(0),
         )
 
@@ -471,7 +480,7 @@ def test_an_affinity_of_the_wrong_shape_is_refused(full, shape):
 
 def test_cosine_schedule_is_deterministic_and_changes_the_run():
     X, _ = blobs_case()
-    affinity = heat_affinity(X, 0.5)
+    graph = heat_graph(X, 0.5)
     config = SpectralConfig(
         n_clusters=3,
         batch_size=32,
@@ -479,12 +488,12 @@ def test_cosine_schedule_is_deterministic_and_changes_the_run():
         hidden_sizes=(8,),
         learning_rate_schedule="cosine",
     )
-    a = train_spectralnet(X, affinity, config, rng=np.random.default_rng(2))
-    b = train_spectralnet(X, affinity, config, rng=np.random.default_rng(2))
+    a = train_spectralnet(X, graph, config, rng=np.random.default_rng(2))
+    b = train_spectralnet(X, graph, config, rng=np.random.default_rng(2))
     assert a.loss_history == b.loss_history
     constant = train_spectralnet(
         X,
-        affinity,
+        graph,
         replace(config, learning_rate_schedule="constant"),
         rng=np.random.default_rng(2),
     )
@@ -498,7 +507,7 @@ def test_restart_selection_follows_documented_derivation():
     # the caller's rng, and the lowest tail-loss candidate wins; rebuild the
     # candidates by hand and check the winner matches.
     X, _ = blobs_case()
-    affinity = heat_affinity(X, 0.5)
+    graph = heat_graph(X, 0.5)
     config = SpectralConfig(
         n_clusters=3,
         batch_size=32,
@@ -506,13 +515,13 @@ def test_restart_selection_follows_documented_derivation():
         hidden_sizes=(8,),
         restarts=3,
     )
-    model = train_spectralnet(X, affinity, config, rng=np.random.default_rng(11))
+    model = train_spectralnet(X, graph, config, rng=np.random.default_rng(11))
 
     rng = np.random.default_rng(11)
     seeds = [int(rng.integers(0, 2**63 - 1)) for _ in range(3)]
     single = replace(config, restarts=1)
     candidates = [
-        train_spectralnet(X, affinity, single, rng=np.random.default_rng(s))
+        train_spectralnet(X, graph, single, rng=np.random.default_rng(s))
         for s in seeds
     ]
     tails = [float(np.mean(c.loss_history[-10:])) for c in candidates]
@@ -525,13 +534,13 @@ def test_restart_selection_follows_documented_derivation():
 def test_single_restart_keeps_the_plain_stream():
     # restarts=1 must behave exactly like a config without the field at all
     X, _ = blobs_case()
-    affinity = heat_affinity(X, 0.5)
+    graph = heat_graph(X, 0.5)
     base = SpectralConfig(
         n_clusters=3, batch_size=32, total_steps=50, hidden_sizes=(8,)
     )
-    a = train_spectralnet(X, affinity, base, rng=np.random.default_rng(3))
+    a = train_spectralnet(X, graph, base, rng=np.random.default_rng(3))
     b = train_spectralnet(
-        X, affinity, replace(base, restarts=1), rng=np.random.default_rng(3)
+        X, graph, replace(base, restarts=1), rng=np.random.default_rng(3)
     )
     assert a.loss_history == b.loss_history
     assert np.array_equal(embed(a, X), embed(b, X))
@@ -550,7 +559,7 @@ def test_twin_feature_training_and_embedding():
         features="twin",
     )
     model = train_spectralnet(
-        Z, heat_affinity(Z, 0.5), config, rng=np.random.default_rng(6)
+        Z, heat_graph(Z, 0.5), config, rng=np.random.default_rng(6)
     )
     Y = embed(model, Z)
     assert Y.shape == (len(X), 3)
@@ -578,7 +587,7 @@ def test_outputs_that_cannot_be_whitened_fail_at_their_step(full):
         match="^spectral training failed at step 1 of 5: batch Gram matrix is singular",
     ):
         train_spectralnet(
-            X, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+            X, heat_graph(X, 0.5), config, rng=np.random.default_rng(0)
         )
 
 
@@ -598,8 +607,8 @@ def test_an_overflowing_bias_sum_fails_at_its_step(monkeypatch):
     whitened = spectralnet._whitened_loss
     calls = []
 
-    def overflowing_on_step_3(out, affinity, degrees=None):
-        loss, grad_out, residual = whitened(out, affinity, degrees)
+    def overflowing_on_step_3(out, laplacian):
+        loss, grad_out, residual = whitened(out, laplacian)
         calls.append(len(calls) + 1)
         if len(calls) == 3:
             grad_out = np.zeros_like(grad_out)
@@ -609,7 +618,7 @@ def test_an_overflowing_bias_sum_fails_at_its_step(monkeypatch):
     monkeypatch.setattr(spectralnet, "_whitened_loss", overflowing_on_step_3)
     with pytest.raises(NumericalError, match="^spectral training failed at step 3 of 5: "):
         train_spectralnet(
-            features, heat_affinity(X, 0.5), config, rng=np.random.default_rng(0)
+            features, heat_graph(X, 0.5), config, rng=np.random.default_rng(0)
         )
     assert calls == [1, 2, 3]
 
@@ -650,7 +659,7 @@ def float32_train(config, seed=0, features=None):
         features = float32_features(config)
     rng = np.random.default_rng(seed)
     model = train_spectralnet(
-        features, heat_affinity(features, 0.5), config, rng=rng
+        features, heat_graph(features, 0.5), config, rng=rng
     )
     return features, rng, model
 
@@ -666,12 +675,12 @@ def test_float32_step_tracks_the_float64_step(seed):
     narrow = Mlp.init([2, 8, 8, 3], activation="tanh", seed=seed).astype(np.float32)
     X32 = X.astype(np.float32)
     out, cache = narrow.forward(X32)
-    loss, grad_out, _ = _whitened_loss(out.astype(np.float64), A)
+    loss, grad_out, _ = _whitened_loss(out.astype(np.float64), Laplacian(A))
     grads = narrow.backward(cache, grad_out)
 
     wide = narrow.astype(np.float64)
     out64, cache64 = wide.forward(X32.astype(np.float64))
-    wide_loss, grad_out64, _ = _whitened_loss(out64, A)
+    wide_loss, grad_out64, _ = _whitened_loss(out64, Laplacian(A))
     wide_grads = wide.backward(cache64, grad_out64)
     assert loss == pytest.approx(wide_loss, rel=1e-4)
     got = np.concatenate([g.ravel() for pair in grads for g in pair])
@@ -783,11 +792,11 @@ def test_training_rejects_values_float32_cannot_hold(bad, full):
         n_clusters=3, batch_size=len(X) if full else 48, total_steps=10,
         hidden_sizes=(8,),
     )
-    affinity, calls = counting_affinity(X, 0.5)
+    graph, calls = counting_graph(X, 0.5)
     with pytest.raises(
         InputError, match=r"^1 input value\(s\) are NaN, infinite or beyond float32 range$"
     ):
-        train_spectralnet(X, affinity, config, rng=np.random.default_rng(0))
+        train_spectralnet(X, graph, config, rng=np.random.default_rng(0))
     assert calls == []
 
 

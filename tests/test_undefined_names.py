@@ -6,8 +6,9 @@ module's symbol tables (stdlib ``symtable``) and lists the global names that
 some scope reads but that the module never binds, imports or finds among the
 builtins. Each import of a package module (``__init__`` aside, whose
 imports are re-exports) must also be read somewhere in that module.
-The README's ```python blocks get the same check as the modules, and each
-``rp.<name>`` they use must be exported in ``rpspectral.__all__``; its
+The README's ```python blocks get the same check as the modules, each
+``rp.<name>`` they use must be exported in ``rpspectral.__all__``, and the
+Python API block must run as written; its
 ```json config examples must load through ``config_from_dict``, and each
 ``rpspectral`` command in its ```sh blocks must parse with the CLI's parser.
 """
@@ -148,6 +149,16 @@ def test_readme_examples_use_only_exported_names():
             and node.value.id == "rp"
         }
         assert sorted(used - set(rpspectral.__all__)) == []
+
+
+def test_readme_python_api_block_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```", section, flags=re.M | re.S).group(1)
+    namespace = {"__name__": "readme_example"}
+    exec(compile(block, "README.md", "exec"), namespace)
+    float(capsys.readouterr().out)  # the mean ARI it prints
+    assert len(namespace["labels"]) == len(namespace["X"])
 
 
 def test_readme_config_examples_load():
