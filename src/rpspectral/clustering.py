@@ -95,9 +95,9 @@ def _lloyd(points, k, centers):
 
 
 def kmeans(points, n_clusters, rng):
-    """Best of ``_RESTARTS`` Lloyd runs seeded from ``rng``, judged by scatter."""
+    """Best of ``_RESTARTS`` Lloyd runs from ``rng`` by scatter; k outside 1..n is an InputError."""
     if n_clusters < 1:
-        raise ValueError("n_clusters must be at least 1")
+        raise InputError("n_clusters must be at least 1")
     points = np.asarray(points, dtype=np.float64)
     n = len(points)
     if n_clusters > n:

@@ -4,9 +4,9 @@
   ``error: {message}`` and exits 2, the harness's ``_stage`` wraps one raised
   inside a pipeline stage in ``StageError``, and the benchmark records one
   as a failed operation.
-- ``ConfigError``: a setting is bad. ``ExperimentConfig.validate`` re-raises
-  a bad synthetic spec with the prefix "dataset: ", and ``sweep`` a bad grid
-  cell with "grid cell {...}: ".
+- ``ConfigError``: a setting is bad. A config section raises it naming its
+  own field; only ``ExperimentConfig.validate`` adds the section ("method.",
+  "dataset: ", ...), and ``sweep`` a bad grid cell with "grid cell {...}: ".
 - ``InputError``: the data handed in is unusable, by shape, size, index or
   value (a NaN or an infinity). The caller fixes its data.
 - ``NumericalError``: training diverged or a batch could not be whitened.

@@ -75,15 +75,12 @@ class MethodConfig:
 
     def validate(self):
         if self.kind not in ("knn", "rptree"):
-            raise ConfigError(f"method.kind: unknown pairing method {self.kind!r}")
+            raise ConfigError(f"kind: unknown pairing method {self.kind!r}")
         if self.k < 1:
-            raise ConfigError("method.k must be at least 1")
+            raise ConfigError("k must be at least 1")
         if self.leaf_size < 2:
-            raise ConfigError("method.leaf_size must be at least 2")
-        try:
-            TreeConfig(self.leaf_size, self.strategy)
-        except ValueError as exc:
-            raise ConfigError(f"method.{exc}") from exc
+            raise ConfigError("leaf_size must be at least 2")
+        TreeConfig(self.leaf_size, self.strategy)
 
     @property
     def label(self) -> str:
@@ -117,22 +114,20 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be nonnegative")
-        self.method.validate()
-        if isinstance(self.dataset, SyntheticSpec):
-            try:
-                self.dataset.validate()
-            except ConfigError as exc:
-                raise ConfigError(f"dataset: {exc}") from exc
         if self.spectral_config.n_clusters != self.n_clusters:
             raise ConfigError("spectral config disagrees on n_clusters")
-        for section, part in (
-            ("siamese", self.siamese),
-            ("spectral", self.spectral_config),
+        for prefix, section in (
+            ("method.", self.method),
+            ("dataset: ", self.dataset),
+            ("siamese.", self.siamese),
+            ("spectral.", self.spectral_config),
         ):
+            if isinstance(section, CsvSource):
+                continue  # a CSV file is checked as it is read
             try:
-                part.validate()
-            except ValueError as exc:
-                raise ConfigError(f"{section}.{exc}") from exc
+                section.validate()
+            except ConfigError as exc:
+                raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def _stage_rng(run_seed, stage):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 _SPLIT_BAND = (0.25, 0.75)  # cut fraction drawn uniformly inside this band
 # Fresh random directions a node tries after a cut that leaves a side empty,
@@ -42,7 +42,8 @@ class TreeConfig:
     ``strategy`` "random" draws one direction uniformly on the unit sphere;
     "bestof:N" draws N candidates and keeps the one with maximum projected
     variance; "pca" uses the node's first principal component. "bestof:1"
-    coincides with "random" draw for draw.
+    coincides with "random" draw for draw. A leaf size below 1 or another
+    strategy spelling raises ConfigError.
     """
 
     leaf_size: int
@@ -50,9 +51,9 @@ class TreeConfig:
 
     def __post_init__(self):
         if self.leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
+            raise ConfigError("leaf_size must be >= 1")
         if not (isinstance(self.strategy, str) and _STRATEGY.fullmatch(self.strategy)):
-            raise ValueError(
+            raise ConfigError(
                 f"strategy must be 'random', 'pca' or 'bestof:N' with N >= 1, "
                 f"got {self.strategy!r}"
             )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .mlp import Adam, Mlp, block_rows, finite_float32
 
 _MARGIN = 1.0  # distance past which a negative pair costs nothing
@@ -35,18 +35,19 @@ class SiameseConfig:
     learning_rate: float = 1e-3
 
     def validate(self):
+        """Raise ConfigError naming the bad field; ExperimentConfig.validate adds the section."""
         if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
+            raise ConfigError("batch_size must be at least 2")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise ConfigError("epochs must be at least 1")
         if any(width < 1 for width in self.hidden_sizes):
-            raise ValueError(
+            raise ConfigError(
                 f"hidden_sizes must be at least 1, got {self.hidden_sizes}"
             )
         if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be at least 1")
+            raise ConfigError("embedding_dim must be at least 1")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
 
 
 def _contrastive_batch(Z1, Z2, positive_mask):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import ConfigError, InputError, NumericalError
 from .mlp import ACTIVATIONS, Adam, Mlp, finite_float32
 
 _ORTHO_TOL = 1e-6  # relative Frobenius tolerance on Y^T Y = m I
@@ -52,34 +52,35 @@ class SpectralConfig:
     features: str = "raw"
 
     def validate(self):
+        """Raise ConfigError naming the bad field; ExperimentConfig.validate adds the section."""
         if self.n_clusters < 1:
-            raise ValueError("n_clusters must be at least 1")
+            raise ConfigError("n_clusters must be at least 1")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(
+            raise ConfigError(
                 f"activation must be one of {ACTIVATIONS}, got {self.activation!r}"
             )
         if any(width < 1 for width in self.hidden_sizes):
-            raise ValueError(
+            raise ConfigError(
                 f"hidden_sizes must be at least 1, got {self.hidden_sizes}"
             )
         if self.batch_size < self.n_clusters:
-            raise ValueError(
+            raise ConfigError(
                 "batch_size must be at least n_clusters "
                 f"({self.batch_size} < {self.n_clusters})"
             )
         if self.total_steps < 2 or self.total_steps % 2 != 0:
-            raise ValueError("total_steps must be even and at least 2")
+            raise ConfigError("total_steps must be even and at least 2")
         if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+            raise ConfigError("learning_rate must be positive")
         if self.learning_rate_schedule not in ("constant", "cosine"):
-            raise ValueError(
+            raise ConfigError(
                 "learning_rate_schedule must be 'constant' or 'cosine', got "
                 f"{self.learning_rate_schedule!r}"
             )
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ConfigError("restarts must be at least 1")
         if self.features not in ("raw", "twin"):
-            raise ValueError(f"features must be 'raw' or 'twin', got {self.features!r}")
+            raise ConfigError(f"features must be 'raw' or 'twin', got {self.features!r}")
 
 
 def _whitening_map(gram, m):

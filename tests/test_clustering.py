@@ -174,7 +174,7 @@ def test_kmeans_errors():
     X = np.zeros((3, 2))
     with pytest.raises(InputError, match="^k=4 exceeds the 3 available points$"):
         kmeans(X, 4, rng=np.random.default_rng(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         kmeans(X, 0, rng=np.random.default_rng(0))
 
 

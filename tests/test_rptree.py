@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rpspectral import rptree
-from rpspectral.errors import InputError
+from rpspectral.errors import ConfigError, InputError
 from rpspectral.rptree import (
     TreeConfig,
     build_tree,
@@ -294,7 +294,7 @@ def test_tree_config_takes_only_the_exact_strategy_spellings():
     for strategy in ("random", "pca", "bestof:1", "bestof:5", "bestof:12"):
         assert TreeConfig(leaf_size=4, strategy=strategy).strategy == strategy
     for strategy in ("kd", "PCA", " pca ", "Random", "bestof", "bestof:0", "bestof:03", "bestof:x", 3):
-        with pytest.raises(ValueError, match="strategy must be"):
+        with pytest.raises(ConfigError, match="strategy must be"):
             TreeConfig(leaf_size=4, strategy=strategy)
 
 
@@ -505,7 +505,7 @@ def test_split_without_coordinates_raises():
 
 
 def test_tree_config_validation():
-    with pytest.raises(ValueError, match="^leaf_size must be >= 1$"):
+    with pytest.raises(ConfigError, match="^leaf_size must be >= 1$"):
         TreeConfig(leaf_size=0)
     with pytest.raises(InputError, match="^X must be a nonempty 2-D matrix$"):
         build_tree(np.zeros((0, 2)), TreeConfig(leaf_size=5), rng=np.random.default_rng(0))

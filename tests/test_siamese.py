@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from rpspectral.errors import InputError
+from rpspectral.errors import ConfigError, InputError
 from rpspectral.mlp import _BLOCK_FLOATS, Mlp, block_rows
 from rpspectral.pairing import PairSet
 from rpspectral.siamese import (
@@ -447,14 +447,14 @@ def test_training_rejects_out_of_range_pair_indices(positives, negatives):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SiameseConfig(batch_size=1).validate()
     for rate in (0.0, -1e-3, float("nan")):
-        with pytest.raises(ValueError, match="learning_rate"):
+        with pytest.raises(ConfigError, match="learning_rate"):
             SiameseConfig(learning_rate=rate).validate()
-    with pytest.raises(ValueError, match="embedding_dim"):
+    with pytest.raises(ConfigError, match="embedding_dim"):
         SiameseConfig(embedding_dim=0).validate()
-    with pytest.raises(ValueError, match="hidden_sizes"):
+    with pytest.raises(ConfigError, match="hidden_sizes"):
         SiameseConfig(hidden_sizes=(8, 0)).validate()
     SiameseConfig().validate()  # defaults are fine
 

@@ -5,7 +5,7 @@ import pytest
 
 from rpspectral import spectralnet
 from rpspectral.datasets import SyntheticSpec, generate_synthetic
-from rpspectral.errors import InputError, NumericalError
+from rpspectral.errors import ConfigError, InputError, NumericalError
 from rpspectral.mlp import _BLOCK_FLOATS, Adam, Mlp
 from rpspectral.siamese import heat_kernel, pairwise_distances
 from rpspectral.spectralnet import (
@@ -372,23 +372,23 @@ def test_training_rejects_undersized_dataset():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=4, batch_size=2).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, total_steps=7).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, learning_rate=0.0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, activation="gelu").validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, learning_rate_schedule="linear").validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, restarts=0).validate()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SpectralConfig(n_clusters=2, features="pca").validate()
-    with pytest.raises(ValueError, match="hidden_sizes"):
+    with pytest.raises(ConfigError, match="hidden_sizes"):
         SpectralConfig(n_clusters=2, hidden_sizes=(0,)).validate()
     SpectralConfig(n_clusters=2).validate()
 
