@@ -112,6 +112,17 @@ def kmeans(points, n_clusters, rng):
     return best
 
 
+def _label_codes(labels):
+    """Each label's rank among the distinct labels, and how many there are.
+
+    A sort and a ``searchsorted``, which give the inverse of ``np.unique``
+    without importing ``numpy.ma`` as ``np.unique`` does (numpy 2.4).
+    """
+    ordered = np.sort(labels)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.searchsorted(distinct, labels), len(distinct)
+
+
 def ari(first, second):
     """Adjusted Rand index from the pair confusion counts.
 
@@ -131,10 +142,9 @@ def ari(first, second):
     if n < 2:
         raise InputError("need at least 2 points to form a pair")
 
-    _, fi = np.unique(first, return_inverse=True)
-    _, si = np.unique(second, return_inverse=True)
-    table = np.zeros((int(fi.max()) + 1, int(si.max()) + 1), dtype=np.int64)
-    np.add.at(table, (fi, si), 1)
+    fi, rows = _label_codes(first)
+    si, columns = _label_codes(second)
+    table = np.bincount(fi * columns + si, minlength=rows * columns).reshape(rows, columns)
 
     def pairs_of(counts):
         return sum(int(c) * (int(c) - 1) // 2 for c in counts)

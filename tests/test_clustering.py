@@ -114,6 +114,45 @@ def test_labels_accept_strings():
     assert ari(["a", "a", "b", "b"], [0, 0, 1, 1]) == 1.0
 
 
+def ari_through_np_unique(first, second):
+    """``ari`` as it was when ``np.unique`` coded the labels."""
+    first, second = np.asarray(first).ravel(), np.asarray(second).ravel()
+    n = len(first)
+    _, fi = np.unique(first, return_inverse=True)
+    _, si = np.unique(second, return_inverse=True)
+    table = np.zeros((int(fi.max()) + 1, int(si.max()) + 1), dtype=np.int64)
+    np.add.at(table, (fi, si), 1)
+
+    def pairs_of(counts):
+        return sum(int(c) * (int(c) - 1) // 2 for c in counts)
+
+    n11 = pairs_of(table.ravel())
+    same_first = pairs_of(table.sum(axis=1))
+    same_second = pairs_of(table.sum(axis=0))
+    n10, n01 = same_first - n11, same_second - n11
+    n00 = n * (n - 1) // 2 - same_first - same_second + n11
+    denominator = (n00 + n01) * (n01 + n11) + (n00 + n10) * (n10 + n11)
+    return 2 * (n00 * n11 - n10 * n01) / denominator if denominator else None
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    [
+        np.array([0, 1, 2]),
+        np.array([-7, 3, 40, 2**40]),  # non-contiguous, negative and wide
+        np.array([0.5, -1.25, 3.0]),
+        np.array(["b", "a", "zz", "c"]),
+    ],
+)
+def test_ari_gives_the_bits_of_the_np_unique_coding(alphabet):
+    rng = np.random.default_rng(len(alphabet))
+    for n in (2, 3, 10, 11, 300):
+        for _ in range(20):
+            first = rng.choice(alphabet, size=n)
+            second = rng.choice(alphabet[: int(rng.integers(1, len(alphabet) + 1))], size=n)
+            assert ari(first, second) == ari_through_np_unique(first, second)
+
+
 # --- kmeans ---
 
 

@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,18 @@ def test_config_from_dict_minimal():
     assert config.runs == 10
     assert config.spectral is None
     assert config.spectral_config.n_clusters == 2
+
+
+def test_readme_config_example_spells_out_the_defaults():
+    # The README's first config example says "everything else has
+    # defaults" and spells each default out; a changed default must change
+    # it too.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("everything else has\ndefaults:\n", 1)[1]
+    block = json.loads(re.match(r"\s*```json\n(.*?)^```", section, flags=re.M | re.S).group(1))
+    assert set(block) == {"dataset", "method", "n_clusters", "runs", "base_seed", "siamese", "spectral"}
+    defaults = config_from_dict({"dataset": block["dataset"]})
+    assert config_to_dict(config_from_dict(block)) == config_to_dict(defaults)
 
 
 def test_config_from_dict_csv_detection():
@@ -523,6 +540,29 @@ def test_run_experiment_records_non_finite_input_as_a_pairs_failure(route, monke
     for run in record["runs"]:
         assert run["error"]["stage"] == "pairs"
         assert "1 input value" in run["error"]["message"]
+
+
+def test_a_pipeline_run_leaves_numpy_ma_unimported():
+    # np.median and np.unique import numpy.ma on their first call in a
+    # process (numpy 2.4); the bandwidth and the score take neither path.
+    code = (
+        "import sys\n"
+        "import rpspectral as rp\n"
+        "spec = rp.SyntheticSpec(kind='blobs', n=90, noise=0.05, centers=3, seed=1)\n"
+        "config = rp.ExperimentConfig(dataset=spec, n_clusters=3, runs=1,\n"
+        "    siamese=rp.SiameseConfig(epochs=1),\n"
+        "    spectral=rp.SpectralConfig(n_clusters=3, total_steps=4))\n"
+        "X, y = rp.generate_synthetic(spec)\n"
+        "assert rp.run_pipeline(X, y, config).record['ari'] is not None\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # --- sweep ---

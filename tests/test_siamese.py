@@ -271,6 +271,20 @@ def test_bandwidth_is_median():
     assert select_bandwidth(np.array([1.0, 2.0, 3.0])) == 2.0
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 100, 101, 1000])
+def test_bandwidth_is_np_median_to_the_bit(size):
+    # Odd and even counts, distinct values and heavy ties; the sample is
+    # left in its order.
+    rng = np.random.default_rng(size)
+    for distances in (rng.random(size) * 3.0 + 1e-3, rng.integers(1, 4, size) / 7.0):
+        before = distances.copy()
+        assert select_bandwidth(distances).hex() == float(np.median(distances)).hex()
+        assert np.array_equal(distances, before)
+        if size % 2 == 0:  # a 2-D sample is one sample, as np.median takes it
+            square = distances.reshape(2, -1)
+            assert select_bandwidth(square).hex() == float(np.median(square)).hex()
+
+
 def test_bandwidth_all_equal():
     assert select_bandwidth(np.full(7, 0.25)) == 0.25
 
